@@ -44,7 +44,6 @@ from .spectra import (
     decompose_cross_spectrum,
     default_half_widths,
     dft,
-    dft_separable,
     dot_multiple_gap,
     dot_spectrum,
     gain_dot_spectrum,

@@ -144,6 +144,19 @@ def _as_matrix_field(field: SpectralField) -> np.ndarray:
     return field.values
 
 
+def _hermitian_cond(mats: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack of Hermitian matrices,
+    max|lambda| / min|lambda| from their eigenvalues.  Not finite where the
+    smallest eigenvalue is zero, and NaN for matrices with non-finite
+    entries, on which eigvalsh returns arbitrary values without an error."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    cond = np.full(mats.shape[0], np.nan)
+    with np.errstate(all="ignore"):
+        lam = np.abs(np.linalg.eigvalsh(mats[finite]))
+        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
+    return cond
+
+
 def invert_spectral_matrix(
     field: SpectralField,
     cond_threshold: float = COND_THRESHOLD,
@@ -151,9 +164,10 @@ def invert_spectral_matrix(
 ) -> InverseField:
     """Invert the d x d matrix at every ordinate, with ridge escalation.
 
-    Ordinates whose condition number exceeds ``cond_threshold`` get diagonal
-    loading eps*(trace/d)*I with eps escalating through ``ridge_fractions``
-    until the condition number passes; the applied eps is recorded.  If no
+    Ordinates whose condition number (from the eigenvalues, the matrices
+    being Hermitian) exceeds ``cond_threshold`` get diagonal loading
+    eps*(trace/d)*I with eps escalating through ``ridge_fractions`` until
+    the condition number passes; the applied eps is recorded.  If no
     step passes, the ordinate is flagged singular (NaN inverse) rather than
     aborting the run.
     """
@@ -165,8 +179,7 @@ def invert_spectral_matrix(
 
     work = flat.copy()
     ridge = np.zeros(n)
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(work)
+    cond = _hermitian_cond(work)
     bad = ~np.isfinite(cond) | (cond > cond_threshold)
     eye = np.eye(d)
     for eps in ridge_fractions:
@@ -175,8 +188,7 @@ def invert_spectral_matrix(
         idx = np.nonzero(bad)[0]
         tr = np.einsum("kii->k", flat[idx]).real / d
         candidate = flat[idx] + (eps * tr)[:, None, None] * eye
-        with np.errstate(all="ignore"):
-            c2 = np.linalg.cond(candidate)
+        c2 = _hermitian_cond(candidate)
         ok = np.isfinite(c2) & (c2 <= cond_threshold)
         work[idx[ok]] = candidate[ok]
         ridge[idx[ok]] = eps

@@ -21,6 +21,7 @@ from conftest import (
     build_pattern,
     record_criterion,
 )
+from oracles import dft_separable
 from test_partial import random_hpd_field
 from test_spectra import DFT_ORACLE, grid_index
 
@@ -31,7 +32,6 @@ from stspectra import (
     calibrate_null_threshold,
     coherence,
     dft,
-    dft_separable,
     dot_spectrum,
     estimate_k,
     estimate_spatial_intensity,

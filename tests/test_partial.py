@@ -43,6 +43,35 @@ def random_hpd_field(d, n_points=40, seed=0, jitter=1.0):
     )
 
 
+def svd_ridge_decisions(field, cond_threshold=COND_THRESHOLD):
+    """Oracle: the ridge escalation with condition numbers from the SVD
+    (np.linalg.cond); returns the (ridge, singular) arrays."""
+    d = field.d
+    flat = field.values.reshape(-1, d, d)
+    ridge = np.zeros(flat.shape[0])
+    with np.errstate(all="ignore"):
+        cond = np.linalg.cond(flat)
+    bad = ~np.isfinite(cond) | (cond > cond_threshold)
+    for eps in RIDGE_FRACTIONS:
+        idx = np.nonzero(bad)[0]
+        if idx.size == 0:
+            break
+        tr = np.einsum("kii->k", flat[idx]).real / d
+        with np.errstate(all="ignore"):
+            c2 = np.linalg.cond(flat[idx] + (eps * tr)[:, None, None] * np.eye(d))
+        ok = np.isfinite(c2) & (c2 <= cond_threshold)
+        ridge[idx[ok]] = eps
+        bad[idx[ok]] = False
+    shape = field.values.shape[:3]
+    return ridge.reshape(shape), bad.reshape(shape)
+
+
+def assert_same_ridge_decisions(inv, field, cond_threshold=COND_THRESHOLD):
+    ridge, singular = svd_ridge_decisions(field, cond_threshold)
+    assert np.array_equal(inv.ridge, ridge)
+    assert np.array_equal(inv.singular, singular)
+
+
 def replace_values(field, vals):
     return SpectralField(
         values=vals,
@@ -88,6 +117,15 @@ class TestInversion:
         assert inv.ridge[1:].max() == 0.0
         assert not inv.singular.any()
         assert np.isfinite(inv.values).all()
+        assert_same_ridge_decisions(inv, replace_values(field, vals))
+        # an all-zero component at points 2 and 3, as in an empty slice
+        vals[2:4, ..., 2, :] = 0.0
+        vals[2:4, ..., :, 2] = 0.0
+        empty = replace_values(field, vals)
+        inv = invert_spectral_matrix(empty)
+        assert (inv.ridge[2:4] > 0.0).all()
+        assert not inv.singular.any()
+        assert_same_ridge_decisions(inv, empty)
 
     def test_ridge_escalates_until_condition_passes(self):
         # diag(1, 1, 1e-8) has condition 1e8; only the largest loading
@@ -108,8 +146,20 @@ class TestInversion:
         inv = invert_spectral_matrix(field, cond_threshold=1e5)
         assert inv.ridge[0, 0, 0] == RIDGE_FRACTIONS[-1]
         assert not inv.singular[0, 0, 0]
+        assert_same_ridge_decisions(inv, field, cond_threshold=1e5)
         plain = invert_spectral_matrix(field)  # cond 1e8 < default threshold
         assert plain.ridge[0, 0, 0] == 0.0
+        assert_same_ridge_decisions(plain, field)
+        # component 3 all zero, as in an empty slice: exactly singular; the
+        # loadings 2/3 * (1e-8, 1e-6, 1e-4) give conditions 1.5e8, 1.5e6, 1.5e4
+        field = replace_values(field, vals * np.diag([1.0, 1.0, 0.0]))
+        for threshold, eps in ((1e5, RIDGE_FRACTIONS[-1]), (1e10, RIDGE_FRACTIONS[0])):
+            inv = invert_spectral_matrix(field, cond_threshold=threshold)
+            assert inv.ridge[0, 0, 0] == eps
+            assert_same_ridge_decisions(inv, field, cond_threshold=threshold)
+        inv = invert_spectral_matrix(field, cond_threshold=1e3)
+        assert inv.singular[0, 0, 0]
+        assert_same_ridge_decisions(inv, field, cond_threshold=1e3)
         assert COND_THRESHOLD == 1e10
         assert RIDGE_FRACTIONS == (1e-8, 1e-6, 1e-4)
 
@@ -122,6 +172,13 @@ class TestInversion:
         assert np.isnan(inv.values[1]).all()
         assert not inv.singular[0, 0, 0]
         assert np.isfinite(inv.values[0]).all()
+        # a non-finite matrix (NaN marks reach the library unchecked) is
+        # flagged singular too
+        vals[2, ..., 0, 0] = np.nan
+        inv = invert_spectral_matrix(replace_values(field, vals))
+        assert inv.singular[1:].all()
+        assert np.isnan(inv.values[2]).all()
+        assert not inv.singular[0, 0, 0]
 
     def test_raw_field_rejected(self, trio_pattern, small_grid):
         raw = periodogram_matrix(dft(trio_pattern, small_grid))

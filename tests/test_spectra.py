@@ -5,8 +5,16 @@ terms accumulated with math.fsum, on the eight-event fixture from
 conftest.  They pin the transform sign and normalisation conventions.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import stspectra
 
 from stspectra import (
     FrequencyGrid,
@@ -15,7 +23,6 @@ from stspectra import (
     decompose_cross_spectrum,
     default_half_widths,
     dft,
-    dft_separable,
     dot_multiple_gap,
     dot_spectrum,
     gain_dot_spectrum,
@@ -25,12 +32,15 @@ from stspectra import (
     periodogram_matrix,
     r_spectrum,
     simulate,
+    simulate_binomial_null,
     smooth_spectra,
     theta_spectrum,
 )
 from stspectra.errors import ValidationError
+from stspectra.spectra import EVENT_CHUNK
 
 from conftest import build_pattern
+from oracles import dft_separable
 
 # point -> (component a value, component b value); grid point (p, q, u), T=2
 DFT_ORACLE = {
@@ -141,6 +151,32 @@ class TestDft:
         many = dft(trio_pattern, small_grid, threads=3)
         assert np.array_equal(one.values, many.values)
 
+    def test_blas_threads_bitwise_identical(self):
+        # the GEMM's reduction over events must not depend on how many
+        # threads BLAS splits the product over
+        script = (
+            "import hashlib\n"
+            "from stspectra import FrequencyGrid, dft, simulate_binomial_null\n"
+            "pat = simulate_binomial_null((5000,) * 5, T=5, seed=11)\n"
+            "v = dft(pat, FrequencyGrid.default(5)).values\n"
+            "print(hashlib.sha256(v.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(stspectra.__file__).resolve().parents[1])
+        digests = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
     def test_conjugate_symmetry_on_p0_plane(self, tiny_pattern):
         grid = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=-1, u_max=1)
         d = dft(tiny_pattern, grid)
@@ -181,6 +217,13 @@ class TestMarkedDft:
         pat = tiny_pattern.with_marks(np.full(8, 3.25))
         md = marked_dft(pat, tiny_grid)
         assert np.abs(md.values).max() == 0.0
+
+    def test_threads_bitwise_identical(self, trio_pattern, small_grid):
+        marks = np.random.default_rng(5).normal(5.0, 1.0, trio_pattern.n)
+        pat = trio_pattern.with_marks(marks)
+        one = marked_dft(pat, small_grid, threads=1)
+        many = marked_dft(pat, small_grid, threads=3)
+        assert one.values.tobytes() == many.values.tobytes()
 
     def test_needs_marks(self, tiny_grid):
         pat = build_pattern([0.1, 0.9], [0.1, 0.9], [1, 1], [1, 2], ("a", "b"), T=1)
@@ -260,36 +303,44 @@ def naive_box_average(values, grid, T, hw):
     return out
 
 
+# beyond the basic widths: a u window wider than the period T=4, and
+# p half-widths reaching past p_max (mirror planes beyond the stored grid)
+ORACLE_HALF_WIDTHS = ((2, 2, 1), (4, 4, 2), (3, 1, 1))
+
+
 class TestSmoothing:
     def test_matches_naive_oracle(self, trio_pattern):
         grid = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=-1, u_max=2)
         raw = periodogram_matrix(dft(trio_pattern, grid))
-        sm = smooth_spectra(raw, (1, 1, 1))
-        expected = naive_box_average(raw.values, grid, trio_pattern.T, (1, 1, 1))
         scale = np.abs(raw.values).max()
-        assert np.abs(sm.values - expected).max() < 1e-13 * scale
+        for hw in ((1, 1, 1),) + ORACLE_HALF_WIDTHS:
+            sm = smooth_spectra(raw, hw)
+            expected = naive_box_average(raw.values, grid, trio_pattern.T, hw)
+            assert np.abs(sm.values - expected).max() < 1e-13 * scale
 
     def test_oracle_without_wrap(self, trio_pattern):
         # U != T: no u-wrap, no p-mirror; edges truncate
         grid = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=0, u_max=1)
         raw = periodogram_matrix(dft(trio_pattern, grid))
-        sm = smooth_spectra(raw, (1, 1, 1))
-        expected = naive_box_average(raw.values, grid, trio_pattern.T, (1, 1, 1))
         scale = np.abs(raw.values).max()
-        assert np.abs(sm.values - expected).max() < 1e-13 * scale
+        for hw in ((1, 1, 1),) + ORACLE_HALF_WIDTHS:
+            sm = smooth_spectra(raw, hw)
+            expected = naive_box_average(raw.values, grid, trio_pattern.T, hw)
+            assert np.abs(sm.values - expected).max() < 1e-13 * scale
 
     def test_asymmetric_q_truncates(self, trio_pattern):
         grid = FrequencyGrid(p_max=2, q_min=-1, q_max=2, u_min=-1, u_max=2)
         raw = periodogram_matrix(dft(trio_pattern, grid))
-        sm = smooth_spectra(raw, (1, 1, 0))
-        expected = naive_box_average(raw.values, grid, trio_pattern.T, (1, 1, 0))
         scale = np.abs(raw.values).max()
-        assert np.abs(sm.values - expected).max() < 1e-13 * scale
+        for hw in ((1, 1, 0),) + ORACLE_HALF_WIDTHS:
+            sm = smooth_spectra(raw, hw)
+            expected = naive_box_average(raw.values, grid, trio_pattern.T, hw)
+            assert np.abs(sm.values - expected).max() < 1e-13 * scale
 
     def test_preserves_hermitian_exactly(self, trio_pattern, small_grid):
         raw = periodogram_matrix(dft(trio_pattern, small_grid))
-        sm = smooth_spectra(raw, (1, 1, 1))
-        assert sm.hermitian_defect() == 0.0
+        for hw in ((1, 1, 1), (2, 2, 1)):
+            assert smooth_spectra(raw, hw).hermitian_defect() == 0.0
 
     def test_preserves_psd(self, trio_pattern, small_grid):
         raw = periodogram_matrix(dft(trio_pattern, small_grid))
@@ -492,12 +543,28 @@ class TestPolar:
 
 class TestSeparableAgreement:
     def test_many_seeds(self):
-        # broader replication of the dual-route agreement at small n
-        for seed in range(5):
-            pat = simulate(
+        # broader replication of the dual-route agreement at small n, and
+        # across the transform's event chunks: components holding 0, 1,
+        # CHUNK-1, CHUNK and CHUNK+1 events
+        grid = FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=-1, u_max=1)
+        patterns = [
+            simulate(
                 SimSpec(kind="homogeneous_poisson", rates=(30.0, 40.0), T=3, seed=seed)
             ).pattern
-            grid = FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=-1, u_max=1)
+            for seed in range(5)
+        ]
+        sizes = (1, EVENT_CHUNK - 1, EVENT_CHUNK, EVENT_CHUNK + 1)
+        chunked = simulate_binomial_null(sizes, T=3, seed=21)
+        chunked = dataclasses.replace(
+            chunked,
+            type_id=chunked.type_id + 1,
+            labels=("empty",) + chunked.labels,
+            _allow_missing_types=True,
+        )
+        assert chunked.counts.tolist() == [0, *sizes]
+        patterns.append(chunked)
+        for pat in patterns:
             a = dft(pat, grid)
             b = dft_separable(pat, grid)
             assert np.abs(a.values - b.values).max() < 1e-10 * pat.n
+        assert not a.values[0].any()
