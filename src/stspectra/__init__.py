@@ -34,6 +34,7 @@ from .simulate import (
     write_sidecar,
 )
 from .spectra import (
+    AnalysisSpec,
     CrossDecomposition,
     DftVector,
     DotSpectrum,
@@ -80,12 +81,14 @@ from .graph import (
     graph_to_json,
     partial_pipeline,
     per_slice_graphs,
+    spectral_fields,
 )
 from .inverse import (
     LagField,
     PartialLagSet,
     forward_from_lags,
     inverse_transform,
+    partial_cross_lags,
     partial_lag_characteristics,
     scaled_covariance,
     symmetrise_scalar,

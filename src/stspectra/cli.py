@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .graph import (
     graph_to_json,
     partial_pipeline,
     per_slice_graphs,
+    spectral_fields,
 )
 from .ingest import (
     MultiPattern,
@@ -44,19 +46,16 @@ from .ingest import (
     load_events,
     rescale_to_unit_square,
 )
-from .inverse import inverse_transform, partial_lag_characteristics, scaled_covariance
-from .partial import partial_cross_spectrum_direct, partial_field
+from .inverse import partial_cross_lags, partial_lag_characteristics, scaled_covariance
+from .partial import partial_field
 from .simulate import SimSpec, simulate, write_sidecar
-from .spectra import (
-    FrequencyGrid,
-    default_half_widths,
-    dft,
-    marked_dft,
-    periodogram_matrix,
-    r_spectrum,
-    smooth_spectra,
-    theta_spectrum,
-)
+from .spectra import AnalysisSpec, FrequencyGrid, r_spectrum, theta_spectrum
+
+# stage names bench/tracing.py looks up in this module; the subcommands reach
+# these stages through stspectra.graph and stspectra.inverse
+from .inverse import inverse_transform  # noqa: F401
+from .partial import partial_cross_spectrum_direct  # noqa: F401
+from .spectra import dft, marked_dft, periodogram_matrix, smooth_spectra  # noqa: F401
 
 THREADS_ENV = "STSPECTRA_THREADS"
 CALIBRATION_SEED_OFFSET = 7654321
@@ -408,23 +407,27 @@ def _parse_origin(text):
         raise ValidationError(f"bin origin {text!r} is not ISO-8601")
 
 
-def _make_grid(args, T: int) -> FrequencyGrid:
-    q_min = -16 if args.q_min is None else args.q_min
-    q_max = 16 if args.q_max is None else args.q_max
-    u_min = -((T - 1) // 2) if args.u_min is None else args.u_min
-    u_max = T // 2 if args.u_max is None else args.u_max
-    return FrequencyGrid(
-        p_max=args.p_max,
-        q_min=q_min,
-        q_max=q_max,
-        u_min=u_min,
-        u_max=u_max,
-        include_dc=args.include_dc,
+def _analysis_spec(args, T: int) -> AnalysisSpec:
+    """The spec of the grid flags; unset flags take the defaults for T."""
+    default = AnalysisSpec.default(T)
+    g = default.grid
+
+    def pick(value, fallback):
+        return fallback if value is None else value
+
+    return AnalysisSpec(
+        grid=FrequencyGrid(
+            p_max=args.p_max,
+            q_min=pick(args.q_min, g.q_min),
+            q_max=pick(args.q_max, g.q_max),
+            u_min=pick(args.u_min, g.u_min),
+            u_max=pick(args.u_max, g.u_max),
+            include_dc=args.include_dc,
+        ),
+        half_widths=pick(args.half_widths, default.half_widths),
+        normalisation=args.normalisation,
+        marked=args.marked,
     )
-
-
-def _resolve_half_widths(args, T: int) -> tuple[int, int, int]:
-    return args.half_widths if args.half_widths is not None else default_half_widths(T)
 
 
 def _require_partial_dims(pattern: MultiPattern) -> None:
@@ -457,32 +460,24 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _provenance_comments(
-    subcommand: str,
-    cfg: dict,
-    grid: FrequencyGrid | None = None,
-    half_widths: tuple[int, int, int] | None = None,
-    normalisation: str | None = None,
-    prefix: str = "#",
+    subcommand: str, cfg: dict, spec: AnalysisSpec | None = None
 ) -> list[str]:
     lines = [
-        f"{prefix} artifact=stspectra-{subcommand}",
-        f"{prefix} config_hash={_config_hash(cfg)}",
+        f"# artifact=stspectra-{subcommand}",
+        f"# config_hash={_config_hash(cfg)}",
     ]
-    if grid is not None:
-        g = grid.describe()
-        lines.append(
-            f"{prefix} grid=p:{g['p'][0]}..{g['p'][1]},"
+    if spec is not None:
+        g = spec.grid.describe()
+        hw = spec.half_widths
+        lines += [
+            f"# grid=p:{g['p'][0]}..{g['p'][1]},"
             f"q:{g['q'][0]}..{g['q'][1]},u:{g['u'][0]}..{g['u'][1]},"
-            f"dc:{'included' if g['include_dc'] else 'excluded'}"
-        )
-    if normalisation is not None:
-        lines.append(f"{prefix} normalisation={normalisation}")
-    if half_widths is not None:
-        lines.append(
-            f"{prefix} smoothing={half_widths[0]},{half_widths[1]},{half_widths[2]}"
-        )
+            f"dc:{'included' if g['include_dc'] else 'excluded'}",
+            f"# normalisation={spec.normalisation}",
+            f"# smoothing={hw[0]},{hw[1]},{hw[2]}",
+        ]
     if "seed" in cfg and cfg["seed"] is not None:
-        lines.append(f"{prefix} seed={cfg['seed']}")
+        lines.append(f"# seed={cfg['seed']}")
     return lines
 
 
@@ -703,24 +698,16 @@ def _spectral_rows(field, kind: str):
 def cmd_spectra(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
-    grid = _make_grid(args, pattern.T)
-    hw = _resolve_half_widths(args, pattern.T)
+    spec = _analysis_spec(args, pattern.T)
     threads = _threads(args)
-    cfg = _config_dict(args, {"resolved_half_widths": list(hw)})
-    comments = _provenance_comments(
-        "spectra", cfg, grid=grid, half_widths=hw, normalisation=args.normalisation
-    )
+    cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
+    comments = _provenance_comments("spectra", cfg, spec)
 
-    dfts = dft(pattern, grid, threads=threads)
-    raw = periodogram_matrix(dfts, normalisation=args.normalisation)
-    smoothed = smooth_spectra(raw, hw)
+    # raw and smoothed rows are always unmarked; --marked adds marked rows
+    raw, smoothed = spectral_fields(pattern, replace(spec, marked=False), threads)
     rows = _spectral_rows(raw, "raw") + _spectral_rows(smoothed, "smoothed")
-    if args.marked:
-        mdft = marked_dft(pattern, grid, threads=threads)
-        msm = smooth_spectra(
-            periodogram_matrix(mdft, normalisation=args.normalisation), hw
-        )
-        rows += _spectral_rows(msm, "marked")
+    if spec.marked:
+        rows += _spectral_rows(spectral_fields(pattern, spec, threads)[1], "marked")
     _write_csv(
         out / "spectra.csv",
         comments,
@@ -733,8 +720,8 @@ def cmd_spectra(args) -> int:
         for i in range(1, pattern.d + 1):
             auto = smoothed.entry(i, i).real
             for spec_kind, pol in (
-                ("radius", r_spectrum(auto, grid)),
-                ("angle", theta_spectrum(auto, grid)),
+                ("radius", r_spectrum(auto, spec.grid)),
+                ("angle", theta_spectrum(auto, spec.grid)),
             ):
                 for k, bin_v in enumerate(pol.bins):
                     for c, uv in enumerate(pol.u_values):
@@ -754,7 +741,7 @@ def cmd_spectra(args) -> int:
             ["kind", "i", "bin", "u", "value", "count"],
             prows,
         )
-    print(f"wrote {len(rows)} spectral rows on grid {grid.shape}")
+    print(f"wrote {len(rows)} spectral rows on grid {spec.grid.shape}")
     return 0
 
 
@@ -791,24 +778,13 @@ def cmd_partial(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
-    grid = _make_grid(args, pattern.T)
-    hw = _resolve_half_widths(args, pattern.T)
-    cfg = _config_dict(args, {"resolved_half_widths": list(hw)})
-    comments = _provenance_comments(
-        "partial", cfg, grid=grid, half_widths=hw, normalisation=args.normalisation
-    )
-    pf = partial_pipeline(
-        pattern,
-        grid=grid,
-        half_widths=hw,
-        threads=_threads(args),
-        normalisation=args.normalisation,
-        marked=args.marked,
-    )
+    spec = _analysis_spec(args, pattern.T)
+    cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
+    pf = partial_pipeline(pattern, spec, threads=_threads(args))
     rows = _partial_rows(pf)
     _write_csv(
         out / "partial.csv",
-        comments,
+        _provenance_comments("partial", cfg, spec),
         ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"],
         rows,
     )
@@ -817,23 +793,19 @@ def cmd_partial(args) -> int:
     return 0
 
 
-def _resolve_xi(args, pattern, grid, hw, threads):
+def _resolve_xi(args, pattern, spec, threads):
     text = str(args.xi)
     if text.startswith("null:"):
         tag = text.split(":", 1)[1]
         if tag != "q95":
             raise ValidationError(f"unknown calibration spec {text!r}; use null:q95")
         cal = calibrate_null_threshold(
-            tuple(int(c) for c in pattern.counts),
-            pattern.T,
-            grid=grid,
-            half_widths=hw,
+            pattern,
+            spec,
             quantile=0.95,
             replicates=args.replicates,
             seed=args.calibration_seed,
             threads=threads,
-            include_dc=args.include_dc,
-            normalisation=args.normalisation,
         )
         return cal.xi, cal
     try:
@@ -842,12 +814,12 @@ def _resolve_xi(args, pattern, grid, hw, threads):
         raise ValidationError(f"threshold {text!r} is neither a number nor null:q95")
 
 
-def _graph_provenance(args, cfg, grid, hw, xi, cal):
+def _graph_provenance(cfg, spec, xi, cal):
     prov = {
         "config_hash": _config_hash(cfg),
-        "grid": grid.describe(),
-        "normalisation": args.normalisation,
-        "smoothing": list(hw),
+        "grid": spec.grid.describe(),
+        "normalisation": spec.normalisation,
+        "smoothing": list(spec.half_widths),
         "xi": xi,
     }
     if cal is not None:
@@ -860,10 +832,13 @@ def _graph_provenance(args, cfg, grid, hw, xi, cal):
 
 
 def _emit_graph(out, name, graph, fmt, comments):
+    """Write name.dot and/or name.json; DOT carries the comments as // lines."""
     wrote = []
     if fmt in ("dot", "both"):
         path = out / f"{name}.dot"
-        body = "".join(line + "\n" for line in comments) + graph_to_dot(graph)
+        body = "".join(
+            line.replace("#", "//", 1) + "\n" for line in comments
+        ) + graph_to_dot(graph)
         path.write_text(body)
         wrote.append(path.name)
     if fmt in ("json", "both"):
@@ -873,71 +848,73 @@ def _emit_graph(out, name, graph, fmt, comments):
     return wrote
 
 
+SLICE_XI_WARNING = (
+    "slice graphs are thresholded at the full-data xi from null:q95, which is "
+    "calibrated for the T-step analysis, not for T=1 slices; slice edges carry "
+    "no calibrated false-edge rate"
+)
+
+
+def _emit_slices(out, pattern, spec, xi, cal, threads, fmt, comments):
+    """Slice graphs and persistence.csv; returns the slice warnings.
+
+    Under a calibrated xi every slice graph and the returned warnings say
+    that the threshold was not calibrated for slices."""
+    slices = per_slice_graphs(pattern, xi, spec, threads=threads)
+    warnings = slices.warnings
+    graphs = slices.graphs
+    if cal is not None:
+        warnings += (SLICE_XI_WARNING,)
+        graphs = tuple(
+            None if g is None else replace(g, warnings=g.warnings + (SLICE_XI_WARNING,))
+            for g in graphs
+        )
+    rows = []
+    for (i, j), flags in sorted(slices.persistence.items()):
+        for step0, present in enumerate(flags):
+            g = graphs[step0]
+            stat = "" if g is None else _fmt(g.stats[i - 1, j - 1])
+            rows.append(
+                [
+                    str(step0 + 1),
+                    str(i),
+                    str(j),
+                    pattern.labels[i - 1],
+                    pattern.labels[j - 1],
+                    stat,
+                    {True: "1", False: "0", None: ""}[present],
+                ]
+            )
+    _write_csv(
+        out / "persistence.csv",
+        comments + [f"# warning={w}" for w in warnings],
+        ["slice", "i", "j", "label_i", "label_j", "stat", "present"],
+        rows,
+    )
+    for step0, g in enumerate(graphs):
+        if g is not None:
+            _emit_graph(out, f"slice_{step0 + 1}", g, fmt, comments)
+    return warnings
+
+
 def cmd_graph(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
-    grid = _make_grid(args, pattern.T)
-    hw = _resolve_half_widths(args, pattern.T)
+    spec = _analysis_spec(args, pattern.T)
     threads = _threads(args)
-    xi, cal = _resolve_xi(args, pattern, grid, hw, threads)
-    cfg = _config_dict(args, {"resolved_half_widths": list(hw), "resolved_xi": xi})
-    comments = _provenance_comments(
-        "graph",
-        cfg,
-        grid=grid,
-        half_widths=hw,
-        normalisation=args.normalisation,
-        prefix="//",
+    xi, cal = _resolve_xi(args, pattern, spec, threads)
+    cfg = _config_dict(
+        args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
     )
-    prov = _graph_provenance(args, cfg, grid, hw, xi, cal)
-    pf = partial_pipeline(
-        pattern,
-        grid=grid,
-        half_widths=hw,
-        threads=threads,
-        normalisation=args.normalisation,
-        marked=args.marked,
+    comments = _provenance_comments("graph", cfg, spec)
+    pf = partial_pipeline(pattern, spec, threads=threads)
+    graph = build_dependence_graph(
+        pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
     )
-    graph = build_dependence_graph(pf, xi, include_dc=args.include_dc, provenance=prov)
     wrote = _emit_graph(out, "graph", graph, args.format, comments)
-
     if args.per_slice:
-        slices = per_slice_graphs(
-            pattern,
-            xi,
-            grid=grid,
-            half_widths=(hw[0], hw[1], 0),
-            threads=threads,
-            include_dc=args.include_dc,
-            normalisation=args.normalisation,
-        )
-        rows = []
-        for (i, j), flags in sorted(slices.persistence.items()):
-            for step0, present in enumerate(flags):
-                g = slices.graphs[step0]
-                stat = "" if g is None else _fmt(g.stats[i - 1, j - 1])
-                rows.append(
-                    [
-                        str(step0 + 1),
-                        str(i),
-                        str(j),
-                        pattern.labels[i - 1],
-                        pattern.labels[j - 1],
-                        stat,
-                        {True: "1", False: "0", None: ""}[present],
-                    ]
-                )
-        csv_comments = [c.replace("//", "#", 1) for c in comments]
-        _write_csv(
-            out / "persistence.csv",
-            csv_comments,
-            ["slice", "i", "j", "label_i", "label_j", "stat", "present"],
-            rows,
-        )
-        for step0, g in enumerate(slices.graphs):
-            if g is not None:
-                _emit_graph(out, f"slice_{step0 + 1}", g, args.format, comments)
+        _emit_slices(out, pattern, spec, xi, cal, threads, args.format, comments)
     print(
         f"graph at xi={_fmt(xi)}: "
         f"{len(graph.edges)} edge{'s' if len(graph.edges) != 1 else ''} "
@@ -947,7 +924,8 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _lag_rows(lag, i, j, kind):
+def _lag_rows(lag):
+    i, j = lag.pair
     rows = []
     for a, cx in enumerate(lag.c_x):
         for b, cy in enumerate(lag.c_y):
@@ -960,61 +938,45 @@ def _lag_rows(lag, i, j, kind):
                         str(i),
                         str(j),
                         _fmt(lag.values[a, b, c]),
-                        kind,
+                        lag.kind,
                     ]
                 )
     return rows
 
 
-def cmd_invert(args) -> int:
-    out = _out_dir(args)
-    pattern, _ = _load_pattern(args)
-    grid = _make_grid(args, pattern.T)
-    hw = _resolve_half_widths(args, pattern.T)
-    threads = _threads(args)
-    cfg = _config_dict(args, {"resolved_half_widths": list(hw)})
-    comments = _provenance_comments(
-        "invert", cfg, grid=grid, half_widths=hw, normalisation=args.normalisation
-    )
-    if args.marked:
-        dfts = marked_dft(pattern, grid, threads=threads)
-    else:
-        dfts = dft(pattern, grid, threads=threads)
-    smoothed = smooth_spectra(
-        periodogram_matrix(dfts, normalisation=args.normalisation), hw
-    )
-    lam = {i: float(pattern.counts[i - 1] / pattern.T) for i in range(1, pattern.d + 1)}
-
+def _write_lags(out, comments, lags, lam=None):
+    """lags.csv from lag fields; with intensities ``lam`` each field is
+    scaled by sqrt(lambda_i * lambda_j) first."""
     rows = []
-    if args.pair is not None:
-        i, j = args.pair
-        lags = partial_lag_characteristics(smoothed, i, j)
-        parts = [
-            (lags.auto_i, i, i),
-            (lags.auto_j, j, j),
-            (lags.cross, i, j),
-        ]
-        for lag, a, b in parts:
-            if args.scaled:
-                lag = scaled_covariance(lag, lam[a], lam[b])
-            rows += _lag_rows(lag, a, b, lag.kind)
-    else:
-        for i in range(1, pattern.d + 1):
-            for j in range(i + 1, pattern.d + 1):
-                pc = partial_cross_spectrum_direct(smoothed, i, j)
-                lag = inverse_transform(
-                    pc.cross, grid, pattern.T, kind="partial_cross", pair=(i, j)
-                )
-                if args.scaled:
-                    lag = scaled_covariance(lag, lam[i], lam[j])
-                rows += _lag_rows(lag, i, j, lag.kind)
+    for lag in lags:
+        if lam is not None:
+            lag = scaled_covariance(lag, lam[lag.pair[0]], lam[lag.pair[1]])
+        rows += _lag_rows(lag)
     _write_csv(
         out / "lags.csv",
         comments,
         ["c_x", "c_y", "h", "i", "j", "value", "kind"],
         rows,
     )
-    print(f"wrote {len(rows)} lag rows")
+    return len(rows)
+
+
+def cmd_invert(args) -> int:
+    out = _out_dir(args)
+    pattern, _ = _load_pattern(args)
+    spec = _analysis_spec(args, pattern.T)
+    cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
+    _, smoothed = spectral_fields(pattern, spec, _threads(args))
+    if args.pair is not None:
+        part = partial_lag_characteristics(smoothed, *args.pair)
+        lags = [part.auto_i, part.auto_j, part.cross]
+    else:
+        lags = partial_cross_lags(smoothed)
+    lam = None
+    if args.scaled:
+        lam = {i: float(pattern.counts[i - 1] / pattern.T) for i in range(1, pattern.d + 1)}
+    n_rows = _write_lags(out, _provenance_comments("invert", cfg, spec), lags, lam)
+    print(f"wrote {n_rows} lag rows")
     return 0
 
 
@@ -1028,40 +990,31 @@ def cmd_pipeline(args) -> int:
         doc = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
         if "spec" in doc:
             doc = doc["spec"]
-        spec = SimSpec.from_dict(doc)
-        result = simulate(spec)
-        pattern = result.pattern
-        truth = result
+        truth = simulate(SimSpec.from_dict(doc))
+        pattern = truth.pattern
     else:
         pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
 
-    grid = _make_grid(args, pattern.T)
-    hw = _resolve_half_widths(args, pattern.T)
+    spec = _analysis_spec(args, pattern.T)
     threads = _threads(args)
-    xi, cal = _resolve_xi(args, pattern, grid, hw, threads)
-    cfg = _config_dict(args, {"resolved_half_widths": list(hw), "resolved_xi": xi})
-    comments = _provenance_comments(
-        "pipeline", cfg, grid=grid, half_widths=hw, normalisation=args.normalisation
+    xi, cal = _resolve_xi(args, pattern, spec, threads)
+    cfg = _config_dict(
+        args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
     )
+    comments = _provenance_comments("pipeline", cfg, spec)
 
     export_events(pattern, out / "events.csv")
     if truth is not None:
         write_sidecar(truth, out / "truth.json")
 
-    if args.marked:
-        dfts = marked_dft(pattern, grid, threads=threads)
-    else:
-        dfts = dft(pattern, grid, threads=threads)
-    raw = periodogram_matrix(dfts, normalisation=args.normalisation)
-    smoothed = smooth_spectra(raw, hw)
+    raw, smoothed = spectral_fields(pattern, spec, threads)
     _write_csv(
         out / "spectra.csv",
         comments,
         ["p", "q", "u", "i", "j", "re", "im", "kind"],
         _spectral_rows(raw, "raw") + _spectral_rows(smoothed, "smoothed"),
     )
-
     pf = partial_field(smoothed)
     _write_csv(
         out / "partial.csv",
@@ -1069,63 +1022,18 @@ def cmd_pipeline(args) -> int:
         ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"],
         _partial_rows(pf),
     )
+    graph = build_dependence_graph(
+        pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
+    )
+    _emit_graph(out, "graph", graph, "both", comments)
 
-    prov = _graph_provenance(args, cfg, grid, hw, xi, cal)
-    graph = build_dependence_graph(pf, xi, include_dc=args.include_dc, provenance=prov)
-    dot_comments = [c.replace("#", "//", 1) for c in comments]
-    _emit_graph(out, "graph", graph, "both", dot_comments)
-
+    slice_warnings = ()
     if args.per_slice:
-        slices = per_slice_graphs(
-            pattern,
-            xi,
-            grid=grid,
-            half_widths=(hw[0], hw[1], 0),
-            threads=threads,
-            include_dc=args.include_dc,
-            normalisation=args.normalisation,
+        slice_warnings = _emit_slices(
+            out, pattern, spec, xi, cal, threads, "both", comments
         )
-        rows = []
-        for (i, j), flags in sorted(slices.persistence.items()):
-            for step0, present in enumerate(flags):
-                g = slices.graphs[step0]
-                stat = "" if g is None else _fmt(g.stats[i - 1, j - 1])
-                rows.append(
-                    [
-                        str(step0 + 1),
-                        str(i),
-                        str(j),
-                        pattern.labels[i - 1],
-                        pattern.labels[j - 1],
-                        stat,
-                        {True: "1", False: "0", None: ""}[present],
-                    ]
-                )
-        _write_csv(
-            out / "persistence.csv",
-            comments,
-            ["slice", "i", "j", "label_i", "label_j", "stat", "present"],
-            rows,
-        )
-        for step0, g in enumerate(slices.graphs):
-            if g is not None:
-                _emit_graph(out, f"slice_{step0 + 1}", g, "both", dot_comments)
-
     if args.lags:
-        rows = []
-        for i in range(1, pattern.d + 1):
-            for j in range(i + 1, pattern.d + 1):
-                pc = partial_cross_spectrum_direct(smoothed, i, j)
-                lag = inverse_transform(
-                    pc.cross, grid, pattern.T, kind="partial_cross", pair=(i, j)
-                )
-                rows += _lag_rows(lag, i, j, lag.kind)
-        _write_csv(
-            out / "lags.csv",
-            comments,
-            ["c_x", "c_y", "h", "i", "j", "value", "kind"],
-            rows,
-        )
+        _write_lags(out, comments, partial_cross_lags(smoothed))
 
     run = {
         "tool": "stspectra pipeline",
@@ -1138,7 +1046,7 @@ def cmd_pipeline(args) -> int:
         "counts": {lab: int(c) for lab, c in zip(pattern.labels, pattern.counts)},
         "xi": xi,
         "edges": [list(e) for e in graph.edge_labels],
-        "warnings": list(graph.warnings),
+        "warnings": list(graph.warnings) + list(slice_warnings),
     }
     (out / "run.json").write_text(json.dumps(run, indent=2, sort_keys=True) + "\n")
     print(

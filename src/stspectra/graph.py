@@ -16,7 +16,7 @@ and tabulate edge persistence across steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .ingest import MultiPattern
 from .partial import PartialField, partial_field
 from .simulate import simulate_binomial_null
 from .spectra import (
-    FrequencyGrid,
-    default_half_widths,
+    AnalysisSpec,
+    SpectralField,
     dft,
     marked_dft,
     periodogram_matrix,
@@ -38,6 +38,7 @@ __all__ = [
     "DependenceGraph",
     "SliceGraphs",
     "CalibrationResult",
+    "spectral_fields",
     "partial_pipeline",
     "edge_statistics",
     "build_dependence_graph",
@@ -154,31 +155,36 @@ class CalibrationResult:
     T: int
 
 
+def spectral_fields(
+    pattern: MultiPattern, spec: AnalysisSpec | None = None, threads: int = 1
+) -> tuple[SpectralField, SpectralField]:
+    """Run transform -> periodogram -> smoothing; return (raw, smoothed)."""
+    if spec is None:
+        spec = AnalysisSpec.default(pattern.T)
+    transform = marked_dft if spec.marked else dft
+    raw = periodogram_matrix(
+        transform(pattern, spec.grid, threads=threads),
+        normalisation=spec.normalisation,
+    )
+    return raw, smooth_spectra(raw, spec.half_widths)
+
+
 def partial_pipeline(
-    pattern: MultiPattern,
-    grid: FrequencyGrid | None = None,
-    half_widths: tuple[int, int, int] | None = None,
-    threads: int = 1,
-    normalisation: str = "sqrt_counts",
-    marked: bool = False,
+    pattern: MultiPattern, spec: AnalysisSpec | None = None, threads: int = 1
 ) -> PartialField:
     """Run transform -> periodogram -> smoothing -> partial analysis."""
-    if grid is None:
-        grid = FrequencyGrid.default(pattern.T)
-    if half_widths is None:
-        half_widths = default_half_widths(pattern.T)
-    if marked:
-        dfts = marked_dft(pattern, grid, threads=threads)
-    else:
-        dfts = dft(pattern, grid, threads=threads)
-    raw = periodogram_matrix(dfts, normalisation=normalisation)
-    smoothed = smooth_spectra(raw, half_widths)
+    # raw stays referenced through the inversion, and calibration keeps the
+    # previous replicate's field until the next is built: freed earlier, the
+    # heap top is trimmed and re-faulted every replicate (about 15x the page
+    # faults and 20% slower calibration on the README case)
+    raw, smoothed = spectral_fields(pattern, spec, threads)
     return partial_field(smoothed)
 
 
-def edge_statistics(pf: PartialField, include_dc: bool = False) -> EdgeStatistics:
-    """Supremum of |d_ij| per pair over the grid (DC excluded by default)."""
-    mask = pf.grid.sup_mask(include_dc=include_dc)
+def edge_statistics(pf: PartialField) -> EdgeStatistics:
+    """Supremum of |d_ij| per pair over the grid; DC enters only when the
+    grid's ``include_dc`` is set."""
+    mask = pf.grid.sup_mask()
     if not mask.any():
         raise ValidationError("no frequency ordinates left after DC exclusion")
     d = len(pf.labels)
@@ -212,7 +218,7 @@ def edge_statistics(pf: PartialField, include_dc: bool = False) -> EdgeStatistic
         stats=stats,
         argmax=argmax,
         reliable=reliable,
-        include_dc=include_dc,
+        include_dc=pf.grid.include_dc,
         labels=pf.labels,
     )
 
@@ -220,7 +226,6 @@ def edge_statistics(pf: PartialField, include_dc: bool = False) -> EdgeStatistic
 def build_dependence_graph(
     pf: PartialField,
     xi: float,
-    include_dc: bool = False,
     provenance: dict | None = None,
 ) -> DependenceGraph:
     """Threshold the edge statistics at xi to obtain the graph.
@@ -230,7 +235,7 @@ def build_dependence_graph(
     flagged."""
     if not np.isfinite(xi) or xi < 0:
         raise ValidationError("threshold xi must be a finite non-negative number")
-    es = edge_statistics(pf, include_dc=include_dc)
+    es = edge_statistics(pf)
     d = es.d
     edges = []
     warnings = []
@@ -257,49 +262,62 @@ def build_dependence_graph(
         stats=es.stats,
         argmax=es.argmax,
         reliable=es.reliable,
-        include_dc=include_dc,
+        include_dc=es.include_dc,
         warnings=tuple(warnings),
         provenance=dict(provenance or {}),
     )
 
 
+def _permuted_marks(null: MultiPattern, pattern: MultiPattern, seed: int) -> MultiPattern:
+    """The null with each component's observed marks, permuted independently
+    of location, in the null's component-by-component event order.  The
+    permutations come from a jumped Philox stream of ``seed``, so the null's
+    locations stay those of ``simulate_binomial_null(counts, T, seed)``."""
+    rng = np.random.Generator(np.random.Philox(seed).jumped())
+    marks = [
+        rng.permutation(pattern.marks[pattern.type_id == i])
+        for i in range(1, pattern.d + 1)
+    ]
+    return replace(null, marks=np.concatenate(marks))
+
+
 def calibrate_null_threshold(
-    counts: tuple[int, ...],
-    T: int,
-    grid: FrequencyGrid | None = None,
-    half_widths: tuple[int, int, int] | None = None,
+    pattern: MultiPattern,
+    spec: AnalysisSpec | None = None,
     quantile: float = 0.95,
     replicates: int = 200,
     seed: int = 0,
     threads: int = 1,
-    include_dc: bool = False,
-    normalisation: str = "sqrt_counts",
 ) -> CalibrationResult:
     """Calibrate xi on count-matched uniform (binomial) null replicates.
 
     Each replicate scatters the observed per-component counts uniformly
-    over the window and steps, runs the full partial pipeline, and
-    records max_{i<j} sup_w |d_ij|.  xi is the requested upper quantile
-    of those maxima (deterministic 'higher' order statistic), so graphs
-    built at xi have family-wise false-edge probability about
-    1 - quantile under complete independence.  Replicate r uses seed
-    seed + r; keep that range disjoint from analysis seeds.
+    over the window and steps, runs the partial pipeline of ``spec``, and
+    records max_{i<j} sup_w |d_ij|.  Under ``spec.marked`` each replicate
+    also carries its component's observed marks, permuted independently of
+    location (the mark-independence null of ``mark_permutation_envelope``).
+    xi is the requested upper quantile of those maxima (deterministic
+    'higher' order statistic), so graphs built at xi have family-wise
+    false-edge probability about 1 - quantile under complete independence.
+    Replicate r uses seed seed + r; keep that range disjoint from analysis
+    seeds.
     """
+    if spec is None:
+        spec = AnalysisSpec.default(pattern.T)
     if replicates < 1:
         raise ValidationError("need at least one replicate")
     if not 0.0 < quantile < 1.0:
         raise ValidationError("quantile must lie strictly between 0 and 1")
+    if spec.marked and not pattern.has_marks:
+        raise ValidationError("marked transform requested but pattern has no marks")
+    counts = tuple(int(c) for c in pattern.counts)
     samples = np.empty(replicates)
     for r in range(replicates):
-        null = simulate_binomial_null(counts, T, seed=seed + r)
-        pf = partial_pipeline(
-            null,
-            grid=grid,
-            half_widths=half_widths,
-            threads=threads,
-            normalisation=normalisation,
-        )
-        es = edge_statistics(pf, include_dc=include_dc)
+        null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
+        if spec.marked:
+            null = _permuted_marks(null, pattern, seed + r)
+        pf = partial_pipeline(null, spec, threads=threads)  # kept: see partial_pipeline
+        es = edge_statistics(pf)
         iu = np.triu_indices(es.d, k=1)
         vals = es.stats[iu]
         vals = vals[np.isfinite(vals)]
@@ -311,41 +329,28 @@ def calibrate_null_threshold(
         samples=samples,
         replicates=replicates,
         seed=seed,
-        counts=tuple(int(c) for c in counts),
-        T=T,
+        counts=counts,
+        T=pattern.T,
     )
 
 
 def per_slice_graphs(
     pattern: MultiPattern,
     xi: float,
-    grid: FrequencyGrid | None = None,
-    half_widths: tuple[int, int, int] | None = None,
+    spec: AnalysisSpec | None = None,
     threads: int = 1,
-    include_dc: bool = False,
-    normalisation: str = "sqrt_counts",
 ) -> SliceGraphs:
-    """Analyse each temporal step as a T=1 pattern and tabulate edges.
+    """Analyse each temporal step as a T=1 pattern under ``spec.for_slice()``
+    and tabulate edges.
 
     Empty slices produce a None graph and a warning; components absent
     from a slice contribute zero transforms there, which the singularity
     guards downstream absorb."""
+    if spec is None:
+        spec = AnalysisSpec.default(pattern.T)
+    slice_spec = spec.for_slice()
     warnings: list[str] = []
     graphs: list[DependenceGraph | None] = []
-    if grid is None:
-        slice_grid = FrequencyGrid.default(1)
-    else:
-        slice_grid = FrequencyGrid(
-            p_max=grid.p_max,
-            q_min=grid.q_min,
-            q_max=grid.q_max,
-            u_min=0,
-            u_max=0,
-        )
-    hw = half_widths if half_widths is not None else default_half_widths(1)
-    if hw[2] != 0:
-        raise ValidationError("slice analysis has a single temporal ordinate; "
-                              "temporal half-width must be 0")
     for step in range(1, pattern.T + 1):
         try:
             sl = pattern.slice_time(step)
@@ -353,16 +358,8 @@ def per_slice_graphs(
             warnings.append(f"step {step}: {exc}")
             graphs.append(None)
             continue
-        pf = partial_pipeline(
-            sl,
-            grid=slice_grid,
-            half_widths=hw,
-            threads=threads,
-            normalisation=normalisation,
-        )
-        graphs.append(
-            build_dependence_graph(pf, xi, include_dc=include_dc)
-        )
+        pf = partial_pipeline(sl, slice_spec, threads=threads)
+        graphs.append(build_dependence_graph(pf, xi))
     d = pattern.d
     persistence: dict[tuple[int, int], tuple[bool | None, ...]] = {}
     for a in range(1, d + 1):

@@ -149,6 +149,10 @@ class MultiPattern:
                 raise ValidationError(f"column '{name}' length != {n}")
         if self.marks is not None and self.marks.size != n:
             raise ValidationError("marks not aligned with events")
+        for name in ("x", "y", "marks"):
+            col = getattr(self, name)
+            if col is not None and not np.isfinite(col).all():
+                raise ValidationError(f"column '{name}' holds non-finite values")
         if n == 0:
             raise EmptyInputError("pattern holds no events")
         w = self.window

@@ -28,6 +28,7 @@ __all__ = [
     "inverse_transform",
     "forward_from_lags",
     "partial_lag_characteristics",
+    "partial_cross_lags",
     "scaled_covariance",
 ]
 
@@ -215,6 +216,21 @@ def partial_lag_characteristics(
     return PartialLagSet(
         auto_i=auto_i, auto_j=auto_j, cross=cross, conditioning=pc.conditioning
     )
+
+
+def partial_cross_lags(field: SpectralField) -> list[LagField]:
+    """Lag-domain partial cross-covariances of every pair i < j, each
+    conditioned on all remaining components, in pair order."""
+    lags = []
+    for i in range(1, field.d + 1):
+        for j in range(i + 1, field.d + 1):
+            pc = partial_cross_spectrum_direct(field, i, j)
+            lags.append(
+                inverse_transform(
+                    pc.cross, field.grid, field.T, kind="partial_cross", pair=(i, j)
+                )
+            )
+    return lags
 
 
 def scaled_covariance(lag: LagField, lambda_i: float, lambda_j: float) -> LagField:

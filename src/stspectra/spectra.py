@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import SingularMatrixError, ValidationError
 from .ingest import MultiPattern
 
 __all__ = [
+    "AnalysisSpec",
     "FrequencyGrid",
     "DftVector",
     "SpectralField",
@@ -117,13 +118,10 @@ class FrequencyGrid:
     def dc_index(self) -> tuple[int, int, int]:
         return (0, -self.q_min, -self.u_min)
 
-    def sup_mask(self, include_dc: bool | None = None) -> np.ndarray:
-        """Boolean mask of ordinates admitted to sup/threshold statistics.
-
-        None defers to the grid's own include_dc setting."""
-        admit_dc = self.include_dc if include_dc is None else include_dc
+    def sup_mask(self) -> np.ndarray:
+        """Boolean mask of ordinates admitted to sup/threshold statistics."""
         mask = np.ones(self.shape, dtype=bool)
-        if not admit_dc:
+        if not self.include_dc:
             mask[self.dc_index] = False
         return mask
 
@@ -139,6 +137,40 @@ class FrequencyGrid:
 def default_half_widths(T: int) -> tuple[int, int, int]:
     """Smoothing half-widths: (1,1,0) for short horizons T <= 4, else (1,1,1)."""
     return (1, 1, 0) if T <= 4 else (1, 1, 1)
+
+
+@dataclass(frozen=True)
+class AnalysisSpec:
+    """What defines the partial-spectral edge statistic: the frequency grid
+    (which also decides whether DC enters the sup), the smoothing
+    half-widths, the periodogram normalisation and whether the transforms
+    are mark-weighted.
+
+    The analysis, its null calibration and its slice graphs all run from
+    one spec, so the null is built for exactly the statistic of the analysis.
+    """
+
+    grid: FrequencyGrid
+    half_widths: tuple[int, int, int]
+    normalisation: str = "sqrt_counts"
+    marked: bool = False
+
+    @classmethod
+    def default(cls, T: int) -> "AnalysisSpec":
+        """Default grid and half-widths for a horizon of T steps."""
+        return cls(FrequencyGrid.default(T), default_half_widths(T))
+
+    def for_slice(self) -> "AnalysisSpec":
+        """The spec for one temporal step analysed as a T=1 pattern.
+
+        The grid keeps its p/q range and DC decision with u in 0..0, the
+        temporal half-width becomes 0 and the normalisation is kept.  Slice
+        transforms are unmarked."""
+        return AnalysisSpec(
+            grid=replace(self.grid, u_min=0, u_max=0),
+            half_widths=(self.half_widths[0], self.half_widths[1], 0),
+            normalisation=self.normalisation,
+        )
 
 
 @dataclass(frozen=True, eq=False)

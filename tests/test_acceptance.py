@@ -26,6 +26,7 @@ from test_partial import random_hpd_field
 from test_spectra import DFT_ORACLE, grid_index
 
 from stspectra import (
+    AnalysisSpec,
     FrequencyGrid,
     SimSpec,
     build_dependence_graph,
@@ -116,9 +117,8 @@ def analysed_run(pattern, half_widths=HW):
 @pytest.fixture(scope="module")
 def shared_threshold():
     return calibrate_null_threshold(
-        (1200, 1200, 1200),
-        T=4,
-        half_widths=HW,
+        simulate_binomial_null((1200, 1200, 1200), 4, seed=0),
+        AnalysisSpec(GRID4, HW),
         quantile=0.95,
         replicates=200,
         seed=CALIBRATION_SEED,

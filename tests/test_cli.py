@@ -1,11 +1,25 @@
 """End-to-end command line checks: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from stspectra.cli import THREADS_ENV, main
+from stspectra import (
+    FrequencyGrid,
+    dft,
+    export_events,
+    load_events,
+    marked_dft,
+    partial_field,
+    periodogram_matrix,
+    rescale_to_unit_square,
+    simulate_binomial_null,
+    smooth_spectra,
+)
+from stspectra.cli import SLICE_XI_WARNING, THREADS_ENV, main
 from stspectra.graph import graph_from_json
 
 GRID_ARGS = ["--p-max", "3", "--q-min", "-3", "--q-max", "3"]
@@ -27,6 +41,53 @@ def simulate_events(tmp_path, name, rates="40,50,60", T=3, seed=5, marks=None):
 
 def read_all(directory, names):
     return {name: (directory / name).read_bytes() for name in names}
+
+
+def data_rows(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def gappy_events(tmp_path):
+    """Three components with events in steps 1 and 3 only (T=3)."""
+    rng = np.random.default_rng(8)
+    lines = ["x,y,time,type,mark"]
+    for step in (1, 3):
+        for comp in ("a", "b", "c"):
+            for x, y, m in rng.random((40, 3)):
+                lines.append(f"{x:.17g},{y:.17g},{step},{comp},{m:.17g}")
+    path = tmp_path / "gappy.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def null_quantile(pattern, grid, half_widths, replicates, seed, marked):
+    """q95 ('higher') of max_{i<j} sup |d_ij| over count-matched uniform
+    nulls; marked nulls carry each component's observed marks, permuted by a
+    jumped Philox stream of the replicate seed."""
+    counts = tuple(int(c) for c in pattern.counts)
+    maxima = []
+    for r in range(replicates):
+        null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
+        if marked:
+            rng = np.random.Generator(np.random.Philox(seed + r).jumped())
+            marks = [
+                rng.permutation(pattern.marks[pattern.type_id == i])
+                for i in range(1, pattern.d + 1)
+            ]
+            null = dataclasses.replace(null, marks=np.concatenate(marks))
+            dfts = marked_dft(null, grid)
+        else:
+            dfts = dft(null, grid)
+        pf = partial_field(smooth_spectra(periodogram_matrix(dfts), half_widths))
+        mask = grid.sup_mask()
+        maxima.append(
+            max(
+                np.nanmax(pf.abs_d[..., a, b][mask])
+                for a in range(pattern.d)
+                for b in range(a + 1, pattern.d)
+            )
+        )
+    return float(np.quantile(maxima, 0.95, method="higher"))
 
 
 class TestSimulate:
@@ -230,6 +291,77 @@ class TestPartialAndGraph:
         # xi=0 draws every edge in every slice: 3 pairs x 3 slices
         assert len(data) == 9
         assert data[0].split(",")[6] == "1"
+
+
+    def test_marked_calibration_uses_mark_permutation_null(self, tmp_path):
+        # d=3, 300 events each, half-widths 2,2,1: --marked must calibrate
+        # the marked statistic, not the unmarked one
+        observed = simulate_binomial_null((300, 300, 300), 4, seed=99)
+        marks = np.random.default_rng(3).normal(2.0, 0.5, observed.n)
+        events = tmp_path / "marked.csv"
+        export_events(dataclasses.replace(observed, marks=marks), events)
+        pattern = rescale_to_unit_square(load_events(events, time_is_index=True)[0])
+        grid, hw, reps, seed = FrequencyGrid.default(4), (2, 2, 1), 40, 500
+
+        xis = {}
+        for flag in ("--marked", None):
+            out = tmp_path / f"g{flag}"
+            argv = ["graph", events, "--time-is-index", "--half-widths", "2,2,1",
+                    "--xi", "null:q95", "--replicates", reps, "--calibration-seed", seed,
+                    "--format", "json", "--out", out]
+            assert run(argv + ([flag] if flag else [])) == 0
+            xis[flag] = graph_from_json((out / "graph.json").read_text()).xi
+        assert xis["--marked"] == null_quantile(pattern, grid, hw, reps, seed, marked=True)
+        assert xis[None] == null_quantile(pattern, grid, hw, reps, seed, marked=False)
+        assert xis["--marked"] != xis[None]
+
+
+class TestSliceWarnings:
+    def test_empty_slice_reaches_artifacts(self, tmp_path):
+        events = gappy_events(tmp_path)
+        for sub in ("graph", "pipeline"):
+            out = tmp_path / sub
+            assert run([sub, events, "--time-is-index", "--xi", "0.5", "--per-slice",
+                        "--out", out, *GRID_ARGS]) == 0
+            assert not (out / "slice_2.dot").exists()
+            comments = [l for l in (out / "persistence.csv").read_text().splitlines()
+                        if l.startswith("# warning=")]
+            assert len(comments) == 1 and comments[0].startswith("# warning=step 2: ")
+        warnings = json.loads((out / "run.json").read_text())["warnings"]
+        assert [w for w in warnings if w.startswith("step 2: ")] == [comments[0][10:]]
+
+    def test_calibrated_xi_is_flagged_on_slices(self, tmp_path):
+        events = simulate_events(tmp_path, "sim", rates="50,50,50", T=3)
+        for sub, fmt in (("graph", ["--format", "json"]), ("pipeline", [])):
+            out = tmp_path / sub
+            assert run([sub, events, "--time-is-index", "--xi", "null:q95", "--replicates", 3,
+                        "--per-slice", *fmt, "--out", out, *GRID_ARGS]) == 0
+            for step in (1, 2, 3):
+                g = graph_from_json((out / f"slice_{step}.json").read_text())
+                assert SLICE_XI_WARNING in g.warnings
+            assert f"# warning={SLICE_XI_WARNING}" in (out / "persistence.csv").read_text()
+            assert SLICE_XI_WARNING not in graph_from_json(
+                (out / "graph.json").read_text()).warnings
+        assert SLICE_XI_WARNING in json.loads((out / "run.json").read_text())["warnings"]
+
+
+class TestSharedPaths:
+    def test_graph_pipeline_invert_agree(self, tmp_path):
+        events = simulate_events(tmp_path, "sim", marks="normal:2,0.5", seed=12)
+        common = [events, "--time-is-index", "--marked", "--xi", "0.6", "--per-slice",
+                  "--include-dc", *GRID_ARGS]
+        g, p, inv = tmp_path / "g", tmp_path / "p", tmp_path / "inv"
+        assert run(["graph", *common, "--format", "json", "--out", g]) == 0
+        assert run(["pipeline", *common, "--lags", "--out", p]) == 0
+        assert run(["invert", events, "--time-is-index", "--marked", "--include-dc",
+                    "--out", inv, *GRID_ARGS]) == 0
+        assert data_rows(g / "persistence.csv") == data_rows(p / "persistence.csv")
+        for step in (1, 2, 3):
+            name = f"slice_{step}.json"
+            assert (g / name).read_bytes() == (p / name).read_bytes()
+            assert json.loads((g / name).read_text())["include_dc"] is True
+        assert data_rows(inv / "lags.csv") == data_rows(p / "lags.csv")
+        assert len(data_rows(p / "lags.csv")) == 1 + 3 * 7 * 7 * 3
 
 
 class TestInvert:

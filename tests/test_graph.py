@@ -1,9 +1,12 @@
 """Edge statistics, thresholded graphs, null calibration, slice tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stspectra import (
+    AnalysisSpec,
     FrequencyGrid,
     build_dependence_graph,
     calibrate_null_threshold,
@@ -13,6 +16,7 @@ from stspectra import (
     graph_to_json,
     partial_pipeline,
     per_slice_graphs,
+    simulate_binomial_null,
 )
 from stspectra.errors import ValidationError
 from stspectra.partial import PartialField
@@ -70,7 +74,8 @@ class TestEdgeStatistics:
         assert not es.include_dc
 
     def test_sup_with_dc(self):
-        es = edge_statistics(hand_field(), include_dc=True)
+        pf = hand_field()
+        es = edge_statistics(replace(pf, grid=replace(pf.grid, include_dc=True)))
         assert es.pair(1, 2) == 0.99
         assert es.argmax[0, 1].tolist() == [0, 0, 0]
 
@@ -183,10 +188,8 @@ class TestCalibration:
 
     def test_deterministic_and_quantile_in_samples(self):
         kw = dict(
-            counts=(25, 25),
-            T=2,
-            grid=self.GRID,
-            half_widths=(1, 1, 0),
+            pattern=simulate_binomial_null((25, 25), 2, seed=0),
+            spec=AnalysisSpec(self.GRID, (1, 1, 0)),
             quantile=0.9,
             replicates=7,
             seed=11,
@@ -202,10 +205,8 @@ class TestCalibration:
 
     def test_samples_are_unit_interval_statistics(self):
         out = calibrate_null_threshold(
-            counts=(20, 20, 20),
-            T=2,
-            grid=self.GRID,
-            half_widths=(1, 1, 0),
+            simulate_binomial_null((20, 20, 20), 2, seed=0),
+            AnalysisSpec(self.GRID, (1, 1, 0)),
             replicates=4,
             seed=3,
         )
@@ -214,9 +215,13 @@ class TestCalibration:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            calibrate_null_threshold((10, 10), T=2, replicates=0)
+            calibrate_null_threshold(
+                simulate_binomial_null((10, 10), 2, seed=0), replicates=0
+            )
         with pytest.raises(ValidationError):
-            calibrate_null_threshold((10, 10), T=2, quantile=1.0)
+            calibrate_null_threshold(
+                simulate_binomial_null((10, 10), 2, seed=0), quantile=1.0
+            )
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +251,10 @@ class TestSliceGraphs:
         out = per_slice_graphs(
             gappy_pattern,
             xi=0.0,
-            grid=FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=0, u_max=0),
-            half_widths=(1, 1, 0),
+            spec=AnalysisSpec(
+                FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=0, u_max=0),
+                (1, 1, 0),
+            ),
         )
         assert len(out.graphs) == 3
         assert out.graphs[1] is None
@@ -258,15 +265,27 @@ class TestSliceGraphs:
         assert out.labels == ("a", "b")
 
     def test_temporal_half_width_must_vanish(self, gappy_pattern):
-        with pytest.raises(ValidationError):
-            per_slice_graphs(gappy_pattern, xi=0.5, half_widths=(1, 1, 1))
+        # a slice has a single temporal ordinate, so for_slice() drops the
+        # temporal half-width and the u range whatever the full-data spec says
+        spec = AnalysisSpec(FrequencyGrid.default(3, include_dc=True), (1, 1, 1))
+        sl = spec.for_slice()
+        assert sl.half_widths == (1, 1, 0)
+        assert sl.grid == FrequencyGrid(
+            p_max=16, q_min=-16, q_max=16, u_min=0, u_max=0, include_dc=True
+        )
+        out = per_slice_graphs(gappy_pattern, xi=0.5, spec=spec)
+        flat = per_slice_graphs(gappy_pattern, xi=0.5, spec=replace(spec, half_widths=(1, 1, 0)))
+        for g, h in zip(out.graphs, flat.graphs):
+            assert (g is None and h is None) or g.equals(h)
 
     def test_high_threshold_gives_empty_persistence(self, gappy_pattern):
         out = per_slice_graphs(
             gappy_pattern,
             xi=1.0 + 1e-9,
-            grid=FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=0, u_max=0),
-            half_widths=(1, 1, 0),
+            spec=AnalysisSpec(
+                FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=0, u_max=0),
+                (1, 1, 0),
+            ),
         )
         assert out.persistence == {}
 
@@ -293,7 +312,7 @@ class TestPipeline:
             marks=rng.normal(1.0, 0.5, 2 * n),
         )
         grid = FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=0, u_max=1)
-        pf = partial_pipeline(pat, grid=grid, half_widths=(1, 1, 0), marked=True)
+        pf = partial_pipeline(pat, AnalysisSpec(grid, (1, 1, 0), marked=True))
         finite = pf.abs_d[np.isfinite(pf.abs_d)]
         assert finite.min() >= 0.0
         assert finite.max() <= 1.0 + 1e-9

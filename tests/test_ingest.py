@@ -210,6 +210,20 @@ class TestPatternInvariants:
                 [0.5, 0.6], [0.5, 0.6], [1, 1], [1, 1], ("a", "b"), T=1
             )
 
+    def test_non_finite_values_rejected(self):
+        # the CSV route rejects these row by row; library callers must not
+        # slip them past the window check, where NaN compares false
+        base = dict(x=[0.1, 0.2, 0.3], y=[0.5, 0.5, 0.5], t=[1, 1, 1],
+                    type_id=[1, 2, 2], labels=("a", "b"), T=1)
+        for bad in (
+            dict(x=[np.nan, 0.2, 0.3]),
+            dict(y=[0.5, np.inf, 0.5]),
+            dict(marks=[np.nan, 1.0, 2.0]),
+        ):
+            with pytest.raises(ValidationError, match="non-finite"):
+                build_pattern(**{**base, **bad})
+        assert build_pattern(**base, marks=[0.0, 1.0, 2.0]).has_marks
+
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValidationError):
             Window(0.0, 0.0, 0.0, 1.0, T=1)

@@ -112,7 +112,7 @@ class TestGrid:
         mask = small_grid.sup_mask()
         assert not mask[small_grid.dc_index]
         assert mask.sum() == np.prod(small_grid.shape) - 1
-        assert small_grid.sup_mask(include_dc=True).all()
+        assert dataclasses.replace(small_grid, include_dc=True).sup_mask().all()
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValidationError):
