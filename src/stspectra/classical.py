@@ -21,12 +21,22 @@ Both use left-member border correction: the first member of each pair
 is restricted to the spatially and temporally eroded window and the sum
 is normalised by the eroded measure, which makes the Poisson
 expectation of K exactly 2*pi*r^2*t.
+
+K, the pair correlation and the centred mark-weighted K share one
+close-pair engine.  ``_close_pairs`` keeps, block by block of first
+members, the pairs within the largest spatial support and the largest
+weighted lag of the (r, t) grid; ``_cell_sums`` then reduces those pairs
+to every cell's sum, applying the first member's eligibility, the spatial
+and temporal weights and the pair weight.  K and the pair correlation
+reduce each block as it comes, so memory stays bounded by the block; the
+mark statistics keep the whole pair list, which every mark permutation
+reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -392,8 +402,8 @@ def _ring_lag_table(t: float, delta: float, T: int) -> np.ndarray:
     return 2.0 * raw / total
 
 
-def _eroded_structure(r_support: float, dmax: int, T: int) -> tuple[float, int, float, float]:
-    """(area, steps, spatial margin, first step) of the eroded domain."""
+def _eroded_structure(r_support: float, dmax: int, T: int) -> tuple[float, int]:
+    """(area, steps) of the eroded domain."""
     side = 1.0 - 2.0 * r_support
     if side <= 0:
         raise DomainError(
@@ -405,64 +415,96 @@ def _eroded_structure(r_support: float, dmax: int, T: int) -> tuple[float, int, 
             f"temporal range needs {dmax} steps of margin but T={T}; "
             "shrink the t grid"
         )
-    return side * side, hi - lo + 1, r_support, float(lo)
+    return side * side, hi - lo + 1
 
 
 def _border_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
 
 
-def _pair_curve_sums(
-    first: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    second: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    r_grid: np.ndarray,
-    t_grid: np.ndarray,
-    T: int,
-    spatial_mode: str,
-    eps: float,
-    temporal_tables: list[np.ndarray],
-    dmaxes: list[int],
-    supports: np.ndarray,
-) -> np.ndarray:
-    """Accumulate the border-corrected double sums for every (r, t).
+@dataclass(frozen=True, eq=False)
+class _Cells:
+    """The (r, t) cells of a second-order curve.
 
-    first = (x, y, t, weight, global index) of border-eligible candidates,
-    second = (x, y, t, weight, global index) of all partners; weights fold
-    the reciprocal intensities and any mark factors."""
-    xi, yi, ti, wi, gi = first
-    xj, yj, tj, wj, gj = second
-    nr, nt = r_grid.size, t_grid.size
-    sums = np.zeros((nr, nt))
-    if xi.size == 0 or xj.size == 0:
-        return sums
-    bdist = _border_distance(xi, yi)
+    Cell (k, l) weights a pair by the indicator dist <= r_k (eps None) or
+    the ring kernel k_eps(dist - r_k), and by tables[l][|dt|]; its first
+    member must lie supports[k] inside the square and dmaxes[l] steps
+    inside 1..T.  measure[k, l] is that eroded area times its steps."""
+
+    r: np.ndarray
+    t: np.ndarray
+    eps: float | None
+    tables: np.ndarray
+    T: int
+    supports: np.ndarray
+    dmaxes: np.ndarray
+    measure: np.ndarray
+
+
+def _cells(r, t, tables: list[np.ndarray], T: int, eps: float | None = None) -> _Cells:
+    supports = r if eps is None else r + eps
+    dmaxes = np.array([np.nonzero(tab)[0].max() if tab.any() else 0 for tab in tables])
+    measure = np.empty((r.size, t.size))
+    for k in range(r.size):
+        for l in range(t.size):
+            area, steps = _eroded_structure(supports[k], dmaxes[l], T)
+            measure[k, l] = area * steps
+    return _Cells(r, t, eps, np.array(tables), T, supports, dmaxes, measure)
+
+
+class _Pairs(NamedTuple):
+    """Close pairs: indices into the first and second members, distance,
+    |dt|, and the first member's border distance and step."""
+
+    i: np.ndarray
+    j: np.ndarray
+    dist: np.ndarray
+    lag: np.ndarray
+    border: np.ndarray
+    step: np.ndarray
+
+
+def _close_pairs(first, second, cells: _Cells):
+    """The close pairs, one block of ``_PAIR_BLOCK`` first members at a time.
+
+    first and second are (x, y, t, global index).  Each block yields the
+    pairs within the largest spatial support and the largest weighted lag
+    of the cells; self-pairs are excluded by global index."""
+    xi, yi, ti, gi = first
+    xj, yj, tj, gj = second
+    border = _border_distance(xi, yi)
+    reach = cells.supports.max()
+    lag_max = cells.dmaxes.max()
     for lo in range(0, xi.size, _PAIR_BLOCK):
-        sl = slice(lo, min(lo + _PAIR_BLOCK, xi.size))
-        dx = xi[sl, None] - xj[None, :]
-        dy = yi[sl, None] - yj[None, :]
-        dist = np.hypot(dx, dy)
-        adt = np.abs(ti[sl, None] - tj[None, :])
-        not_self = gi[sl, None] != gj[None, :]
-        wpair = (wi[sl, None] * wj[None, :]) * not_self
-        for k in range(nr):
-            if spatial_mode == "indicator":
-                sk = (dist <= r_grid[k]) * wpair
-            else:
-                sk = _epanechnikov(dist - r_grid[k], eps) * wpair
-            row_ok = bdist[sl] >= supports[k]
-            if not row_ok.any():
-                continue
-            for l in range(nt):
-                table = temporal_tables[l]
-                if not table.any():
-                    continue
-                dmax = dmaxes[l]
-                t_ok = (ti[sl] >= 1 + dmax) & (ti[sl] <= T - dmax)
-                mask = row_ok & t_ok
-                if not mask.any():
-                    continue
-                tw = table[adt]
-                sums[k, l] += float((sk * tw)[mask].sum())
+        sl = slice(lo, lo + _PAIR_BLOCK)
+        dist = xi[sl, None] - xj
+        np.hypot(dist, yi[sl, None] - yj, out=dist)
+        i, j = np.nonzero(dist <= reach)
+        d = dist[i, j]
+        i += lo
+        lag = np.abs(ti[i] - tj[j])
+        keep = (lag <= lag_max) & (gi[i] != gj[j])
+        i = i[keep]
+        yield _Pairs(i, j[keep], d[keep], lag[keep], border[i], ti[i])
+
+
+def _cell_sums(cells: _Cells, pairs: _Pairs, weight: np.ndarray) -> np.ndarray:
+    """Border-corrected sums of the pair weight over the pairs, per (r, t) cell.
+
+    weight is the reciprocal intensities or the centred mark factor."""
+    temporal = [
+        table[pairs.lag] * ((pairs.step >= 1 + dmax) & (pairs.step <= cells.T - dmax))
+        for table, dmax in zip(cells.tables, cells.dmaxes)
+    ]
+    sums = np.empty(cells.measure.shape)
+    for k, (rk, support) in enumerate(zip(cells.r, cells.supports)):
+        if cells.eps is None:
+            spatial = pairs.dist <= rk
+        else:
+            spatial = _epanechnikov(pairs.dist - rk, cells.eps)
+        sk = spatial * (pairs.border >= support) * weight
+        for l, tw in enumerate(temporal):
+            sums[k, l] = (sk * tw).sum()
     return sums
 
 
@@ -541,34 +583,17 @@ def estimate_pair_correlation(
     delta = _check_bandwidth(delta, "temporal")
     r = _check_r_grid(r_grid, eps)
     tg = _check_t_grid(t_grid)
+    cells = _cells(r, tg, [_ring_lag_table(tv, delta, T) for tv in tg], T, eps)
 
     inv_lam = _event_inv_intensity(x, y, t, None, None, T, intensity)
-    gidx = np.arange(x.size)
-    tables = [_ring_lag_table(tv, delta, T) for tv in tg]
-    dmaxes = [int(np.nonzero(tab)[0].max()) if tab.any() else 0 for tab in tables]
-    supports = r + eps
-
-    sums = _pair_curve_sums(
-        (x, y, t, inv_lam, gidx),
-        (x, y, t, inv_lam, gidx),
-        r,
-        tg,
-        T,
-        spatial_mode="kernel",
-        eps=eps,
-        temporal_tables=tables,
-        dmaxes=dmaxes,
-        supports=supports,
-    )
-    values = np.empty_like(sums)
-    for k in range(r.size):
-        for l in range(tg.size):
-            area, steps, _, _ = _eroded_structure(supports[k], dmaxes[l], T)
-            values[k, l] = sums[k, l] / (4.0 * np.pi * r[k] * area * steps)
+    coords = (x, y, t, np.arange(x.size))
+    sums = np.zeros(cells.measure.shape)
+    for pairs in _close_pairs(coords, coords, cells):
+        sums += _cell_sums(cells, pairs, inv_lam[pairs.i] * inv_lam[pairs.j])
     return CurveEstimate(
         r_grid=r,
         t_grid=tg,
-        values=values,
+        values=sums / (4.0 * np.pi * r[:, None] * cells.measure),
         kind="pair_correlation",
         meta={"eps": eps, "delta": delta, "border": "first-member"},
     )
@@ -615,6 +640,7 @@ def estimate_k(
     T = pattern.T
     if not pattern.window.is_unit_square:
         raise ValidationError("estimators expect the unit square; rescale first")
+    cells = _cells(r, tg, [_overlap_table(tv, T) for tv in tg], T)
 
     inv_lam = _event_inv_intensity(
         pattern.x,
@@ -625,48 +651,20 @@ def estimate_k(
         T,
         intensity,
     )
-    gidx = np.arange(pattern.n)
-    mask_c = np.isin(pattern.type_id, Cs)
-    mask_d = np.isin(pattern.type_id, Ds)
-    first = (
-        pattern.x[mask_c],
-        pattern.y[mask_c],
-        pattern.t[mask_c],
-        inv_lam[mask_c],
-        gidx[mask_c],
-    )
-    second = (
-        pattern.x[mask_d],
-        pattern.y[mask_d],
-        pattern.t[mask_d],
-        inv_lam[mask_d],
-        gidx[mask_d],
-    )
-    tables = [_overlap_table(tv, T) for tv in tg]
-    dmaxes = [int(np.nonzero(tab)[0].max()) if tab.any() else 0 for tab in tables]
-
-    sums = _pair_curve_sums(
-        first,
-        second,
-        r,
-        tg,
-        T,
-        spatial_mode="indicator",
-        eps=0.0,
-        temporal_tables=tables,
-        dmaxes=dmaxes,
-        supports=r,
-    )
-    values = np.empty_like(sums)
-    for k in range(r.size):
-        for l in range(tg.size):
-            area, steps, _, _ = _eroded_structure(r[k], dmaxes[l], T)
-            values[k, l] = sums[k, l] / (len(Cs) * len(Ds) * area * steps)
+    coords = (pattern.x, pattern.y, pattern.t, np.arange(pattern.n))
+    in_c = np.isin(pattern.type_id, Cs)
+    in_d = np.isin(pattern.type_id, Ds)
+    first = tuple(a[in_c] for a in coords)
+    second = tuple(a[in_d] for a in coords)
+    wi, wj = inv_lam[in_c], inv_lam[in_d]
+    sums = np.zeros(cells.measure.shape)
+    for pairs in _close_pairs(first, second, cells):
+        sums += _cell_sums(cells, pairs, wi[pairs.i] * wj[pairs.j])
     labels = pattern.labels
     return CurveEstimate(
         r_grid=r,
         t_grid=tg,
-        values=values,
+        values=sums / (len(Cs) * len(Ds) * cells.measure),
         kind="k_function",
         meta={
             "C": tuple(labels[c - 1] for c in Cs),
@@ -680,96 +678,32 @@ def estimate_k(
 # marked second order
 
 
-def _k_pair_lists(
-    x: np.ndarray,
-    y: np.ndarray,
-    t: np.ndarray,
-    T: int,
-    r_grid: np.ndarray,
-    t_grid: np.ndarray,
-):
-    """Sparse pair lists (i, j, weight) per (r, t) cell for indicator K.
+def _marked_pairs(source, r_grid: Sequence[float], t_grid: Sequence[float]):
+    """(cells, pairs, marks) of one marked source.
 
-    Reused across mark permutations: the geometry never changes, only
-    the mark factors do."""
-    bdist = _border_distance(x, y)
-    tables = [_overlap_table(tv, T) for tv in t_grid]
-    dmaxes = [int(np.nonzero(tab)[0].max()) if tab.any() else 0 for tab in tables]
-    lists: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    gidx = np.arange(x.size)
-    for k, rv in enumerate(r_grid):
-        row = []
-        for l in range(t_grid.size):
-            table = tables[l]
-            dmax = dmaxes[l]
-            elig = (bdist >= rv) & (t >= 1 + dmax) & (t <= T - dmax)
-            ii_parts, jj_parts, ww_parts = [], [], []
-            cand = np.nonzero(elig)[0]
-            for lo in range(0, cand.size, _PAIR_BLOCK):
-                ci = cand[lo : lo + _PAIR_BLOCK]
-                dx = x[ci, None] - x[None, :]
-                dy = y[ci, None] - y[None, :]
-                close = np.hypot(dx, dy) <= rv
-                close &= gidx[ci, None] != gidx[None, :]
-                adt = np.abs(t[ci, None] - t[None, :])
-                w = np.where(close, table[adt], 0.0)
-                nz = np.nonzero(w)
-                if nz[0].size:
-                    ii_parts.append(ci[nz[0]])
-                    jj_parts.append(nz[1])
-                    ww_parts.append(w[nz])
-            if ii_parts:
-                row.append(
-                    (
-                        np.concatenate(ii_parts),
-                        np.concatenate(jj_parts),
-                        np.concatenate(ww_parts),
-                    )
-                )
-            else:
-                row.append(
-                    (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
-                )
-        lists.append(row)
-    return lists, dmaxes
-
-
-def _marked_k_from_lists(
-    lists,
-    dmaxes,
-    marks: np.ndarray,
-    mean_mark: float,
-    inv_lam2: float,
-    r_grid: np.ndarray,
-    t_grid: np.ndarray,
-    T: int,
-) -> np.ndarray:
-    """Centred mark-weighted K: weighted minus unweighted, shared geometry."""
-    out = np.empty((r_grid.size, t_grid.size))
-    mm2 = mean_mark * mean_mark
-    for k in range(r_grid.size):
-        for l in range(t_grid.size):
-            ii, jj, ww = lists[k][l]
-            area, steps, _, _ = _eroded_structure(r_grid[k], dmaxes[l], T)
-            norm = inv_lam2 / (area * steps)
-            if ii.size == 0:
-                out[k, l] = 0.0
-                continue
-            factor = marks[ii] * marks[jj] / mm2
-            out[k, l] = float((ww * (factor - 1.0)).sum()) * norm
-    return out
-
-
-def _marked_source(source) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    The pair list is kept whole, as every mark permutation reuses it."""
     x, y, t, marks, T = _source_arrays(source)
     if marks is None:
         raise ValidationError("source carries no marks")
     if x.size < 2:
         raise ValidationError("need at least two events")
-    mbar = float(marks.mean())
-    if mbar == 0.0:
+    if float(marks.mean()) == 0.0:
         raise ValidationError("mean mark is zero; the mark normalisation is undefined")
-    return x, y, t, marks, T
+    r = _check_r_grid(r_grid, None)
+    tg = _check_t_grid(t_grid)
+    cells = _cells(r, tg, [_overlap_table(tv, T) for tv in tg], T)
+    coords = (x, y, t, np.arange(x.size))
+    blocks = zip(*_close_pairs(coords, coords, cells))
+    return cells, _Pairs(*(np.concatenate(parts) for parts in blocks)), marks
+
+
+def _centred_mark_k(
+    cells: _Cells, pairs: _Pairs, marks: np.ndarray, mean_mark: float
+) -> np.ndarray:
+    """Centred mark-weighted K: weighted minus unweighted, shared geometry."""
+    factor = marks[pairs.i] * marks[pairs.j] / (mean_mark * mean_mark)
+    lam = marks.size / cells.T
+    return _cell_sums(cells, pairs, factor - 1.0) / (lam * lam * cells.measure)
 
 
 def mark_weighted_k(
@@ -782,17 +716,11 @@ def mark_weighted_k(
     Pairs are weighted by m_i*m_j over the squared mean mark and the
     unweighted estimator is subtracted, so independent marks give values
     near zero and constant marks give exactly zero."""
-    x, y, t, marks, T = _marked_source(source)
-    r = _check_r_grid(r_grid, None)
-    tg = _check_t_grid(t_grid)
-    lists, dmaxes = _k_pair_lists(x, y, t, T, r, tg)
-    lam = x.size / T
-    values = _marked_k_from_lists(
-        lists, dmaxes, marks, float(marks.mean()), 1.0 / (lam * lam), r, tg, T
-    )
+    cells, pairs, marks = _marked_pairs(source, r_grid, t_grid)
+    values = _centred_mark_k(cells, pairs, marks, float(marks.mean()))
     return CurveEstimate(
-        r_grid=r,
-        t_grid=tg,
+        r_grid=cells.r,
+        t_grid=cells.t,
         values=values,
         kind="mark_weighted_k_centred",
         meta={"border": "first-member"},
@@ -812,25 +740,19 @@ def mark_permutation_envelope(
     envelope is the pointwise min and max over the permuted statistics."""
     if permutations < 1:
         raise ValidationError("need at least one permutation")
-    x, y, t, marks, T = _marked_source(source)
-    r = _check_r_grid(r_grid, None)
-    tg = _check_t_grid(t_grid)
-    lists, dmaxes = _k_pair_lists(x, y, t, T, r, tg)
-    lam = x.size / T
-    inv2 = 1.0 / (lam * lam)
+    cells, pairs, marks = _marked_pairs(source, r_grid, t_grid)
     mbar = float(marks.mean())
-    observed = _marked_k_from_lists(lists, dmaxes, marks, mbar, inv2, r, tg, T)
+    observed = _centred_mark_k(cells, pairs, marks, mbar)
     rng = np.random.Generator(np.random.Philox(seed))
     lo = np.full_like(observed, np.inf)
     hi = np.full_like(observed, -np.inf)
     for _ in range(permutations):
-        perm = rng.permutation(marks)
-        vals = _marked_k_from_lists(lists, dmaxes, perm, mbar, inv2, r, tg, T)
+        vals = _centred_mark_k(cells, pairs, rng.permutation(marks), mbar)
         np.minimum(lo, vals, out=lo)
         np.maximum(hi, vals, out=hi)
     est = CurveEstimate(
-        r_grid=r,
-        t_grid=tg,
+        r_grid=cells.r,
+        t_grid=cells.t,
         values=observed,
         kind="mark_weighted_k_centred",
         meta={"border": "first-member", "permutations": permutations, "seed": seed},

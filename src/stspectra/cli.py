@@ -350,7 +350,10 @@ def _coerce(action: argparse.Action, text: str):
             return False
         raise ValidationError(f"config key {action.dest!r} expects a boolean")
     ty = action.type or str
-    return ty(text)
+    try:
+        return ty(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValidationError(f"config key {action.dest!r}: cannot read {text!r}") from None
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -376,7 +379,11 @@ def _threads(args) -> int:
     if getattr(args, "threads", None) is not None:
         n = args.threads
     else:
-        n = int(os.environ.get(THREADS_ENV, "1"))
+        text = os.environ.get(THREADS_ENV, "1")
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValidationError(f"{THREADS_ENV}={text!r} is not an integer") from None
     if n < 1:
         raise ValidationError("threads must be >= 1")
     return n
@@ -987,8 +994,13 @@ def cmd_pipeline(args) -> int:
     truth = None
     if args.simulate_spec:
         text = args.simulate_spec
-        doc = json.loads(text if text.lstrip().startswith("{") else Path(text).read_text())
-        if "spec" in doc:
+        try:
+            doc = json.loads(
+                text if text.lstrip().startswith("{") else Path(text).read_text()
+            )
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"--simulate document is not JSON: {exc}") from None
+        if isinstance(doc, dict) and "spec" in doc:
             doc = doc["spec"]
         truth = simulate(SimSpec.from_dict(doc))
         pattern = truth.pattern

@@ -139,23 +139,30 @@ class SimSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimSpec":
-        links = tuple(
-            LinkSpec(
-                i=int(lp["i"]),
-                j=int(lp["j"]),
-                offspring_rate=float(lp["offspring_rate"]),
-                dispersion=float(lp["dispersion"]),
+        if not isinstance(doc, dict):
+            raise ValidationError("simulation spec must be a JSON object")
+        try:
+            links = tuple(
+                LinkSpec(
+                    i=int(lp["i"]),
+                    j=int(lp["j"]),
+                    offspring_rate=float(lp["offspring_rate"]),
+                    dispersion=float(lp["dispersion"]),
+                )
+                for lp in doc.get("link_pairs", [])
             )
-            for lp in doc.get("link_pairs", [])
-        )
-        return cls(
-            kind=doc["kind"],
-            rates=tuple(float(r) for r in doc["rates"]),
-            T=int(doc["T"]),
-            link_pairs=links,
-            seed=int(doc.get("seed", 0)),
-            mark_dist=doc.get("mark_dist"),
-        )
+            return cls(
+                kind=doc["kind"],
+                rates=tuple(float(r) for r in doc["rates"]),
+                T=int(doc["T"]),
+                link_pairs=links,
+                seed=int(doc.get("seed", 0)),
+                mark_dist=doc.get("mark_dist"),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"simulation spec lacks key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"simulation spec has an unreadable value: {exc}") from None
 
 
 @dataclass(frozen=True)

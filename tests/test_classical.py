@@ -1,5 +1,6 @@
 """First- and second-order summaries against plain-loop oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -144,13 +145,21 @@ def oracle_pattern():
 
 class TestKOracle:
     def test_matches_naive_loops(self, oracle_pattern):
-        r_grid = (0.08, 0.15)
-        t_grid = (0.6, 1.0, 1.4)
-        est = estimate_k(oracle_pattern, r_grid, t_grid, C=(1,), D=(2,))
-        for k, r in enumerate(r_grid):
-            for l, t in enumerate(t_grid):
-                expect = naive_k(oracle_pattern, r, t, (1,), (2,))
-                assert est.values[k, l] == pytest.approx(expect, rel=1e-10)
+        cases = (
+            ((0.08, 0.15), (0.6, 1.0, 1.4), (1,), (2,)),
+            # unsorted radii: the pair cutoff is the largest, not the last
+            ((0.15, 0.08), (0.6, 1.0), (1,), (2,)),
+            # a zero-weight lag band beside a weighted one
+            ((0.08, 0.15), (0.0, 1.4), (1,), (2,)),
+            # partly overlapping type sets share events but never self-pairs
+            ((0.15, 0.08), (0.0, 1.4), (1, 2), (2, 3)),
+        )
+        for r_grid, t_grid, C, D in cases:
+            est = estimate_k(oracle_pattern, r_grid, t_grid, C=C, D=D)
+            for k, r in enumerate(r_grid):
+                for l, t in enumerate(t_grid):
+                    expect = naive_k(oracle_pattern, r, t, C, D)
+                    assert est.values[k, l] == pytest.approx(expect, rel=1e-10)
 
     def test_pooled_sets(self, oracle_pattern):
         est = estimate_k(oracle_pattern, (0.1,), (1.0,))
@@ -204,15 +213,16 @@ class TestKOracle:
 class TestPairCorrelationOracle:
     def test_matches_naive_loops(self, oracle_pattern):
         eps, delta = 0.05, 0.5
-        r_grid = (0.1, 0.2)
-        t_grid = (1.0, 1.3)
-        est = estimate_pair_correlation(
-            oracle_pattern, r_grid, t_grid, eps=eps, delta=delta
-        )
-        for k, r in enumerate(r_grid):
-            for l, t in enumerate(t_grid):
-                expect = naive_pair_correlation(oracle_pattern, r, t, eps, delta)
-                assert est.values[k, l] == pytest.approx(expect, rel=1e-10)
+        # unsorted radii (the cutoff is the largest support, not the last),
+        # and t = 0.5, whose ring lag kernel weights no integer lag
+        for r_grid, t_grid in (((0.1, 0.2), (1.0, 1.3)), ((0.2, 0.1), (0.5, 1.3))):
+            est = estimate_pair_correlation(
+                oracle_pattern, r_grid, t_grid, eps=eps, delta=delta
+            )
+            for k, r in enumerate(r_grid):
+                for l, t in enumerate(t_grid):
+                    expect = naive_pair_correlation(oracle_pattern, r, t, eps, delta)
+                    assert est.values[k, l] == pytest.approx(expect, rel=1e-10)
 
     def test_default_bandwidths_are_recorded(self, oracle_pattern):
         est = estimate_pair_correlation(oracle_pattern, (0.1,), (1.0,))
@@ -323,11 +333,13 @@ class TestIntensity:
 class TestMarkedK:
     def test_matches_naive_loops(self, oracle_pattern):
         comp = oracle_pattern.component(1)
-        est = mark_weighted_k(comp, (0.12, 0.2), (0.8, 1.2))
-        for k, r in enumerate((0.12, 0.2)):
-            for l, t in enumerate((0.8, 1.2)):
-                expect = naive_marked_k(comp, r, t)
-                assert est.values[k, l] == pytest.approx(expect, rel=1e-10, abs=1e-12)
+        # the second grid has unsorted radii and a zero-weight lag band
+        for r_grid, t_grid in (((0.12, 0.2), (0.8, 1.2)), ((0.2, 0.12), (0.0, 1.4))):
+            est = mark_weighted_k(comp, r_grid, t_grid)
+            for k, r in enumerate(r_grid):
+                for l, t in enumerate(t_grid):
+                    expect = naive_marked_k(comp, r, t)
+                    assert est.values[k, l] == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
     def test_constant_marks_give_exact_zero(self):
         rng = np.random.default_rng(4)
@@ -380,6 +392,27 @@ class TestMarkedK:
         assert np.array_equal(est1.values, est2.values)
         assert (lo1 <= hi1).all()
         assert est1.meta["permutations"] == 20
+
+    def test_envelope_is_min_max_of_permuted_estimates(self, oracle_pattern):
+        comp = oracle_pattern.component(1)
+        r_grid, t_grid, permutations, seed = (0.12, 0.2), (0.8, 1.2), 20, 9
+        est, lo, hi = mark_permutation_envelope(
+            comp, r_grid, t_grid, permutations=permutations, seed=seed
+        )
+        rng = np.random.Generator(np.random.Philox(seed))
+        permuted = np.array(
+            [
+                mark_weighted_k(
+                    dataclasses.replace(comp, marks=rng.permutation(comp.marks)),
+                    r_grid,
+                    t_grid,
+                ).values
+                for _ in range(permutations)
+            ]
+        )
+        assert lo == pytest.approx(permuted.min(axis=0), rel=1e-12)
+        assert hi == pytest.approx(permuted.max(axis=0), rel=1e-12)
+        assert np.array_equal(est.values, mark_weighted_k(comp, r_grid, t_grid).values)
 
     def test_envelope_needs_permutations(self, oracle_pattern):
         with pytest.raises(ValidationError):

@@ -481,6 +481,27 @@ class TestPipeline:
         ) == 1
         assert "not both" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("{bad", "not JSON"),
+            ("{}", "'kind'"),
+            ('{"kind": "homogeneous_poisson", "rates": [40, 40], "T": "x"}', "unreadable"),
+            ("5", "JSON object"),
+        ],
+        ids=["not-json", "no-kind", "bad-value", "not-object"],
+    )
+    def test_bad_simulate_spec_reports_json(self, tmp_path, capsys, spec, named):
+        if not spec.startswith("{"):
+            (tmp_path / "spec.json").write_text(spec)
+            spec = tmp_path / "spec.json"
+        assert run(
+            ["pipeline", "--simulate", spec, "--xi", "0.5", "--out", tmp_path / "x"]
+        ) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert named in report["message"]
+
     def test_xi_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["pipeline", "--simulate", self.SPEC, "--out", tmp_path / "x"])
@@ -520,6 +541,18 @@ class TestConfigMerge:
             ["graph", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "x", *GRID_ARGS]
         ) == 1
         assert "unknown config key" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_unreadable_value_rejected(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r-grid = abc\n")
+        assert run(
+            ["classical", events, "--time-is-index", "--estimator", "k", "--config", cfg,
+             "--out", tmp_path / "x"]
+        ) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert "'r_grid'" in report["message"]
 
     def test_threads_do_not_touch_config_hash(self, tmp_path):
         events = simulate_events(tmp_path, "sim")
@@ -561,3 +594,13 @@ class TestUsageErrors:
              *GRID_ARGS]
         ) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    def test_bad_thread_variable(self, tmp_path, capsys, monkeypatch):
+        events = simulate_events(tmp_path, "sim", rates="40,50,60")
+        monkeypatch.setenv(THREADS_ENV, "abc")
+        assert run(
+            ["spectra", events, "--time-is-index", "--out", tmp_path / "x", *GRID_ARGS]
+        ) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert THREADS_ENV in report["message"]
