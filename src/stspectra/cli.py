@@ -675,30 +675,28 @@ def cmd_classical(args) -> int:
     return 0
 
 
+def _grid_labels(grid) -> list[list[str]]:
+    """The [p, q, u] label strings of every ordinate, in grid (C) order."""
+    return [
+        [str(p), str(q), str(u)]
+        for p in grid.p_values.tolist()
+        for q in grid.q_values.tolist()
+        for u in grid.u_values.tolist()
+    ]
+
+
 def _spectral_rows(field, kind: str):
-    grid = field.grid
-    p, q, u = grid.p_values, grid.q_values, grid.u_values
+    labels = _grid_labels(field.grid)
     d = field.d
     rows = []
     for i in range(1, d + 1):
         for j in range(i, d + 1):
-            block = field.values[..., i - 1, j - 1]
-            for a in range(p.size):
-                for b in range(q.size):
-                    for c in range(u.size):
-                        v = block[a, b, c]
-                        rows.append(
-                            [
-                                str(p[a]),
-                                str(q[b]),
-                                str(u[c]),
-                                str(i),
-                                str(j),
-                                _fmt(v.real),
-                                _fmt(v.imag),
-                                kind,
-                            ]
-                        )
+            block = field.values[..., i - 1, j - 1].ravel().tolist()
+            ij = [str(i), str(j)]
+            rows += [
+                pqu + ij + [_fmt(v.real), _fmt(v.imag), kind]
+                for pqu, v in zip(labels, block)
+            ]
     return rows
 
 
@@ -753,31 +751,19 @@ def cmd_spectra(args) -> int:
 
 
 def _partial_rows(pf):
-    grid = pf.grid
-    p, q, u = grid.p_values, grid.q_values, grid.u_values
+    labels = _grid_labels(pf.grid)
+    ridge = [_fmt(r) for r in pf.ridge.ravel().tolist()]
     d = len(pf.labels)
     rows = []
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            coh = pf.coherency[..., i - 1, j - 1]
-            mag = pf.abs_d[..., i - 1, j - 1]
-            for a in range(p.size):
-                for b in range(q.size):
-                    for c in range(u.size):
-                        v = coh[a, b, c]
-                        rows.append(
-                            [
-                                str(p[a]),
-                                str(q[b]),
-                                str(u[c]),
-                                str(i),
-                                str(j),
-                                _fmt(v.real),
-                                _fmt(v.imag),
-                                _fmt(mag[a, b, c]),
-                                _fmt(pf.ridge[a, b, c]),
-                            ]
-                        )
+            coh = pf.coherency[..., i - 1, j - 1].ravel().tolist()
+            mag = pf.abs_d[..., i - 1, j - 1].ravel().tolist()
+            ij = [str(i), str(j)]
+            rows += [
+                pqu + ij + [_fmt(v.real), _fmt(v.imag), _fmt(m), r]
+                for pqu, v, m, r in zip(labels, coh, mag, ridge)
+            ]
     return rows
 
 

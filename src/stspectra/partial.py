@@ -144,17 +144,44 @@ def _as_matrix_field(field: SpectralField) -> np.ndarray:
     return field.values
 
 
-def _hermitian_cond(mats: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack of Hermitian matrices,
-    max|lambda| / min|lambda| from their eigenvalues.  Not finite where the
-    smallest eigenvalue is zero, and NaN for matrices with non-finite
-    entries, on which eigvalsh returns arbitrary values without an error."""
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    cond = np.full(mats.shape[0], np.nan)
+def _gershgorin_certified(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
+    """Which matrices of a stack of Hermitian matrices Gershgorin discs
+    prove to have a condition number of at most ``cond_threshold``.
+
+    Every eigenvalue of a Hermitian matrix lies in [lo, hi] with
+    lo = min_i(a_ii - R_i), hi = max_i(a_ii + R_i) and R_i the off-diagonal
+    absolute row sum, so lo > 0 and hi / lo <= cond_threshold / 2 bound the
+    condition number; the factor 2 absorbs rounding in lo, hi and in the
+    eigenvalues the exact test would use.  Non-finite matrices, near-singular
+    ones and strongly coherent ones are not certified.
+    """
+    diag = np.einsum("kii->ki", mats).real
     with np.errstate(all="ignore"):
-        lam = np.abs(np.linalg.eigvalsh(mats[finite]))
-        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
-    return cond
+        radius = np.abs(mats).sum(axis=-1) - np.abs(diag)
+        lo = (diag - radius).min(axis=-1)
+        hi = (diag + radius).max(axis=-1)
+        return (lo > 0) & (hi <= 0.5 * cond_threshold * lo)
+
+
+def _well_conditioned(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
+    """Whether each matrix of a stack of Hermitian matrices has a finite
+    2-norm condition number max|lambda| / min|lambda| of at most
+    ``cond_threshold``.
+
+    Matrices :func:`_gershgorin_certified` passes need no eigensolve; the
+    rest get their eigenvalues from eigvalsh.  Matrices with non-finite
+    entries, on which eigvalsh returns arbitrary values without an error,
+    are never well conditioned.
+    """
+    ok = _gershgorin_certified(mats, cond_threshold)
+    rest = np.nonzero(~ok)[0]
+    rest = rest[np.isfinite(mats[rest]).all(axis=(-2, -1))]
+    if rest.size:
+        with np.errstate(all="ignore"):
+            lam = np.abs(np.linalg.eigvalsh(mats[rest]))
+            cond = lam.max(axis=-1) / lam.min(axis=-1)
+        ok[rest] = np.isfinite(cond) & (cond <= cond_threshold)
+    return ok
 
 
 def invert_spectral_matrix(
@@ -165,11 +192,11 @@ def invert_spectral_matrix(
     """Invert the d x d matrix at every ordinate, with ridge escalation.
 
     Ordinates whose condition number (from the eigenvalues, the matrices
-    being Hermitian) exceeds ``cond_threshold`` get diagonal loading
-    eps*(trace/d)*I with eps escalating through ``ridge_fractions`` until
-    the condition number passes; the applied eps is recorded.  If no
-    step passes, the ordinate is flagged singular (NaN inverse) rather than
-    aborting the run.
+    being Hermitian; see :func:`_well_conditioned`) exceeds
+    ``cond_threshold`` get diagonal loading eps*(trace/d)*I with eps
+    escalating through ``ridge_fractions`` until the condition number
+    passes; the applied eps is recorded.  If no step passes, the ordinate is
+    flagged singular (NaN inverse) rather than aborting the run.
     """
     values = _as_matrix_field(field)
     d = field.d
@@ -179,8 +206,7 @@ def invert_spectral_matrix(
 
     work = flat.copy()
     ridge = np.zeros(n)
-    cond = _hermitian_cond(work)
-    bad = ~np.isfinite(cond) | (cond > cond_threshold)
+    bad = ~_well_conditioned(work, cond_threshold)
     eye = np.eye(d)
     for eps in ridge_fractions:
         if not bad.any():
@@ -188,8 +214,7 @@ def invert_spectral_matrix(
         idx = np.nonzero(bad)[0]
         tr = np.einsum("kii->k", flat[idx]).real / d
         candidate = flat[idx] + (eps * tr)[:, None, None] * eye
-        c2 = _hermitian_cond(candidate)
-        ok = np.isfinite(c2) & (c2 <= cond_threshold)
+        ok = _well_conditioned(candidate, cond_threshold)
         work[idx[ok]] = candidate[ok]
         ridge[idx[ok]] = eps
         bad[idx[ok]] = False

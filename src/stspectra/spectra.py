@@ -201,9 +201,33 @@ class DftVector:
         return self.values[i - 1]
 
 
-def _phases(coord: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    # exp(-2*pi*i * coord x freqs), shape (n, len(freqs))
-    return np.exp((-2j * np.pi) * np.multiply.outer(coord, freqs))
+def _axis_phases(coord: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
+    """exp(-2*pi*i * k * coord) for k in k_min..k_max (k_min <= 0 <= k_max),
+    shape (k_max - k_min + 1, n).
+
+    Integer frequencies make these powers of one unit complex number
+    z = exp(-2*pi*i * coord): one exponential per event, then the powers on
+    the longer side of k = 0 by repeated multiplication; the shorter side
+    holds their conjugates."""
+    out = np.empty((k_max - k_min + 1, coord.size), dtype=np.complex128)
+    pos, neg = out[-k_min:], out[-k_min::-1]  # pos[k] is k, neg[k] is -k
+    long, short = (pos, neg) if k_max >= -k_min else (neg, pos)
+    long[0] = 1.0
+    if len(long) > 1:
+        np.exp((-2j * np.pi) * coord, out=long[1])
+        if long is neg:
+            np.conjugate(long[1], out=long[1])
+    for k in range(2, len(long)):
+        np.multiply(long[k - 1], long[1], out=long[k])
+    np.conjugate(long[1 : len(short)], out=short[1:])
+    return out
+
+
+def _step_phases(T: int, u: np.ndarray) -> np.ndarray:
+    """exp(-2*pi*i * u * t/T) for every u and every time step t in 1..T,
+    shape (len(u), T)."""
+    steps = np.arange(1, T + 1, dtype=float) / T
+    return np.exp((-2j * np.pi) * np.multiply.outer(u.astype(float), steps))
 
 
 def _dft_single(
@@ -217,24 +241,29 @@ def _dft_single(
     """Direct-summation transform of one component as a chunked complex GEMM.
 
     The per-event phase factor exp(-2*pi*i*(p*x + q*y + u*t/T)) factorises
-    into three axis factors, so with A = px * ut (one row per event, P*U
-    columns) the transform is A.T @ qy, a (P*U x n) by (n x Q) product.
-    Weights multiply the temporal factor.  Events are taken in fixed chunks
-    of ``EVENT_CHUNK``, summed in event order, so memory is bounded by the
-    chunk and the result does not depend on how many workers run.
+    into three axis factors, so with A = px * ut (P*U rows, one column per
+    event) the transform is A @ qy, a (P*U x n) by (n x Q) product.  The
+    spatial factors come from :func:`_axis_phases`; time steps are the
+    integers 1..T, so the temporal factor of an event is a column of the
+    :func:`_step_phases` table.  Weights multiply the indexed copy, never the
+    table.  Events are taken in fixed chunks of ``EVENT_CHUNK``, summed in
+    event order, with A refilled in one buffer per call, so memory is bounded
+    by the chunk and the result does not depend on how many workers run.
     """
     P, Q, U = grid.shape
     acc = np.zeros((P * U, Q), dtype=np.complex128)
-    p = grid.p_values.astype(float)
-    q = grid.q_values.astype(float)
-    u = grid.u_values.astype(float)
+    table = _step_phases(T, grid.u_values)
+    block = np.empty(P * U * min(x.size, EVENT_CHUNK), dtype=np.complex128)
     for lo in range(0, x.size, EVENT_CHUNK):
         hi = lo + EVENT_CHUNK
-        ut = _phases(t[lo:hi].astype(float) / T, u)
+        ut = table[:, t[lo:hi] - 1]
         if weights is not None:
-            ut *= weights[lo:hi, None]
-        a = (_phases(x[lo:hi], p)[:, :, None] * ut[:, None, :]).reshape(-1, P * U)
-        acc += a.T @ _phases(y[lo:hi], q)
+            ut *= weights[lo:hi]
+        px = _axis_phases(x[lo:hi], 0, grid.p_max)
+        a = block[: px.size * U].reshape(P, U, -1)
+        np.multiply(px[:, None, :], ut[None, :, :], out=a)
+        qy = _axis_phases(y[lo:hi], grid.q_min, grid.q_max)
+        acc += a.reshape(P * U, -1) @ qy.T
     return acc.reshape(P, U, Q).transpose(0, 2, 1)
 
 

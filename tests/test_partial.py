@@ -15,10 +15,11 @@ from stspectra import (
     partial_field,
     periodogram_matrix,
     rescaled_inverse_density,
+    simulate_binomial_null,
     smooth_spectra,
 )
 from stspectra.errors import ValidationError
-from stspectra.partial import COND_THRESHOLD, RIDGE_FRACTIONS
+from stspectra.partial import COND_THRESHOLD, RIDGE_FRACTIONS, _gershgorin_certified
 
 
 def random_hpd_field(d, n_points=40, seed=0, jitter=1.0):
@@ -43,23 +44,31 @@ def random_hpd_field(d, n_points=40, seed=0, jitter=1.0):
     )
 
 
+def svd_cond(mats):
+    """Condition numbers from the SVD (np.linalg.cond); infinite for
+    matrices with non-finite entries, on which the SVD does not converge."""
+    cond = np.full(mats.shape[0], np.inf)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    with np.errstate(all="ignore"):
+        cond[finite] = np.linalg.cond(mats[finite])
+    return cond
+
+
 def svd_ridge_decisions(field, cond_threshold=COND_THRESHOLD):
     """Oracle: the ridge escalation with condition numbers from the SVD
     (np.linalg.cond); returns the (ridge, singular) arrays."""
     d = field.d
     flat = field.values.reshape(-1, d, d)
     ridge = np.zeros(flat.shape[0])
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(flat)
-    bad = ~np.isfinite(cond) | (cond > cond_threshold)
+    bad = ~(svd_cond(flat) <= cond_threshold)
     for eps in RIDGE_FRACTIONS:
         idx = np.nonzero(bad)[0]
         if idx.size == 0:
             break
         tr = np.einsum("kii->k", flat[idx]).real / d
-        with np.errstate(all="ignore"):
-            c2 = np.linalg.cond(flat[idx] + (eps * tr)[:, None, None] * np.eye(d))
-        ok = np.isfinite(c2) & (c2 <= cond_threshold)
+        with np.errstate(invalid="ignore"):
+            c2 = svd_cond(flat[idx] + (eps * tr)[:, None, None] * np.eye(d))
+        ok = c2 <= cond_threshold
         ridge[idx[ok]] = eps
         bad[idx[ok]] = False
     shape = field.values.shape[:3]
@@ -70,6 +79,21 @@ def assert_same_ridge_decisions(inv, field, cond_threshold=COND_THRESHOLD):
     ridge, singular = svd_ridge_decisions(field, cond_threshold)
     assert np.array_equal(inv.ridge, ridge)
     assert np.array_equal(inv.singular, singular)
+
+
+def stack_field(mats):
+    """A smoothed SpectralField holding the given d x d matrices, one per
+    ordinate along the p axis."""
+    mats = np.asarray(mats, dtype=complex)
+    n, d = mats.shape[:2]
+    field = random_hpd_field(d, n_points=n)
+    return replace_values(field, mats.reshape(field.values.shape))
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.linalg.qr(z)[0]
 
 
 def replace_values(field, vals):
@@ -191,6 +215,79 @@ class TestInversion:
             inv.entry(0, 1)
         with pytest.raises(ValidationError):
             inv.entry(1, 4)
+
+
+class TestConditioningScreen:
+    """Gershgorin discs certify well-conditioned ordinates without an
+    eigensolve; every decision must equal the SVD route's."""
+
+    @staticmethod
+    def with_condition(cond, rotation=None):
+        mat = np.diag([1.0, 0.5, 1.0 / cond]).astype(complex)
+        if rotation is not None:
+            mat = rotation @ mat @ np.conj(rotation.T)
+            mat = 0.5 * (mat + np.conj(mat.T))
+        return mat
+
+    def test_decisions_around_threshold(self):
+        rot = random_unitary(3, seed=4)
+        for threshold in (COND_THRESHOLD, 1e5):
+            conds = (threshold / 4, 0.9 * threshold, 1.1 * threshold)
+            mats = [self.with_condition(c) for c in conds]
+            mats += [self.with_condition(c, rot) for c in conds]
+            field = stack_field(mats)
+            inv = invert_spectral_matrix(field, cond_threshold=threshold)
+            assert_same_ridge_decisions(inv, field, cond_threshold=threshold)
+            assert (inv.ridge.ravel() > 0).tolist() == [False, False, True] * 2
+            assert not inv.singular.any()
+            # diagonal matrices: the discs are the eigenvalues, so only the
+            # matrix at threshold/4 is certified; the rest go to eigvalsh
+            flat = field.values.reshape(-1, 3, 3)
+            certified = _gershgorin_certified(flat, threshold)
+            assert certified[:3].tolist() == [True, False, False]
+
+    def test_indefinite_matrices_with_positive_determinant(self):
+        # eigenvalues (2, -1, -1) and (5, -1, -1): condition numbers 2 and 5,
+        # the second with a positive diagonal
+        coherent = np.full((3, 3), 2.0) - np.eye(3)
+        rot = random_unitary(3, seed=6)
+        mats = [np.diag([2.0, -1.0, -1.0]), coherent, rot @ coherent @ np.conj(rot.T)]
+        mats[2] = 0.5 * (mats[2] + np.conj(mats[2].T))
+        assert all(np.linalg.det(m).real > 0 for m in mats)
+        field = stack_field(mats)
+        inv = invert_spectral_matrix(field)
+        assert_same_ridge_decisions(inv, field)
+        assert (inv.ridge == 0.0).all() and not inv.singular.any()
+        assert not _gershgorin_certified(field.values.reshape(-1, 3, 3), 1e10).any()
+        prod = field.values @ inv.values
+        assert np.abs(prod - np.eye(3)).max() < 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_and_empty_component(self):
+        base = random_hpd_field(3, n_points=7, seed=12).values.reshape(-1, 3, 3)
+        mats = base.copy()
+        mats[1, 0, 0] = np.nan
+        mats[2, 1, 1] = np.inf
+        mats[3, 0, 2] = mats[3, 2, 0] = np.inf
+        mats[4] = np.nan
+        mats[5, 2, :] = mats[5, :, 2] = 0.0  # an empty component
+        field = stack_field(mats)
+        for threshold in (COND_THRESHOLD, 1e3):
+            inv = invert_spectral_matrix(field, cond_threshold=threshold)
+            assert_same_ridge_decisions(inv, field, cond_threshold=threshold)
+            assert inv.singular.ravel()[1:5].all()
+            assert np.isnan(inv.values[1:5]).all()
+            assert not inv.singular.ravel()[[0, 6]].any()
+        assert invert_spectral_matrix(field).ridge.ravel()[5] == RIDGE_FRACTIONS[0]
+        assert not _gershgorin_certified(mats[1:6], 1e10).any()
+
+    def test_screen_certifies_most_of_a_null_field(self):
+        pat = simulate_binomial_null((1200, 1200, 1200), T=4, seed=2)
+        raw = periodogram_matrix(dft(pat, FrequencyGrid.default(4)))
+        field = smooth_spectra(raw, (2, 2, 1))
+        flat = field.values.reshape(-1, 3, 3)
+        assert _gershgorin_certified(flat, COND_THRESHOLD).mean() >= 0.9
+        assert_same_ridge_decisions(invert_spectral_matrix(field), field)
 
 
 class TestDualRoutes:

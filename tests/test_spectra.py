@@ -37,10 +37,10 @@ from stspectra import (
     theta_spectrum,
 )
 from stspectra.errors import ValidationError
-from stspectra.spectra import EVENT_CHUNK
+from stspectra.spectra import EVENT_CHUNK, _axis_phases, _step_phases
 
 from conftest import build_pattern
-from oracles import dft_separable
+from oracles import dft_exp, dft_separable, exp_phases
 
 # point -> (component a value, component b value); grid point (p, q, u), T=2
 DFT_ORACLE = {
@@ -539,6 +539,67 @@ class TestPolar:
     def test_shape_mismatch_rejected(self, small_grid):
         with pytest.raises(ValidationError):
             r_spectrum(np.zeros((2, 2, 2)), small_grid)
+
+
+class TestPhaseRecurrence:
+    """Axis phases are powers of one exponential per event and the temporal
+    factor is a table of the T steps; the exp-per-cell route is the oracle."""
+
+    @staticmethod
+    def coords():
+        rng = np.random.default_rng(17)
+        edges = np.array([0.0, 0.5, 0.25, 1.0 - 2.0**-52, 1e-12])
+        return np.concatenate([edges, rng.random(500)])
+
+    def test_powers_match_exp_oracle(self):
+        x = self.coords()
+        got = _axis_phases(x, -64, 64)
+        want = exp_phases(x, np.arange(-64, 65, dtype=float)).T
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-13
+        # k = 0 and k = 1 are the oracle's own values, k = -1 their conjugate
+        assert np.array_equal(got[[64, 65]], want[[64, 65]])
+        assert np.array_equal(got[63], np.conj(want[65]))
+
+    def test_asymmetric_and_degenerate_ranges(self):
+        x = self.coords()
+        for k_min, k_max in ((-3, 7), (-7, 3), (0, 0), (0, 5), (-4, 0)):
+            got = _axis_phases(x, k_min, k_max)
+            want = exp_phases(x, np.arange(k_min, k_max + 1, dtype=float)).T
+            assert got.shape == (k_max - k_min + 1, x.size)
+            assert np.abs(got - want).max() < 1e-13
+        assert (_axis_phases(x, 0, 0) == 1.0).all()
+        assert _axis_phases(x[:0], -3, 7).shape == (11, 0)
+
+    def test_step_table_bit_equal_to_oracle(self):
+        for T in (1, 2, 4, 7, 12):
+            u = FrequencyGrid.default(T).u_values
+            steps = np.arange(1, T + 1)
+            want = exp_phases(steps.astype(float) / T, u.astype(float))
+            assert _step_phases(T, u).tobytes() == want.T.copy().tobytes()
+
+    def test_marked_transform_leaves_table_intact(self):
+        # two chunks of events: a weight multiplied into the table itself
+        # would corrupt every later chunk and every later call
+        grid = FrequencyGrid(p_max=4, q_min=-3, q_max=5, u_min=-1, u_max=2)
+        pat = simulate_binomial_null((EVENT_CHUNK + 300, 40), T=4, seed=8)
+        marks = np.random.default_rng(8).normal(5.0, 1.0, pat.n)
+        pat = pat.with_marks(marks)
+        first = marked_dft(pat, grid)
+        second = marked_dft(pat, grid)
+        assert first.values.tobytes() == second.values.tobytes()
+        want = dft_exp(pat, grid, marked=True)
+        assert np.abs(first.values - want).max() < 1e-10 * pat.n
+
+    def test_short_and_long_horizons_match_separable(self):
+        # criterion 2's tolerance, 1e-10 * n
+        for T in (1, 7):
+            pat = simulate_binomial_null((300, 500, 200), T=T, seed=30 + T)
+            grid = FrequencyGrid.default(T)
+            a = dft(pat, grid)
+            b = dft_separable(pat, grid)
+            assert np.abs(a.values - b.values).max() < 1e-10 * pat.n
+            assert np.abs(a.values - dft_exp(pat, grid)).max() < 1e-10 * pat.n
 
 
 class TestSeparableAgreement:
