@@ -42,6 +42,8 @@ from .graph import (
 )
 from .ingest import (
     MultiPattern,
+    _csv_fields,
+    _write_table,
     export_events,
     load_events,
     rescale_to_unit_square,
@@ -488,17 +490,6 @@ def _provenance_comments(
     return lines
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
-    import csv as _csv
-
-    with path.open("w", newline="") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -605,22 +596,19 @@ def cmd_classical(args) -> int:
     if args.estimator == "intensity":
         source, label = _component_source(pattern, args.component)
         surf = estimate_spatial_intensity(source, bandwidth=args.eps, cells=args.cells)
-        rows = []
-        for a, xc in enumerate(surf.x_centers):
-            for b, yc in enumerate(surf.y_centers):
-                rows.append([_fmt(xc), _fmt(yc), _fmt(surf.values[a, b])])
-        _write_csv(
+        xc, yc = surf.x_centers, surf.y_centers
+        _write_table(
             out / "intensity_space.csv",
             comments + [f"# bandwidth={_fmt(surf.bandwidth)}", f"# mass={_fmt(surf.mass())}"],
             ["x", "y", "value"],
-            rows,
+            [[np.repeat(xc, yc.size), np.tile(yc, xc.size), surf.values.ravel()]],
         )
         temp = estimate_temporal_intensity(source, bandwidth=args.delta)
-        _write_csv(
+        _write_table(
             out / "intensity_time.csv",
             comments + [f"# bandwidth={_fmt(temp.bandwidth)}"],
             ["t", "value"],
-            [[str(int(s)), _fmt(v)] for s, v in zip(temp.steps, temp.values)],
+            [[temp.steps.astype(np.int64), temp.values]],
         )
         print(f"intensity mass {surf.mass():.6g} over {source.n} events"
               f"{' of ' + label if label else ''}")
@@ -666,38 +654,58 @@ def cmd_classical(args) -> int:
         d_str = "+".join(curve.meta.get("D", ()))
     else:
         c_str = d_str = cd
-    rows = [
-        [_fmt(r), _fmt(t), _fmt(v), curve.kind, c_str, d_str]
-        for r, t, v in curve.rows()
-    ]
-    _write_csv(out / "curves.csv", comments, ["r", "t", "value", "kind", "C", "D"], rows)
-    print(f"wrote {len(rows)} curve values ({curve.kind})")
+    r = np.asarray(curve.r_grid, dtype=float)
+    t = np.asarray(curve.t_grid, dtype=float)
+    values = np.asarray(curve.values, dtype=float).ravel()
+    n_rows = _write_table(
+        out / "curves.csv",
+        comments,
+        ["r", "t", "value", "kind", "C", "D"],
+        [[np.repeat(r, t.size), np.tile(t, r.size), values, curve.kind,
+          *_csv_fields((c_str, d_str))]],
+    )
+    print(f"wrote {n_rows} curve values ({curve.kind})")
     return 0
 
 
-def _grid_labels(grid) -> list[list[str]]:
-    """The [p, q, u] label strings of every ordinate, in grid (C) order."""
-    return [
-        [str(p), str(q), str(u)]
-        for p in grid.p_values.tolist()
-        for q in grid.q_values.tolist()
-        for u in grid.u_values.tolist()
-    ]
+SPECTRA_HEADER = ["p", "q", "u", "i", "j", "re", "im", "kind"]
+PARTIAL_HEADER = ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"]
 
 
-def _spectral_rows(field, kind: str):
-    labels = _grid_labels(field.grid)
-    d = field.d
-    rows = []
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            block = field.values[..., i - 1, j - 1].ravel().tolist()
-            ij = [str(i), str(j)]
-            rows += [
-                pqu + ij + [_fmt(v.real), _fmt(v.imag), kind]
-                for pqu, v in zip(labels, block)
+def _grid_columns(grid) -> list[list[str]]:
+    """The p, q and u label strings of every ordinate, in grid (C) order."""
+    axes = np.meshgrid(grid.p_values, grid.q_values, grid.u_values, indexing="ij")
+    return [list(map(str, a.ravel().tolist())) for a in axes]
+
+
+def _spectral_blocks(fields):
+    """spectra.csv blocks: entries i <= j of each (field, kind) in turn; the
+    fields share one grid."""
+    pqu = _grid_columns(fields[0][0].grid)
+    for field, kind in fields:
+        for i in range(1, field.d + 1):
+            for j in range(i, field.d + 1):
+                v = field.values[..., i - 1, j - 1].ravel()
+                yield pqu + [str(i), str(j), v.real, v.imag, kind]
+
+
+def _polar_blocks(smoothed, grid):
+    """polar.csv blocks: radial and angular spectra of each smoothed auto."""
+    for i in range(1, smoothed.d + 1):
+        auto = smoothed.entry(i, i).real
+        for kind, pol in (
+            ("radius", r_spectrum(auto, grid)),
+            ("angle", theta_spectrum(auto, grid)),
+        ):
+            n_u = len(pol.u_values)
+            yield [
+                kind,
+                str(i),
+                np.repeat(np.asarray(pol.bins).astype(np.int64), n_u),
+                np.tile(np.asarray(pol.u_values).astype(np.int64), len(pol.bins)),
+                pol.values.ravel(),
+                np.repeat(np.asarray(pol.counts).astype(np.int64), n_u),
             ]
-    return rows
 
 
 def cmd_spectra(args) -> int:
@@ -710,61 +718,34 @@ def cmd_spectra(args) -> int:
 
     # raw and smoothed rows are always unmarked; --marked adds marked rows
     raw, smoothed = spectral_fields(pattern, replace(spec, marked=False), threads)
-    rows = _spectral_rows(raw, "raw") + _spectral_rows(smoothed, "smoothed")
+    fields = [(raw, "raw"), (smoothed, "smoothed")]
     if spec.marked:
-        rows += _spectral_rows(spectral_fields(pattern, spec, threads)[1], "marked")
-    _write_csv(
-        out / "spectra.csv",
-        comments,
-        ["p", "q", "u", "i", "j", "re", "im", "kind"],
-        rows,
+        fields.append((spectral_fields(pattern, spec, threads)[1], "marked"))
+    n_rows = _write_table(
+        out / "spectra.csv", comments, SPECTRA_HEADER, _spectral_blocks(fields)
     )
 
     if args.polar:
-        prows = []
-        for i in range(1, pattern.d + 1):
-            auto = smoothed.entry(i, i).real
-            for spec_kind, pol in (
-                ("radius", r_spectrum(auto, spec.grid)),
-                ("angle", theta_spectrum(auto, spec.grid)),
-            ):
-                for k, bin_v in enumerate(pol.bins):
-                    for c, uv in enumerate(pol.u_values):
-                        prows.append(
-                            [
-                                spec_kind,
-                                str(i),
-                                str(int(bin_v)),
-                                str(int(uv)),
-                                _fmt(pol.values[k, c]),
-                                str(int(pol.counts[k])),
-                            ]
-                        )
-        _write_csv(
+        _write_table(
             out / "polar.csv",
             comments,
             ["kind", "i", "bin", "u", "value", "count"],
-            prows,
+            _polar_blocks(smoothed, spec.grid),
         )
-    print(f"wrote {len(rows)} spectral rows on grid {spec.grid.shape}")
+    print(f"wrote {n_rows} spectral rows on grid {spec.grid.shape}")
     return 0
 
 
-def _partial_rows(pf):
-    labels = _grid_labels(pf.grid)
-    ridge = [_fmt(r) for r in pf.ridge.ravel().tolist()]
+def _partial_blocks(pf):
+    """partial.csv blocks: coherency, |d_ij| and ridge of each pair i < j."""
+    pqu = _grid_columns(pf.grid)
+    ridge = pf.ridge.ravel()
     d = len(pf.labels)
-    rows = []
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            coh = pf.coherency[..., i - 1, j - 1].ravel().tolist()
-            mag = pf.abs_d[..., i - 1, j - 1].ravel().tolist()
-            ij = [str(i), str(j)]
-            rows += [
-                pqu + ij + [_fmt(v.real), _fmt(v.imag), _fmt(m), r]
-                for pqu, v, m, r in zip(labels, coh, mag, ridge)
-            ]
-    return rows
+            coh = pf.coherency[..., i - 1, j - 1].ravel()
+            mag = pf.abs_d[..., i - 1, j - 1].ravel()
+            yield pqu + [str(i), str(j), coh.real, coh.imag, mag, ridge]
 
 
 def cmd_partial(args) -> int:
@@ -774,15 +755,14 @@ def cmd_partial(args) -> int:
     spec = _analysis_spec(args, pattern.T)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
     pf = partial_pipeline(pattern, spec, threads=_threads(args))
-    rows = _partial_rows(pf)
-    _write_csv(
+    n_rows = _write_table(
         out / "partial.csv",
         _provenance_comments("partial", cfg, spec),
-        ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"],
-        rows,
+        PARTIAL_HEADER,
+        _partial_blocks(pf),
     )
     n_ridge = int((pf.ridge > 0).sum())
-    print(f"wrote {len(rows)} partial rows; ridge applied at {n_ridge} ordinates")
+    print(f"wrote {n_rows} partial rows; ridge applied at {n_ridge} ordinates")
     return 0
 
 
@@ -862,27 +842,23 @@ def _emit_slices(out, pattern, spec, xi, cal, threads, fmt, comments):
             None if g is None else replace(g, warnings=g.warnings + (SLICE_XI_WARNING,))
             for g in graphs
         )
-    rows = []
+    labels = _csv_fields(pattern.labels)
+    blocks = []
     for (i, j), flags in sorted(slices.persistence.items()):
-        for step0, present in enumerate(flags):
-            g = graphs[step0]
-            stat = "" if g is None else _fmt(g.stats[i - 1, j - 1])
-            rows.append(
-                [
-                    str(step0 + 1),
-                    str(i),
-                    str(j),
-                    pattern.labels[i - 1],
-                    pattern.labels[j - 1],
-                    stat,
-                    {True: "1", False: "0", None: ""}[present],
-                ]
-            )
-    _write_csv(
+        stats = [
+            "" if g is None else _fmt(g.stats[i - 1, j - 1])
+            for g in graphs[: len(flags)]
+        ]
+        present = [{True: "1", False: "0", None: ""}[f] for f in flags]
+        blocks.append(
+            [np.arange(1, len(flags) + 1), str(i), str(j), labels[i - 1],
+             labels[j - 1], stats, present]
+        )
+    _write_table(
         out / "persistence.csv",
         comments + [f"# warning={w}" for w in warnings],
         ["slice", "i", "j", "label_i", "label_j", "stat", "present"],
-        rows,
+        blocks,
     )
     for step0, g in enumerate(graphs):
         if g is not None:
@@ -917,41 +893,34 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _lag_rows(lag):
+def _lag_block(lag):
+    """lags.csv rows of one lag field, c_x outermost and h innermost."""
     i, j = lag.pair
-    rows = []
-    for a, cx in enumerate(lag.c_x):
-        for b, cy in enumerate(lag.c_y):
-            for c, hv in enumerate(lag.h):
-                rows.append(
-                    [
-                        _fmt(cx),
-                        _fmt(cy),
-                        str(int(hv)),
-                        str(i),
-                        str(j),
-                        _fmt(lag.values[a, b, c]),
-                        lag.kind,
-                    ]
-                )
-    return rows
+    n_x, n_y, n_h = len(lag.c_x), len(lag.c_y), len(lag.h)
+    return [
+        np.repeat(np.asarray(lag.c_x, dtype=float), n_y * n_h),
+        np.tile(np.repeat(np.asarray(lag.c_y, dtype=float), n_h), n_x),
+        np.tile(np.asarray(lag.h).astype(np.int64), n_x * n_y),
+        str(i),
+        str(j),
+        np.asarray(lag.values, dtype=float).ravel(),
+        lag.kind,
+    ]
 
 
 def _write_lags(out, comments, lags, lam=None):
     """lags.csv from lag fields; with intensities ``lam`` each field is
     scaled by sqrt(lambda_i * lambda_j) first."""
-    rows = []
-    for lag in lags:
-        if lam is not None:
-            lag = scaled_covariance(lag, lam[lag.pair[0]], lam[lag.pair[1]])
-        rows += _lag_rows(lag)
-    _write_csv(
+    if lam is not None:
+        lags = [
+            scaled_covariance(lag, lam[lag.pair[0]], lam[lag.pair[1]]) for lag in lags
+        ]
+    return _write_table(
         out / "lags.csv",
         comments,
         ["c_x", "c_y", "h", "i", "j", "value", "kind"],
-        rows,
+        map(_lag_block, lags),
     )
-    return len(rows)
 
 
 def cmd_invert(args) -> int:
@@ -1007,19 +976,14 @@ def cmd_pipeline(args) -> int:
         write_sidecar(truth, out / "truth.json")
 
     raw, smoothed = spectral_fields(pattern, spec, threads)
-    _write_csv(
+    _write_table(
         out / "spectra.csv",
         comments,
-        ["p", "q", "u", "i", "j", "re", "im", "kind"],
-        _spectral_rows(raw, "raw") + _spectral_rows(smoothed, "smoothed"),
+        SPECTRA_HEADER,
+        _spectral_blocks([(raw, "raw"), (smoothed, "smoothed")]),
     )
     pf = partial_field(smoothed)
-    _write_csv(
-        out / "partial.csv",
-        comments,
-        ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"],
-        _partial_rows(pf),
-    )
+    _write_table(out / "partial.csv", comments, PARTIAL_HEADER, _partial_blocks(pf))
     graph = build_dependence_graph(
         pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
     )

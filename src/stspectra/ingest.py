@@ -9,6 +9,8 @@ rescaled to the unit square; marks are never rescaled.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -356,6 +358,11 @@ def bin_times(
     return idx, int(idx.max())
 
 
+# rows per chunk, both for parsing an events file and for writing a table,
+# so that neither holds a whole file as Python objects or as one string
+_CHUNK_ROWS = 8192
+
+
 def _parse_float(text: str, column: str, line: int) -> float:
     try:
         v = float(text)
@@ -364,6 +371,140 @@ def _parse_float(text: str, column: str, line: int) -> float:
     if not math.isfinite(v):
         raise RowError(line, f"column '{column}': non-finite value {text!r}")
     return v
+
+
+class _BadRow(Exception):
+    """Some row fails a check; :func:`_raise_row_error` finds which."""
+
+
+def _raise_row_error(path: Path, colmap: dict[str, str], has_marks: bool) -> None:
+    """Scan ``path`` row by row and raise the error of its first bad row.
+
+    This is the error path of :func:`load_events`.  It applies the row
+    checks in their documented order, so the error names the column and the
+    physical line (blank lines and newlines inside quoted fields count) of
+    the first row that fails, and a bad mark on a dropped duplicate row is
+    never parsed."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        seen: set[tuple] = set()
+        for row in reader:
+            line = reader.line_num
+            x = _parse_float(row[colmap["x"]], colmap["x"], line)
+            y = _parse_float(row[colmap["y"]], colmap["y"], line)
+            time_text = (row[colmap["time"]] or "").strip()
+            if not time_text:
+                raise RowError(line, "empty time value")
+            label = (row[colmap["type"]] or "").strip()
+            if not label:
+                raise RowError(line, "empty type label")
+            key = (x, y, time_text, label)
+            if key in seen:
+                continue
+            seen.add(key)
+            if has_marks:
+                _parse_float(row[colmap["mark"]], colmap["mark"], line)
+    raise RuntimeError(f"{path}: a chunk was rejected but every row passes its checks")
+
+
+def _ids(texts: list[str], ids: dict[str, int], first: int) -> np.ndarray:
+    """The id of each text in ``ids``; texts not yet there are numbered on
+    from ``first`` in order of first appearance."""
+    for text in dict.fromkeys(texts):
+        ids.setdefault(text, len(ids) + first)
+    return np.fromiter(map(ids.__getitem__, texts), np.int64, len(texts))
+
+
+def _floats_or_nan(texts) -> np.ndarray:
+    """Texts parsed as floats, with NaN where one does not parse."""
+    try:
+        return np.array(list(map(float, texts)), dtype=float)
+    except (TypeError, ValueError):
+        out = np.full(len(texts), np.nan)
+        for k, text in enumerate(texts):
+            try:
+                out[k] = float(text)
+            except (TypeError, ValueError):
+                pass
+        return out
+
+
+def _first_rows(*keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row of each distinct key tuple."""
+    order = np.lexsort(keys[::-1])
+    changed = np.zeros(order.size - 1, dtype=bool)
+    for key in keys:
+        k = key[order]
+        changed |= k[1:] != k[:-1]
+    starts = np.flatnonzero(np.r_[True, changed])
+    return np.sort(np.minimum.reduceat(order, starts))
+
+
+def _parse_rows(reader, columns: list[int], path: Path) -> dict:
+    """Parse, check and deduplicate the data rows of a ``csv.reader``,
+    column-wise over ``_CHUNK_ROWS`` rows at a time.
+
+    ``columns`` holds the field index of x, y, time and type, then of the
+    mark if there is one.  A row shorter than a field it needs reads that
+    field as None, as ``csv.DictReader`` does; extra fields are ignored;
+    blank lines are no rows.  Times and labels are kept as ids into their
+    distinct stripped texts.  Raises :class:`_BadRow` where a row fails a
+    check, leaving the message to :func:`_raise_row_error`.
+    """
+    width = max(columns) + 1
+    has_marks = len(columns) == 5
+    time_ids: dict[str, int] = {}
+    label_ids: dict[str, int] = {}
+    parts: dict[str, list[np.ndarray]] = {"x": [], "y": [], "t": [], "type": [], "mark": []}
+    n_rows = 0
+    while True:
+        try:
+            rows = list(itertools.islice(reader, _CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            raise _BadRow from None  # or an earlier row of the chunk
+        if not rows:
+            break
+        if not all(rows):
+            rows = [row for row in rows if row]
+            if not rows:
+                continue
+        n_rows += len(rows)
+        if min(map(len, rows)) < width:
+            rows = [row + [None] * (width - len(row)) for row in rows]
+        table = list(zip(*rows))
+        try:
+            x = np.array(list(map(float, table[columns[0]])))
+            y = np.array(list(map(float, table[columns[1]])))
+            times = list(map(str.strip, table[columns[2]]))
+            labels = list(map(str.strip, table[columns[3]]))
+        except (TypeError, ValueError):
+            raise _BadRow from None
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and all(times)
+                and all(labels)):
+            raise _BadRow
+        parts["x"].append(x)
+        parts["y"].append(y)
+        parts["t"].append(_ids(times, time_ids, 0))
+        parts["type"].append(_ids(labels, label_ids, 1))
+        if has_marks:  # a bad mark is an error only on a row that is kept
+            parts["mark"].append(_floats_or_nan(table[columns[4]]))
+    if not n_rows:
+        raise EmptyInputError(f"{path}: no data rows")
+
+    cols = {name: np.concatenate(p) for name, p in parts.items() if p}
+    # exact duplicates (parsed x and y, time text, label) keep their first row
+    keep = _first_rows(cols["x"], cols["y"], cols["t"], cols["type"])
+    if keep.size < n_rows:
+        cols = {name: col[keep] for name, col in cols.items()}
+    if has_marks and not np.isfinite(cols["mark"]).all():
+        raise _BadRow
+    return dict(
+        cols,
+        n_rows=n_rows,
+        duplicates=n_rows - keep.size,
+        times=tuple(time_ids),
+        labels=tuple(label_ids),
+    )
 
 
 def load_events(
@@ -378,12 +519,15 @@ def load_events(
 
     Required columns (after remapping through ``columns``) are x, y, time and
     type; a mark column is picked up when mapped or literally named ``mark``.
-    Time is either ISO-8601 (binned with ``bin_width``/``bin_origin``) or,
-    with ``time_is_index``, a pre-binned integer >= 1 taken as-is.
+    A header name that occurs twice names its last column.  Time is either
+    ISO-8601 (binned with ``bin_width``/``bin_origin``) or, with
+    ``time_is_index``, a pre-binned integer >= 1 taken as-is.
 
-    Exact duplicate rows (same x, y, time, type) are dropped, keeping the
-    first; the count is reported.  Type labels become ids 1..d in order of
-    first appearance.  The window defaults to the data bounding box.
+    Exact duplicate rows (same parsed x and y, same time text and type label
+    after stripping) are dropped, keeping the first; the count is reported.
+    Type labels become ids 1..d in order of first appearance.  The window
+    defaults to the data bounding box.  A bad row raises :class:`RowError`
+    with the physical line of the first such row.
     """
     colmap = dict(zip(REQUIRED_FIELDS, REQUIRED_FIELDS))
     colmap["mark"] = "mark"
@@ -397,8 +541,8 @@ def load_events(
 
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise EmptyInputError(f"{path}: file is empty")
         for role in REQUIRED_FIELDS:
@@ -410,52 +554,33 @@ def load_events(
         explicit_mark = columns is not None and "mark" in columns
         if explicit_mark and not has_marks:
             raise SchemaError(f"{path}: missing mark column '{colmap['mark']}'")
+        index = {name: k for k, name in enumerate(header)}
+        roles = REQUIRED_FIELDS + (("mark",) if has_marks else ())
+        try:
+            parsed = _parse_rows(
+                reader, [index[colmap[role]] for role in roles], path
+            )
+        except _BadRow:
+            parsed = None
+    if parsed is None:
+        _raise_row_error(path, colmap, has_marks)
 
-        xs: list[float] = []
-        ys: list[float] = []
-        raw_times: list[str] = []
-        types: list[str] = []
-        marks: list[float] = []
-        seen: set[tuple] = set()
-        duplicates = 0
-        n_rows = 0
-        for row in reader:
-            line = reader.line_num
-            n_rows += 1
-            x = _parse_float(row[colmap["x"]], colmap["x"], line)
-            y = _parse_float(row[colmap["y"]], colmap["y"], line)
-            time_text = (row[colmap["time"]] or "").strip()
-            if not time_text:
-                raise RowError(line, "empty time value")
-            label = (row[colmap["type"]] or "").strip()
-            if not label:
-                raise RowError(line, "empty type label")
-            key = (x, y, time_text, label)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            xs.append(x)
-            ys.append(y)
-            raw_times.append(time_text)
-            types.append(label)
-            if has_marks:
-                marks.append(_parse_float(row[colmap["mark"]], colmap["mark"], line))
-
-    if not xs:
-        raise EmptyInputError(f"{path}: no data rows")
-
-    # Time handling: pre-binned integers or ISO-8601 timestamps.
+    # Time handling: pre-binned integers or ISO-8601 timestamps, each
+    # distinct text parsed once, in order of first appearance.
+    texts = parsed["times"]
     if time_is_index:
-        t = np.empty(len(raw_times), dtype=np.int64)
-        for k, text in enumerate(raw_times):
-            try:
-                t[k] = int(text)
-            except ValueError:
-                raise ValidationError(
-                    f"time value {text!r} is not an integer index; "
-                    "drop --time-is-index to parse timestamps"
-                )
+        try:
+            steps = np.fromiter(map(int, texts), np.int64, len(texts))
+        except ValueError:
+            for text in texts:  # name the first value that is no integer
+                try:
+                    int(text)
+                except ValueError:
+                    raise ValidationError(
+                        f"time value {text!r} is not an integer index; "
+                        "drop --time-is-index to parse timestamps"
+                    ) from None
+        t = steps[parsed["t"]]
         if t.min() < 1:
             raise ValidationError(
                 f"pre-binned time indices must be >= 1 (got {t.min()}); "
@@ -470,22 +595,23 @@ def load_events(
                 "timestamp data needs a bin width (or pass time_is_index "
                 "for pre-binned integers)"
             )
-        stamps = []
-        for k, text in enumerate(raw_times):
+        distinct = []
+        for text in texts:
             try:
-                stamps.append(datetime.fromisoformat(text))
+                distinct.append(datetime.fromisoformat(text))
             except ValueError:
                 raise ValidationError(
                     f"time value {text!r} is not ISO-8601; "
                     "use --time-is-index for pre-binned integers"
                 )
+        stamps = np.array(distinct, dtype=object)[parsed["t"]].tolist()
         t, T = bin_times(stamps, bin_width, bin_origin)
         origin = bin_origin if bin_origin is not None else min(stamps)
         width = bin_width
         time_mode = "binned"
 
-    x_arr = np.asarray(xs)
-    y_arr = np.asarray(ys)
+    x_arr = parsed["x"]
+    y_arr = parsed["y"]
     if window is None:
         extent = (
             float(x_arr.min()),
@@ -495,15 +621,6 @@ def load_events(
         )
     else:
         extent = tuple(float(v) for v in window)
-
-    labels: list[str] = []
-    label_ids: dict[str, int] = {}
-    type_id = np.empty(len(types), dtype=np.int64)
-    for k, label in enumerate(types):
-        if label not in label_ids:
-            labels.append(label)
-            label_ids[label] = len(labels)
-        type_id[k] = label_ids[label]
 
     win = Window(
         x_min=extent[0],
@@ -518,15 +635,15 @@ def load_events(
         x=x_arr,
         y=y_arr,
         t=t,
-        type_id=type_id,
-        labels=tuple(labels),
+        type_id=parsed["type"],
+        labels=parsed["labels"],
         window=win,
-        marks=np.asarray(marks) if has_marks else None,
+        marks=parsed["mark"] if has_marks else None,
     )
     report = LoadReport(
-        n_rows=n_rows,
+        n_rows=parsed["n_rows"],
         n_events=pattern.n,
-        duplicates_removed=duplicates,
+        duplicates_removed=parsed["duplicates"],
         labels=pattern.labels,
         T=T,
         time_mode=time_mode,
@@ -570,26 +687,68 @@ def rescale_to_unit_square(pattern: MultiPattern) -> MultiPattern:
     )
 
 
+def _csv_fields(texts, newline: str = "\n") -> tuple[str, ...]:
+    """Each text as ``csv.writer`` writes it as one field of a row that ends
+    in ``newline``: quoted (QUOTE_MINIMAL) when it holds a comma, a quote or
+    a line-end character, as is otherwise."""
+    fields = []
+    for text in texts:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=newline).writerow((text, ""))
+        fields.append(buf.getvalue()[: -1 - len(newline)])
+    return tuple(fields)
+
+
+def _row_format(column) -> str:
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "U"
+    return "%.17g" if kind == "f" else "%d" if kind in "iu" else "%s"
+
+
+def _chunk_values(column, start: int) -> list:
+    part = column[start : start + _CHUNK_ROWS]
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _write_table(path, comments, header, blocks, newline: str = "\n") -> int:
+    """Write a CSV table: comment lines, a header row, then every block's
+    rows; returns the number of rows.
+
+    A block is a list of columns in header order.  A column is a float array
+    (written ``%.17g``), an int array (``%d``), a sequence of pre-formatted
+    strings, or one string that every row of the block repeats; strings are
+    written as given, so fields that can hold labels come from
+    :func:`_csv_fields`.  Each block's rows come from one ``%`` template and
+    are written ``_CHUNK_ROWS`` at a time.
+    """
+    n_rows = 0
+    with Path(path).open("w", newline="") as fh:
+        fh.writelines(line + newline for line in comments)
+        fh.write(",".join(header) + newline)
+        for columns in blocks:
+            template = ",".join(
+                c.replace("%", "%%") if isinstance(c, str) else _row_format(c)
+                for c in columns
+            ) + newline
+            varying = [c for c in columns if not isinstance(c, str)]
+            n = len(varying[0])
+            for start in range(0, n, _CHUNK_ROWS):
+                rows = zip(*(_chunk_values(c, start) for c in varying))
+                fh.write("".join(map(template.__mod__, rows)))
+            n_rows += n
+    return n_rows
+
+
 def export_events(pattern: MultiPattern, path: str | Path) -> None:
     """Write events as the ingest CSV schema with pre-binned integer times.
 
     Floats carry 17 significant digits, so load -> export -> load (with
-    ``time_is_index=True``) reproduces the pattern exactly.
+    ``time_is_index=True``) reproduces the pattern exactly.  Rows end in
+    ``\\r\\n``, as ``csv.writer`` ends them by default.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x", "y", "time", "type"]
-        if pattern.has_marks:
-            header.append("mark")
-        writer.writerow(header)
-        for k in range(pattern.n):
-            row = [
-                f"{pattern.x[k]:.17g}",
-                f"{pattern.y[k]:.17g}",
-                str(int(pattern.t[k])),
-                pattern.labels[pattern.type_id[k] - 1],
-            ]
-            if pattern.has_marks:
-                row.append(f"{pattern.marks[k]:.17g}")
-            writer.writerow(row)
+    header = ["x", "y", "time", "type"]
+    labels = np.array(_csv_fields(pattern.labels, "\r\n"), dtype=object)
+    columns = [pattern.x, pattern.y, pattern.t, labels[pattern.type_id - 1]]
+    if pattern.has_marks:
+        header.append("mark")
+        columns.append(pattern.marks)
+    _write_table(path, [], header, [columns], newline="\r\n")

@@ -134,7 +134,9 @@ def _as_matrix_field(field: SpectralField) -> np.ndarray:
             "spectral field is identically zero (constant marks give a "
             "degenerate marked field); partial statistics are undefined"
         )
-    scale = np.abs(field.values).max()
+    # over finite entries only: one NaN would make both NaN, and NaN passes
+    # any comparison with the bound
+    scale = np.abs(field.values[np.isfinite(field.values)]).max(initial=0.0)
     defect = field.hermitian_defect()
     if defect > 1e-10 * max(scale, 1e-300):
         raise ValidationError(

@@ -364,8 +364,14 @@ class SpectralField:
         return self.values[..., i - 1, j - 1]
 
     def hermitian_defect(self) -> float:
+        """max |F_ij - conj(F_ji)| over the entry pairs finite on both sides;
+        inf where an entry is finite and its mirror is not.  A pair that is
+        NaN or inf on both sides adds nothing."""
+        finite = np.isfinite(self.values)
+        if (finite != np.swapaxes(finite, -1, -2)).any():
+            return float("inf")
         swapped = np.conj(np.swapaxes(self.values, -1, -2))
-        return float(np.abs(self.values - swapped).max())
+        return float(np.abs(self.values[finite] - swapped[finite]).max(initial=0.0))
 
     def is_zero(self) -> bool:
         return not np.abs(self.values).any()

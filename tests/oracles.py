@@ -1,4 +1,6 @@
-"""Independent numerical routes used only as test oracles."""
+"""Independent numerical and text routes used only as test oracles."""
+
+import csv
 
 import numpy as np
 
@@ -63,3 +65,25 @@ def dft_separable(pattern, grid):
         T=T,
         labels=pattern.labels,
     )
+
+
+def csv_field_text(value) -> str:
+    """One value as the per-row writers formatted it before csv.writer saw
+    it: floats with 17 significant digits, ints in decimal, text as is."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value
+
+
+def csv_writer_table(path, comments, header, rows, lineterminator="\n"):
+    """A table through the per-row route: comment lines, then the header and
+    every row through ``csv.writer`` (QUOTE_MINIMAL), each value formatted
+    by :func:`csv_field_text`."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(line + lineterminator)
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows([csv_field_text(v) for v in row] for row in rows)

@@ -1,5 +1,6 @@
 """Loading, binning, validation, and round-trip export."""
 
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -152,6 +153,70 @@ class TestLoad:
         )
         pat, _ = load_events(p, time_is_index=True, window=(0, 1, 0, 1))
         assert pat.window.is_unit_square
+
+
+H = "x,y,time,type\n"
+HM = "x,y,time,type,mark\n"
+GOOD = "0.1,0.2,1,a\n0.3,0.4,2,b\n"
+# 9999 good rows, then a bad y on line 10001, past the first chunk of rows
+FAR = (
+    H
+    + "".join(f"0.{k:05d},0.5,1,{'ab'[k % 2]}\n" for k in range(1, 10000))
+    + "0.5,oops,1,a\n"
+)
+# Outcomes recorded from the row-by-row csv.DictReader loader that the
+# column-wise loader replaced: (n_rows, n, duplicates_removed, labels, x)
+# for a load, (error type, message) for a rejection.
+LOADER_CONTRACT = [
+    pytest.param(H + GOOD + "0.5,0.6\n", (RowError, "line 4: empty time value"),
+                 id="short-row-missing-time"),
+    pytest.param(H + GOOD + "0.5,0.6,1\n", (RowError, "line 4: empty type label"),
+                 id="short-row-missing-type"),
+    pytest.param(H + GOOD + "0.5\n",
+                 (RowError, "line 4: column 'y': cannot parse None as a number"),
+                 id="short-row-missing-y"),
+    pytest.param(H + GOOD + "0.5,0.6,1,a,extra,more\n",
+                 (3, 3, 0, ("a", "b"), [0.1, 0.3, 0.5]), id="long-row"),
+    pytest.param(H + GOOD + "\n\nnope,0.6,1,a\n",
+                 (RowError, "line 6: column 'x': cannot parse 'nope' as a number"),
+                 id="blank-lines-before-bad-row"),
+    pytest.param(H + '0.1,0.2,1,"a\nb"\n0.3,0.4,2,b\nnope,0.6,1,a\n',
+                 (RowError, "line 5: column 'x': cannot parse 'nope' as a number"),
+                 id="quoted-newline-before-bad-row"),
+    pytest.param("x,y,x,time,type\n1,0.2,0.5,1,a\n2,0.4,0.7,2,b\n",
+                 (2, 2, 0, ("a", "b"), [0.5, 0.7]), id="duplicated-x-header"),
+    pytest.param(H + "1,0,1,a\n1.0,-0,1,a\n0.5,0.5,2,b\n",
+                 (3, 2, 1, ("a", "b"), [1.0, 0.5]), id="one-and-negative-zero-duplicate"),
+    pytest.param(H + "1,0,1,a\n1,0,01,a\n0.5,0.5,2,b\n",
+                 (3, 3, 0, ("a", "b"), [1.0, 1.0, 0.5]), id="time-01-not-duplicate"),
+    pytest.param(H + "0.1,0.2,1, a \n0.1,0.2,1,a\n0.3,0.4,2,b\n",
+                 (3, 2, 1, ("a", "b"), [0.1, 0.3]), id="label-spaces-stripped"),
+    pytest.param(H + "1_0,0.2,1,a\n0.3,0.4,2,b\n",
+                 (2, 2, 0, ("a", "b"), [10.0, 0.3]), id="underscore-number"),
+    pytest.param(H + GOOD + "inf,0.2,1,a\n",
+                 (RowError, "line 4: column 'x': non-finite value 'inf'"), id="inf"),
+    pytest.param(HM + "0.1,0.2,1,a,1.5\n0.3,0.4,2,b,heavy\n",
+                 (RowError, "line 3: column 'mark': cannot parse 'heavy' as a number"),
+                 id="bad-mark"),
+    pytest.param(HM + "0.1,0.2,1,a,1.5\n0.1,0.2,1,a,heavy\n0.3,0.4,2,b,2\n",
+                 (3, 2, 1, ("a", "b"), [0.1, 0.3]), id="bad-mark-on-dropped-duplicate"),
+    pytest.param(FAR, (RowError, "line 10001: column 'y': cannot parse 'oops' as a number"),
+                 id="bad-value-past-first-chunk"),
+]
+
+
+@pytest.mark.parametrize("text, expected", LOADER_CONTRACT)
+def test_loader_contract(tmp_path, text, expected):
+    path = tmp_path / "e.csv"
+    path.write_text(text, newline="")
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as err:
+            load_events(path, time_is_index=True)
+        assert str(err.value) == message
+    else:
+        pat, rep = load_events(path, time_is_index=True)
+        assert (rep.n_rows, pat.n, rep.duplicates_removed, rep.labels, pat.x.tolist()) == expected
 
 
 class TestBinTimes:
@@ -311,10 +376,13 @@ class TestRescaleExport:
         assert rescale_to_unit_square(tiny_pattern) is tiny_pattern
 
     def test_export_load_round_trip(self, tmp_path, tiny_pattern):
-        path = tmp_path / "out.csv"
-        export_events(tiny_pattern, path)
-        back, _ = load_events(path, time_is_index=True, window=(0, 1, 0, 1))
-        assert back.equals(tiny_pattern)
+        # the second and third label pairs need CSV quoting
+        for labels in (("a", "b"), ("a,b", 'say "hi"'), ("x\ny", "c\rd")):
+            pattern = dataclasses.replace(tiny_pattern, labels=labels)
+            path = tmp_path / "out.csv"
+            export_events(pattern, path)
+            back, _ = load_events(path, time_is_index=True, window=(0, 1, 0, 1))
+            assert back.equals(pattern)
 
     def test_round_trip_survives_ugly_floats(self, tmp_path):
         rng = np.random.default_rng(3)

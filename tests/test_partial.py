@@ -1,5 +1,7 @@
 """Inverse spectral machinery: dual routes, conditioning, ridge fallback."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,23 @@ class TestConditioningScreen:
             assert not inv.singular.ravel()[[0, 6]].any()
         assert invert_spectral_matrix(field).ridge.ravel()[5] == RIDGE_FRACTIONS[0]
         assert not _gershgorin_certified(mats[1:6], 1e10).any()
+
+    def test_asymmetry_beside_a_non_finite_ordinate_rejected(self):
+        # a NaN at one ordinate must not hide a 0.5 asymmetry at another
+        mats = random_hpd_field(3, n_points=2, seed=5).values.reshape(-1, 3, 3).copy()
+        mats[0, 0, 1] += 0.5
+        mats[1, 2, 2] = np.nan
+        one_sided = random_hpd_field(3, n_points=2, seed=5).values.reshape(-1, 3, 3).copy()
+        one_sided[1, 0, 2] = np.inf  # its mirror entry stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (mats, one_sided):
+                with pytest.raises(ValidationError, match="not Hermitian"):
+                    invert_spectral_matrix(stack_field(bad))
+            # non-finite on both sides of every pair still inverts
+            mats[0, 0, 1] -= 0.5
+            mats[1, 0, 2] = mats[1, 2, 0] = np.inf
+            assert invert_spectral_matrix(stack_field(mats)).singular.ravel()[1]
 
     def test_screen_certifies_most_of_a_null_field(self):
         pat = simulate_binomial_null((1200, 1200, 1200), T=4, seed=2)
