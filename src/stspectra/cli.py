@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,7 +58,6 @@ from .inverse import inverse_transform  # noqa: F401
 from .partial import partial_cross_spectrum_direct  # noqa: F401
 from .spectra import dft, marked_dft, periodogram_matrix, smooth_spectra  # noqa: F401
 
-THREADS_ENV = "STSPECTRA_THREADS"
 CALIBRATION_SEED_OFFSET = 7654321
 
 
@@ -126,8 +124,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or 1); results are "
-        "identical for any value",
+        # kept so that existing command lines which pass it still parse
+        help="accepted and ignored",
     )
     parser.add_argument("--out", default=".", help="output directory")
 
@@ -377,20 +375,6 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # shared plumbing
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
-        text = os.environ.get(THREADS_ENV, "1")
-        try:
-            n = int(text)
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV}={text!r} is not an integer") from None
-    if n < 1:
-        raise ValidationError("threads must be >= 1")
-    return n
-
-
 def _load_pattern(args) -> tuple[MultiPattern, object]:
     if not getattr(args, "input", None):
         raise ValidationError("an input CSV is required")
@@ -448,8 +432,8 @@ def _require_partial_dims(pattern: MultiPattern) -> None:
 
 
 def _config_dict(args, extra: dict | None = None) -> dict:
-    # threads is a resource knob; results are identical for any value, so it
-    # must not perturb the recorded configuration or its hash
+    # the ignored --threads flag must not perturb the recorded configuration
+    # or its hash
     skip = {"config", "out", "subcommand", "threads"}
     out = {}
     for key, value in sorted(vars(args).items()):
@@ -712,15 +696,14 @@ def cmd_spectra(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
     spec = _analysis_spec(args, pattern.T)
-    threads = _threads(args)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
     comments = _provenance_comments("spectra", cfg, spec)
 
     # raw and smoothed rows are always unmarked; --marked adds marked rows
-    raw, smoothed = spectral_fields(pattern, replace(spec, marked=False), threads)
+    raw, smoothed = spectral_fields(pattern, replace(spec, marked=False))
     fields = [(raw, "raw"), (smoothed, "smoothed")]
     if spec.marked:
-        fields.append((spectral_fields(pattern, spec, threads)[1], "marked"))
+        fields.append((spectral_fields(pattern, spec)[1], "marked"))
     n_rows = _write_table(
         out / "spectra.csv", comments, SPECTRA_HEADER, _spectral_blocks(fields)
     )
@@ -754,7 +737,7 @@ def cmd_partial(args) -> int:
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
-    pf = partial_pipeline(pattern, spec, threads=_threads(args))
+    pf = partial_pipeline(pattern, spec)
     n_rows = _write_table(
         out / "partial.csv",
         _provenance_comments("partial", cfg, spec),
@@ -766,7 +749,7 @@ def cmd_partial(args) -> int:
     return 0
 
 
-def _resolve_xi(args, pattern, spec, threads):
+def _resolve_xi(args, pattern, spec):
     text = str(args.xi)
     if text.startswith("null:"):
         tag = text.split(":", 1)[1]
@@ -778,7 +761,6 @@ def _resolve_xi(args, pattern, spec, threads):
             quantile=0.95,
             replicates=args.replicates,
             seed=args.calibration_seed,
-            threads=threads,
         )
         return cal.xi, cal
     try:
@@ -828,12 +810,12 @@ SLICE_XI_WARNING = (
 )
 
 
-def _emit_slices(out, pattern, spec, xi, cal, threads, fmt, comments):
+def _emit_slices(out, pattern, spec, xi, cal, fmt, comments):
     """Slice graphs and persistence.csv; returns the slice warnings.
 
     Under a calibrated xi every slice graph and the returned warnings say
     that the threshold was not calibrated for slices."""
-    slices = per_slice_graphs(pattern, xi, spec, threads=threads)
+    slices = per_slice_graphs(pattern, xi, spec)
     warnings = slices.warnings
     graphs = slices.graphs
     if cal is not None:
@@ -871,19 +853,18 @@ def cmd_graph(args) -> int:
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
-    threads = _threads(args)
-    xi, cal = _resolve_xi(args, pattern, spec, threads)
+    xi, cal = _resolve_xi(args, pattern, spec)
     cfg = _config_dict(
         args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
     )
     comments = _provenance_comments("graph", cfg, spec)
-    pf = partial_pipeline(pattern, spec, threads=threads)
+    pf = partial_pipeline(pattern, spec)
     graph = build_dependence_graph(
         pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
     )
     wrote = _emit_graph(out, "graph", graph, args.format, comments)
     if args.per_slice:
-        _emit_slices(out, pattern, spec, xi, cal, threads, args.format, comments)
+        _emit_slices(out, pattern, spec, xi, cal, args.format, comments)
     print(
         f"graph at xi={_fmt(xi)}: "
         f"{len(graph.edges)} edge{'s' if len(graph.edges) != 1 else ''} "
@@ -928,7 +909,7 @@ def cmd_invert(args) -> int:
     pattern, _ = _load_pattern(args)
     spec = _analysis_spec(args, pattern.T)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
-    _, smoothed = spectral_fields(pattern, spec, _threads(args))
+    _, smoothed = spectral_fields(pattern, spec)
     if args.pair is not None:
         part = partial_lag_characteristics(smoothed, *args.pair)
         lags = [part.auto_i, part.auto_j, part.cross]
@@ -964,8 +945,7 @@ def cmd_pipeline(args) -> int:
     _require_partial_dims(pattern)
 
     spec = _analysis_spec(args, pattern.T)
-    threads = _threads(args)
-    xi, cal = _resolve_xi(args, pattern, spec, threads)
+    xi, cal = _resolve_xi(args, pattern, spec)
     cfg = _config_dict(
         args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
     )
@@ -975,7 +955,7 @@ def cmd_pipeline(args) -> int:
     if truth is not None:
         write_sidecar(truth, out / "truth.json")
 
-    raw, smoothed = spectral_fields(pattern, spec, threads)
+    raw, smoothed = spectral_fields(pattern, spec)
     _write_table(
         out / "spectra.csv",
         comments,
@@ -991,9 +971,7 @@ def cmd_pipeline(args) -> int:
 
     slice_warnings = ()
     if args.per_slice:
-        slice_warnings = _emit_slices(
-            out, pattern, spec, xi, cal, threads, "both", comments
-        )
+        slice_warnings = _emit_slices(out, pattern, spec, xi, cal, "both", comments)
     if args.lags:
         _write_lags(out, comments, partial_cross_lags(smoothed))
 

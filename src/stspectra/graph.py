@@ -156,28 +156,27 @@ class CalibrationResult:
 
 
 def spectral_fields(
-    pattern: MultiPattern, spec: AnalysisSpec | None = None, threads: int = 1
+    pattern: MultiPattern, spec: AnalysisSpec | None = None
 ) -> tuple[SpectralField, SpectralField]:
     """Run transform -> periodogram -> smoothing; return (raw, smoothed)."""
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
     transform = marked_dft if spec.marked else dft
     raw = periodogram_matrix(
-        transform(pattern, spec.grid, threads=threads),
-        normalisation=spec.normalisation,
+        transform(pattern, spec.grid), normalisation=spec.normalisation
     )
     return raw, smooth_spectra(raw, spec.half_widths)
 
 
 def partial_pipeline(
-    pattern: MultiPattern, spec: AnalysisSpec | None = None, threads: int = 1
+    pattern: MultiPattern, spec: AnalysisSpec | None = None
 ) -> PartialField:
     """Run transform -> periodogram -> smoothing -> partial analysis."""
     # raw stays referenced through the inversion, and calibration keeps the
     # previous replicate's field until the next is built: freed earlier, the
     # heap top is trimmed and re-faulted every replicate (about 15x the page
     # faults and 20% slower calibration on the README case)
-    raw, smoothed = spectral_fields(pattern, spec, threads)
+    raw, smoothed = spectral_fields(pattern, spec)
     return partial_field(smoothed)
 
 
@@ -287,7 +286,6 @@ def calibrate_null_threshold(
     quantile: float = 0.95,
     replicates: int = 200,
     seed: int = 0,
-    threads: int = 1,
 ) -> CalibrationResult:
     """Calibrate xi on count-matched uniform (binomial) null replicates.
 
@@ -316,7 +314,7 @@ def calibrate_null_threshold(
         null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
-        pf = partial_pipeline(null, spec, threads=threads)  # kept: see partial_pipeline
+        pf = partial_pipeline(null, spec)  # kept: see partial_pipeline
         es = edge_statistics(pf)
         iu = np.triu_indices(es.d, k=1)
         vals = es.stats[iu]
@@ -338,7 +336,6 @@ def per_slice_graphs(
     pattern: MultiPattern,
     xi: float,
     spec: AnalysisSpec | None = None,
-    threads: int = 1,
 ) -> SliceGraphs:
     """Analyse each temporal step as a T=1 pattern under ``spec.for_slice()``
     and tabulate edges.
@@ -358,7 +355,7 @@ def per_slice_graphs(
             warnings.append(f"step {step}: {exc}")
             graphs.append(None)
             continue
-        pf = partial_pipeline(sl, slice_spec, threads=threads)
+        pf = partial_pipeline(sl, slice_spec)
         graphs.append(build_dependence_graph(pf, xi))
     d = pattern.d
     persistence: dict[tuple[int, int], tuple[bool | None, ...]] = {}

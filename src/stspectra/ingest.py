@@ -171,6 +171,15 @@ class MultiPattern:
                 f"{self.t.min()}..{self.t.max()}"
             )
         d = len(self.labels)
+        # load_events strips labels and merges equal ones, so only distinct,
+        # non-empty, stripped labels survive an export and reload
+        for k, label in enumerate(self.labels):
+            if not label or label != label.strip():
+                raise ValidationError(
+                    f"label {label!r} is empty or padded with whitespace"
+                )
+            if label in self.labels[:k]:
+                raise ValidationError(f"label {label!r} names two components")
         if d < 2 and not self._allow_missing_types:
             raise ValidationError(f"need at least 2 components, got {d}")
         if self.type_id.min() < 1 or self.type_id.max() > d:
@@ -571,11 +580,11 @@ def load_events(
     if time_is_index:
         try:
             steps = np.fromiter(map(int, texts), np.int64, len(texts))
-        except ValueError:
-            for text in texts:  # name the first value that is no integer
+        except (ValueError, OverflowError):
+            for text in texts:  # name the first value that is no int64 index
                 try:
-                    int(text)
-                except ValueError:
+                    np.int64(int(text))
+                except (ValueError, OverflowError):
                     raise ValidationError(
                         f"time value {text!r} is not an integer index; "
                         "drop --time-is-index to parse timestamps"

@@ -12,7 +12,6 @@ Component indices in the public API are 1-based, matching event type ids.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -248,7 +247,7 @@ def _dft_single(
     :func:`_step_phases` table.  Weights multiply the indexed copy, never the
     table.  Events are taken in fixed chunks of ``EVENT_CHUNK``, summed in
     event order, with A refilled in one buffer per call, so memory is bounded
-    by the chunk and the result does not depend on how many workers run.
+    by the chunk and the summation order is fixed.
     """
     P, Q, U = grid.shape
     acc = np.zeros((P * U, Q), dtype=np.complex128)
@@ -274,29 +273,18 @@ def _check_unit(pattern: MultiPattern) -> None:
         )
 
 
-def _transform(
-    pattern: MultiPattern, grid: FrequencyGrid, threads: int, marked: bool
-) -> DftVector:
-    """Transform every component; workers split the components, so each
-    component is computed by the same operations whatever the worker count."""
+def _transform(pattern: MultiPattern, grid: FrequencyGrid, marked: bool) -> DftVector:
+    """Transform every component in turn.  The only parallel work is the
+    BLAS inside each chunk's GEMM, whose thread count leaves the bytes alone."""
     _check_unit(pattern)
     if marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
     comps = [pattern.component(i + 1) for i in range(pattern.d)]
     means = np.array([c.marks.mean() for c in comps]) if marked else None
     values = np.empty((pattern.d,) + grid.shape, dtype=np.complex128)
-
-    def run_component(i):
-        c = comps[i]
+    for i, c in enumerate(comps):
         weights = c.marks - means[i] if marked else None
         values[i] = _dft_single(c.x, c.y, c.t, pattern.T, grid, weights)
-
-    if threads <= 1 or pattern.d == 1:
-        for i in range(pattern.d):
-            run_component(i)
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, pattern.d)) as pool:
-            list(pool.map(run_component, range(pattern.d)))
     return DftVector(
         values=values,
         counts=pattern.counts,
@@ -316,9 +304,9 @@ def dft(pattern: MultiPattern, grid: FrequencyGrid, threads: int = 1) -> DftVect
     ----------
     pattern : MultiPattern on the unit square.
     grid : FrequencyGrid of integer ordinates.
-    threads : worker count; outputs are byte-identical for any value.
+    threads : accepted and ignored, so that callers passing it keep working.
     """
-    return _transform(pattern, grid, threads, marked=False)
+    return _transform(pattern, grid, marked=False)
 
 
 def marked_dft(
@@ -327,8 +315,8 @@ def marked_dft(
     """Mark-weighted transform: each summand is weighted by the event's mark
     minus its component's mark mean.  Constant marks therefore give the zero
     transform; adding a constant to all marks changes nothing.  ``threads``
-    is as for :func:`dft`."""
-    return _transform(pattern, grid, threads, marked=True)
+    is ignored, as for :func:`dft`."""
+    return _transform(pattern, grid, marked=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from stspectra import (
     simulate_binomial_null,
     smooth_spectra,
 )
-from stspectra.cli import SLICE_XI_WARNING, THREADS_ENV, main
+from stspectra.cli import SLICE_XI_WARNING, main
 from stspectra.graph import graph_from_json
 
 GRID_ARGS = ["--p-max", "3", "--q-min", "-3", "--q-max", "3"]
@@ -164,6 +164,14 @@ class TestIngest:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io"
 
+    def test_time_index_beyond_int64_reports_json(self, tmp_path, capsys):
+        src = tmp_path / "big.csv"
+        src.write_text("x,y,time,type\n0.1,0.2,1,a\n0.3,0.4,100000000000000000000000,b\n")
+        assert run(["ingest", src, "--time-is-index", "--out", tmp_path]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert "100000000000000000000000" in report["message"]
+
     def test_bad_schema_reports_json(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("lon,lat\n1,2\n")
@@ -173,22 +181,15 @@ class TestIngest:
 
 
 class TestSpectra:
-    def test_artifacts_and_thread_invariance(self, tmp_path, monkeypatch):
+    def test_artifacts_and_thread_invariance(self, tmp_path):
+        # --threads is accepted and ignored, so it leaves every byte alone
         events = simulate_events(tmp_path, "sim")
         outs = {}
-        for name, extra, env in (
-            ("t1", ["--threads", "1"], None),
-            ("t4", ["--threads", "4"], None),
-            ("tenv", [], "2"),
-        ):
+        for name, extra in (("t1", ["--threads", "1"]), ("t4", ["--threads", "4"])):
             out = tmp_path / name
-            if env is not None:
-                monkeypatch.setenv(THREADS_ENV, env)
-            else:
-                monkeypatch.delenv(THREADS_ENV, raising=False)
             assert run(["spectra", events, "--time-is-index", "--out", out, *GRID_ARGS] + extra) == 0
             outs[name] = read_all(out, ["spectra.csv", "polar.csv"])
-        assert outs["t1"] == outs["t4"] == outs["tenv"]
+        assert outs["t1"] == outs["t4"]
 
     def test_rows_and_provenance(self, tmp_path):
         events = simulate_events(tmp_path, "sim")
@@ -587,20 +588,3 @@ class TestUsageErrors:
             run([])
         assert exc.value.code == 2
 
-    def test_bad_thread_count(self, tmp_path, capsys):
-        events = simulate_events(tmp_path, "sim", rates="40,50,60")
-        assert run(
-            ["spectra", events, "--time-is-index", "--threads", "0", "--out", tmp_path / "x",
-             *GRID_ARGS]
-        ) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "validation"
-
-    def test_bad_thread_variable(self, tmp_path, capsys, monkeypatch):
-        events = simulate_events(tmp_path, "sim", rates="40,50,60")
-        monkeypatch.setenv(THREADS_ENV, "abc")
-        assert run(
-            ["spectra", events, "--time-is-index", "--out", tmp_path / "x", *GRID_ARGS]
-        ) == 1
-        report = json.loads(capsys.readouterr().err)
-        assert report["error"] == "validation"
-        assert THREADS_ENV in report["message"]

@@ -289,6 +289,16 @@ class TestPatternInvariants:
                 build_pattern(**{**base, **bad})
         assert build_pattern(**base, marks=[0.0, 1.0, 2.0]).has_marks
 
+    @pytest.mark.parametrize(
+        "labels", [("a", "a", "b"), ("a", "", "b"), ("a", " b", "c")],
+        ids=["duplicate", "empty", "padded"],
+    )
+    def test_unloadable_labels_rejected(self, labels):
+        # an events CSV cannot carry these labels: the loader strips them and
+        # merges equal ones, so export and reload would change the components
+        with pytest.raises(ValidationError, match="label"):
+            build_pattern([0.1, 0.2, 0.3], [0.5] * 3, [1] * 3, [1, 2, 3], labels, T=1)
+
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValidationError):
             Window(0.0, 0.0, 0.0, 1.0, T=1)

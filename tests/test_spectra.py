@@ -146,11 +146,6 @@ class TestDft:
         tol = 1e-10 * trio_pattern.n
         assert np.abs(a.values - b.values).max() < tol
 
-    def test_threads_bitwise_identical(self, trio_pattern, small_grid):
-        one = dft(trio_pattern, small_grid, threads=1)
-        many = dft(trio_pattern, small_grid, threads=3)
-        assert np.array_equal(one.values, many.values)
-
     def test_blas_threads_bitwise_identical(self):
         # the GEMM's reduction over events must not depend on how many
         # threads BLAS splits the product over
@@ -217,13 +212,6 @@ class TestMarkedDft:
         pat = tiny_pattern.with_marks(np.full(8, 3.25))
         md = marked_dft(pat, tiny_grid)
         assert np.abs(md.values).max() == 0.0
-
-    def test_threads_bitwise_identical(self, trio_pattern, small_grid):
-        marks = np.random.default_rng(5).normal(5.0, 1.0, trio_pattern.n)
-        pat = trio_pattern.with_marks(marks)
-        one = marked_dft(pat, small_grid, threads=1)
-        many = marked_dft(pat, small_grid, threads=3)
-        assert one.values.tobytes() == many.values.tobytes()
 
     def test_needs_marks(self, tiny_grid):
         pat = build_pattern([0.1, 0.9], [0.1, 0.9], [1, 1], [1, 2], ("a", "b"), T=1)

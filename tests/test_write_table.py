@@ -52,8 +52,8 @@ class TestWriteTable:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_export_events(self, tmp_path):
-        # a library-built pattern may carry labels the loader would reject
-        labels = LABELS[:5]
+        # every label a pattern may carry: LABELS minus the empty and padded ones
+        labels = tuple(label for label in LABELS if label and label == label.strip())
         n = _CHUNK_ROWS + 1
         rng = np.random.default_rng(4)
         type_id = np.r_[np.arange(1, 6), rng.integers(1, 6, n - 5)]
