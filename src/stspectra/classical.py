@@ -441,9 +441,28 @@ class _Cells:
     measure: np.ndarray
 
 
+def _last_lag(table: np.ndarray) -> int:
+    """The largest lag a temporal weight table gives weight to (0 if none)."""
+    return int(np.nonzero(table)[0].max()) if table.any() else 0
+
+
+def _eroded_t_grid(t_grid, T: int, delta: float | None = None) -> tuple[float, ...]:
+    """The entries of ``t_grid`` that leave an eroded temporal domain in 1..T
+    under their lag weights: the ring kernel of bandwidth ``delta`` (pair
+    correlation) or, with ``delta`` None, the bin overlap (K, mark K)."""
+    if delta is not None:
+        delta = _check_bandwidth(delta, "temporal")
+    keep = []
+    for t in t_grid:
+        table = _overlap_table(t, T) if delta is None else _ring_lag_table(t, delta, T)
+        if 2 * _last_lag(table) < T:  # the margin _eroded_structure needs
+            keep.append(t)
+    return tuple(keep)
+
+
 def _cells(r, t, tables: list[np.ndarray], T: int, eps: float | None = None) -> _Cells:
     supports = r if eps is None else r + eps
-    dmaxes = np.array([np.nonzero(tab)[0].max() if tab.any() else 0 for tab in tables])
+    dmaxes = np.array([_last_lag(tab) for tab in tables])
     measure = np.empty((r.size, t.size))
     for k in range(r.size):
         for l in range(t.size):

@@ -22,12 +22,14 @@ import numpy as np
 
 from . import __version__
 from .classical import (
+    _eroded_t_grid,
     estimate_intensity,
     estimate_k,
     estimate_pair_correlation,
     estimate_spatial_intensity,
     estimate_temporal_intensity,
     mark_weighted_k,
+    scott_bandwidths,
 )
 from .errors import StspectraError, ValidationError
 from .graph import (
@@ -59,6 +61,7 @@ from .partial import partial_cross_spectrum_direct  # noqa: F401
 from .spectra import dft, marked_dft, periodogram_matrix, smooth_spectra  # noqa: F401
 
 CALIBRATION_SEED_OFFSET = 7654321
+DEFAULT_T_GRID = (1.0, 2.0)
 
 
 def _fmt(v) -> str:
@@ -235,7 +238,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument(
         "--r-grid", type=_parse_float_list, default=(0.02, 0.04, 0.06, 0.08, 0.1)
     )
-    p.add_argument("--t-grid", type=_parse_float_list, default=(1.0, 2.0))
+    p.add_argument("--t-grid", type=_parse_float_list, default=None,
+                   help="time lags (default: those of 1,2 that T leaves room for)")
     p.add_argument("--eps", type=float, default=None, help="spatial bandwidth")
     p.add_argument("--delta", type=float, default=None, help="temporal bandwidth")
     p.add_argument("--cells", type=int, default=64)
@@ -571,10 +575,31 @@ def _separable_plugin(pattern: MultiPattern, args):
     return typed, per_type
 
 
+def _default_t_grid(pattern: MultiPattern, args) -> tuple[float, ...]:
+    """The entries of DEFAULT_T_GRID that leave the estimator an eroded
+    temporal domain at the pattern's T; all of them when none does or the
+    input is unusable, so that the estimator reports the fault."""
+    try:
+        delta = None
+        if args.estimator == "pair-correlation":
+            delta = args.delta
+            if delta is None:
+                source, _ = _component_source(pattern, args.component)
+                _, delta = scott_bandwidths(source)
+        kept = _eroded_t_grid(DEFAULT_T_GRID, pattern.T, delta)
+    except ValidationError:
+        kept = ()
+    return kept or DEFAULT_T_GRID
+
+
 def cmd_classical(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
-    cfg = _config_dict(args)
+    t_grid, extra = args.t_grid, None
+    if t_grid is None and args.estimator != "intensity":
+        t_grid = _default_t_grid(pattern, args)
+        extra = {"resolved_t_grid": list(t_grid)}
+    cfg = _config_dict(args, extra)
     comments = _provenance_comments("classical", cfg)
 
     if args.estimator == "intensity":
@@ -609,7 +634,7 @@ def cmd_classical(args) -> int:
         curve = estimate_pair_correlation(
             source,
             args.r_grid,
-            args.t_grid,
+            t_grid,
             eps=args.eps,
             delta=args.delta,
             intensity=intensity,
@@ -622,7 +647,7 @@ def cmd_classical(args) -> int:
         curve = estimate_k(
             pattern,
             args.r_grid,
-            args.t_grid,
+            t_grid,
             C=args.C,
             D=args.D,
             intensity=intensity,
@@ -630,7 +655,7 @@ def cmd_classical(args) -> int:
         cd = None
     else:  # mark-k
         source, label = _component_source(pattern, args.component)
-        curve = mark_weighted_k(source, args.r_grid, args.t_grid)
+        curve = mark_weighted_k(source, args.r_grid, t_grid)
         cd = label
 
     if cd is None:
@@ -914,7 +939,7 @@ def cmd_invert(args) -> int:
         part = partial_lag_characteristics(smoothed, *args.pair)
         lags = [part.auto_i, part.auto_j, part.cross]
     else:
-        lags = partial_cross_lags(smoothed)
+        lags = partial_cross_lags(partial_field(smoothed), smoothed.T)
     lam = None
     if args.scaled:
         lam = {i: float(pattern.counts[i - 1] / pattern.T) for i in range(1, pattern.d + 1)}
@@ -973,7 +998,7 @@ def cmd_pipeline(args) -> int:
     if args.per_slice:
         slice_warnings = _emit_slices(out, pattern, spec, xi, cal, "both", comments)
     if args.lags:
-        _write_lags(out, comments, partial_cross_lags(smoothed))
+        _write_lags(out, comments, partial_cross_lags(pf, smoothed.T))
 
     run = {
         "tool": "stspectra pipeline",

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SymmetryError, ValidationError
-from .partial import partial_cross_spectrum_direct
-from .spectra import FrequencyGrid, SpectralField
+from .errors import SingularMatrixError, SymmetryError, ValidationError
+from .partial import PartialField, partial_cross_spectrum_direct, partial_field
+from .spectra import FrequencyGrid, SpectralField, _component_indices, _grid_point
 
 __all__ = [
     "LagField",
@@ -109,26 +109,22 @@ def symmetrise_scalar(
     q_full = np.arange(-q_half, q_half + 1)
     u_full = grid.u_values
 
-    full = np.empty((p_full.size, q_full.size, U), dtype=np.complex128)
-    for a, p in enumerate(p_full):
-        for b, q in enumerate(q_full):
-            direct = p >= 0 and grid.q_min <= q <= grid.q_max
-            for c, u in enumerate(u_full):
-                if direct:
-                    full[a, b, c] = values[p, q - grid.q_min, c]
-                    continue
-                pm, qm = -p, -q
-                um = ((-u - grid.u_min) % T) + grid.u_min
-                if pm >= 0 and grid.q_min <= qm <= grid.q_max:
-                    full[a, b, c] = np.conj(
-                        values[pm, qm - grid.q_min, um - grid.u_min]
-                    )
-                else:
-                    raise SymmetryError(
-                        f"cannot symmetrise: ordinate (p={p}, q={q}) has no "
-                        "source on the half-grid; use a q range symmetric "
-                        "about 0"
-                    )
+    # p >= 0 with q in range is stored; any other point is the conjugate of
+    # its mirror (-p, -q, um), which must then be stored
+    direct = (p_full >= 0)[:, None] & (q_full >= grid.q_min) & (q_full <= grid.q_max)
+    src_q = np.where(direct, q_full, -q_full)
+    missing = (p_full > 0)[:, None] & ~direct
+    missing |= (src_q < grid.q_min) | (src_q > grid.q_max)
+    if missing.any():
+        a, b = np.unravel_index(int(np.argmax(missing)), missing.shape)
+        raise SymmetryError(
+            f"cannot symmetrise: ordinate (p={p_full[a]}, q={q_full[b]}) has no "
+            "source on the half-grid; use a q range symmetric about 0"
+        )
+    src = values[np.abs(p_full)[:, None], src_q - grid.q_min]
+    um = (-2 * grid.u_min - np.arange(U)) % U
+    full = src.astype(np.complex128)
+    full[~direct] = np.conj(src[~direct][:, um])
     return full, p_full, q_full, u_full
 
 
@@ -195,6 +191,16 @@ def forward_from_lags(lag: LagField) -> np.ndarray:
     return np.einsum("pa,qb,uc,abc->pqu", ep, eq, eu, lag.values, optimize=True)
 
 
+def _require_nonsingular(pf: PartialField) -> None:
+    """Refuse a partial field with an ordinate that no ridge step rescued:
+    its NaN entries would pass the imaginary-residue check unseen."""
+    if pf.singular.any():
+        raise SingularMatrixError(
+            "spectral matrix singular after every ridge step",
+            grid_point=_grid_point(pf.grid, np.argmax(pf.singular)),
+        )
+
+
 def partial_lag_characteristics(
     field: SpectralField,
     i: int,
@@ -202,35 +208,46 @@ def partial_lag_characteristics(
     conditioning: tuple[int, ...] | None = None,
 ) -> PartialLagSet:
     """Lag-domain partial auto- and cross-covariances of the pair (i, j),
-    conditioned on all remaining components unless an explicit set is given."""
-    pc = partial_cross_spectrum_direct(field, i, j, conditioning)
-    auto_i = inverse_transform(
-        pc.auto_i.astype(complex), field.grid, field.T, kind="partial_auto", pair=(i, i)
-    )
-    auto_j = inverse_transform(
-        pc.auto_j.astype(complex), field.grid, field.T, kind="partial_auto", pair=(j, j)
-    )
-    cross = inverse_transform(
-        pc.cross, field.grid, field.T, kind="partial_cross", pair=(i, j)
-    )
+    conditioned on all remaining components unless an explicit set is given.
+
+    All-remaining conditioning reads the ridged inverse route of
+    :func:`partial_field`; an explicit set goes through the Schur complement
+    of :func:`partial_cross_spectrum_direct`."""
+    if conditioning is None:
+        a, b = _component_indices(field.d, (i, j))[0]
+        pf = partial_field(field)
+        _require_nonsingular(pf)
+        auto_i, auto_j = pf.auto[..., a, b], pf.auto[..., b, a]
+        cross = pf.cross[..., a, b]
+        conditioning = tuple(k for k in range(1, field.d + 1) if k not in (i, j))
+    else:
+        pc = partial_cross_spectrum_direct(field, i, j, conditioning)
+        auto_i, auto_j, cross = pc.auto_i, pc.auto_j, pc.cross
+        conditioning = pc.conditioning
+
+    def lag(values, kind, pair):
+        return inverse_transform(values, field.grid, field.T, kind=kind, pair=pair)
+
     return PartialLagSet(
-        auto_i=auto_i, auto_j=auto_j, cross=cross, conditioning=pc.conditioning
+        auto_i=lag(auto_i.astype(complex), "partial_auto", (i, i)),
+        auto_j=lag(auto_j.astype(complex), "partial_auto", (j, j)),
+        cross=lag(cross, "partial_cross", (i, j)),
+        conditioning=conditioning,
     )
 
 
-def partial_cross_lags(field: SpectralField) -> list[LagField]:
+def partial_cross_lags(pf: PartialField, T: int) -> list[LagField]:
     """Lag-domain partial cross-covariances of every pair i < j, each
-    conditioned on all remaining components, in pair order."""
-    lags = []
-    for i in range(1, field.d + 1):
-        for j in range(i + 1, field.d + 1):
-            pc = partial_cross_spectrum_direct(field, i, j)
-            lags.append(
-                inverse_transform(
-                    pc.cross, field.grid, field.T, kind="partial_cross", pair=(i, j)
-                )
-            )
-    return lags
+    conditioned on all remaining components, in pair order: the inverse
+    transforms of ``pf.cross``, ridged as ``pf`` is."""
+    _require_nonsingular(pf)
+    return [
+        inverse_transform(
+            pf.cross[..., i - 1, j - 1], pf.grid, T, kind="partial_cross", pair=(i, j)
+        )
+        for i in range(1, pf.d + 1)
+        for j in range(i + 1, pf.d + 1)
+    ]
 
 
 def scaled_covariance(lag: LagField, lambda_i: float, lambda_j: float) -> LagField:

@@ -1,16 +1,17 @@
 """Conditional (partial) spectral statistics via per-ordinate matrix inversion.
 
-Everything here operates on a smoothed spectral matrix field.  The central
-object is the per-ordinate inverse; from it come the rescaled inverse
-densities |d_ij| (the dependence-graph statistic), the partial coherencies,
-and the pair-conditioned cross- and auto-spectra, each conditioned on all
-remaining components unless an explicit set is given.
-
-Two independent evaluation routes are kept deliberately distinct: the inverse
-route (through the matrix inverse) and the direct route (Schur complement on
-the conditioning block).  They agree analytically; tests pin the agreement
-numerically.  The marked variants are the identical machinery applied to a
-marked spectral field.
+Everything here operates on a smoothed spectral matrix field.  Each
+conditioning question has one route.  Conditioning on all remaining
+components goes through the per-ordinate inverse (:func:`partial_field`,
+ridged where the matrix is ill conditioned): from it come the rescaled
+inverse densities |d_ij| (the dependence-graph statistic), the partial
+coherencies and the pair-conditioned cross- and auto-spectra, which the
+partial table, the graph and the lag outputs all read.  Conditioning on an
+explicit subset goes through the Schur complement on the conditioning
+block (:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`,
+and ``spectra.multiple_coherence``).  The two routes agree analytically
+where both apply; tests pin the agreement numerically.  The marked variants
+are the identical machinery applied to a marked spectral field.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .spectra import FrequencyGrid, SpectralField
+from .spectra import (
+    FrequencyGrid,
+    SpectralField,
+    _component_indices,
+    _grid_point,
+    _schur_projection,
+)
 
 __all__ = [
     "InverseField",
@@ -97,20 +104,12 @@ class PartialField:
         return self.abs_d.shape[-1]
 
     def pair_abs_d(self, i: int, j: int) -> np.ndarray:
-        if i == j:
-            raise ValidationError("|d_ii| is excluded by contract")
-        d = self.d
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise ValidationError(f"component pair ({i},{j}) outside 1..{d}")
-        return self.abs_d[..., i - 1, j - 1]
+        a, b = _component_indices(self.d, (i, j))[0]
+        return self.abs_d[..., a, b]
 
     def pair_coherency(self, i: int, j: int) -> np.ndarray:
-        if i == j:
-            raise ValidationError("partial coherency needs i != j")
-        d = self.d
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise ValidationError(f"component pair ({i},{j}) outside 1..{d}")
-        return self.coherency[..., i - 1, j - 1]
+        a, b = _component_indices(self.d, (i, j))[0]
+        return self.coherency[..., a, b]
 
 
 def _as_matrix_field(field: SpectralField) -> np.ndarray:
@@ -237,16 +236,10 @@ def invert_spectral_matrix(
 
 
 def rescaled_inverse_density(inv: InverseField, i: int, j: int) -> np.ndarray:
-    """|d_ij| = |b_ij| / sqrt(b_ii * b_jj) per ordinate, in [0,1] up to
-    rounding; NaN where the ordinate is flagged singular."""
-    if i == j:
-        raise ValidationError("|d_ii| is excluded by contract")
-    bij = inv.entry(i, j)
-    den2 = inv.entry(i, i).real * inv.entry(j, j).real
-    out = np.full(bij.shape, np.nan)
-    ok = ~inv.singular & (den2 > 0)
-    np.divide(np.abs(bij), np.sqrt(np.where(den2 > 0, den2, 1.0)), out=out, where=ok)
-    return out
+    """|d_ij| = |b_ij| / sqrt(b_ii * b_jj) per ordinate, the modulus of the
+    partial coherency as in :func:`partial_field`: in [0,1] up to rounding;
+    NaN where the ordinate is flagged singular."""
+    return np.abs(partial_coherency(inv, i, j))
 
 
 def partial_coherency(inv: InverseField, i: int, j: int) -> np.ndarray:
@@ -263,18 +256,14 @@ def partial_coherency(inv: InverseField, i: int, j: int) -> np.ndarray:
     return out
 
 
-def partial_field(
-    field: SpectralField,
-    cond_threshold: float = COND_THRESHOLD,
-    ridge_fractions: tuple[float, ...] = RIDGE_FRACTIONS,
-) -> PartialField:
+def partial_field(field: SpectralField) -> PartialField:
     """All-pairs partial statistics through the inverse route.
 
     The pair-conditioned spectra come from the 2x2 block identity: with
     B the inverse matrix and det = b_ii*b_jj - |b_ij|^2,
     f_ij|rest = -b_ij/det,  f_ii|rest = b_jj/det.
     """
-    inv = invert_spectral_matrix(field, cond_threshold, ridge_fractions)
+    inv = invert_spectral_matrix(field)
     b = inv.values
     d = inv.d
     diag = np.arange(d)
@@ -291,12 +280,7 @@ def partial_field(
         )
     for arr, fill in ((coherency, 0), (abs_d, 0.0), (cross, 0), (auto, 0)):
         arr[..., diag, diag] = fill
-    if inv.singular.any():
-        mask = inv.singular[..., None, None]
-        coherency[np.broadcast_to(mask, coherency.shape)] = np.nan
-        abs_d[np.broadcast_to(mask, abs_d.shape)] = np.nan
-        cross[np.broadcast_to(mask, cross.shape)] = np.nan
-        auto[np.broadcast_to(mask, auto.shape)] = np.nan
+        arr[inv.singular] = np.nan
     return PartialField(
         coherency=coherency,
         abs_d=abs_d,
@@ -327,58 +311,21 @@ def partial_cross_spectrum_direct(
     j: int,
     conditioning: tuple[int, ...] | list[int] | None = None,
 ) -> PairConditional:
-    """Direct (d-2)-dimensional route:
+    """Direct (Schur complement) route:
     f_ij|rest = f_ij - f_i,rest * f_rest,rest^{-1} * f_rest,j.
 
     ``conditioning`` defaults to every component except i and j; pass an
     explicit tuple to condition on a subset.  With an empty conditioning set
     (d = 2) the partial quantities reduce to the ordinary ones exactly.
     """
-    d = field.d
-    if i == j:
-        raise ValidationError("need i != j")
-    for k in (i, j):
-        if not 1 <= k <= d:
-            raise ValidationError(f"component {k} outside 1..{d}")
     if conditioning is None:
-        rest = tuple(k for k in range(1, d + 1) if k not in (i, j))
+        rest = tuple(k for k in range(1, field.d + 1) if k not in (i, j))
     else:
         rest = tuple(conditioning)
-        if len(set(rest)) != len(rest):
-            raise ValidationError("conditioning set holds duplicates")
-        if i in rest or j in rest:
-            raise ValidationError("conditioning set cannot contain i or j")
-        for k in rest:
-            if not 1 <= k <= d:
-                raise ValidationError(f"component {k} outside 1..{d}")
-
-    f_ij = field.entry(i, j)
-    f_ii = field.entry(i, i)
-    f_jj = field.entry(j, j)
-    if not rest:
-        cross = f_ij.copy()
-        auto_i = f_ii.real.copy()
-        auto_j = f_jj.real.copy()
-    else:
-        ridx = [k - 1 for k in rest]
-        f_RR = field.values[..., ridx, :][..., :, ridx]
-        f_Ri = field.values[..., ridx, [i - 1] * len(ridx)][..., None]
-        f_Rj = field.values[..., ridx, [j - 1] * len(ridx)][..., None]
-        rhs = np.concatenate([f_Ri, f_Rj], axis=-1)
-        try:
-            solved = np.linalg.solve(f_RR, rhs)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(
-                "conditioning block is singular; smooth more broadly or drop "
-                "components"
-            )
-        x_i, x_j = solved[..., 0], solved[..., 1]
-        f_iR_xj = (np.conj(f_Ri[..., 0]) * x_j).sum(axis=-1)
-        f_iR_xi = (np.conj(f_Ri[..., 0]) * x_i).sum(axis=-1)
-        f_jR_xj = (np.conj(f_Rj[..., 0]) * x_j).sum(axis=-1)
-        cross = f_ij - f_iR_xj
-        auto_i = (f_ii - f_iR_xi).real
-        auto_j = (f_jj - f_jR_xj).real
+    proj = _schur_projection(field, (i, j), rest)
+    cross = field.entry(i, j) - proj[..., 0, 1]
+    auto_i = (field.entry(i, i) - proj[..., 0, 0]).real
+    auto_j = (field.entry(j, j) - proj[..., 1, 1]).real
 
     den2 = auto_i * auto_j
     coherency = np.full(cross.shape, np.nan, dtype=complex)
@@ -405,14 +352,15 @@ def partial_coherence_three(
     numerator product is conjugate-ordered, the denominator terms are real).
     Perfect collinearity with k (|R| -> 1) raises a singularity error.
     """
-    if len({i, j, k}) != 3:
-        raise ValidationError("i, j, k must be distinct")
+    _component_indices(field.d, (i, j, k))
 
     def coherency_of(a, b):
         den2 = field.entry(a, a).real * field.entry(b, b).real
         if (den2 <= 0).any():
-            point = np.unravel_index(int(np.argmax(den2 <= 0)), field.grid.shape)
-            raise SingularMatrixError("vanishing auto-spectrum", grid_point=point)
+            raise SingularMatrixError(
+                "vanishing auto-spectrum",
+                grid_point=_grid_point(field.grid, np.argmax(den2 <= 0)),
+            )
         return field.entry(a, b) / np.sqrt(den2)
 
     r_ij = coherency_of(i, j)
@@ -422,15 +370,9 @@ def partial_coherence_three(
     m_jk = (np.conj(r_kj) * r_kj).real
     bad = (m_ik >= 1.0) | (m_jk >= 1.0)
     if bad.any():
-        point = np.unravel_index(int(np.argmax(bad)), field.grid.shape)
-        w = (
-            int(field.grid.p_values[point[0]]),
-            int(field.grid.q_values[point[1]]),
-            int(field.grid.u_values[point[2]]),
-        )
         raise SingularMatrixError(
             "component perfectly coherent with the conditioning component",
-            grid_point=w,
+            grid_point=_grid_point(field.grid, np.argmax(bad)),
         )
     return (r_ij - r_ik * r_kj) / np.sqrt((1.0 - m_ik) * (1.0 - m_jk))
 
@@ -444,33 +386,8 @@ def partial_dot_spectrum(
     """Aggregated conditional cross-spectrum f_iK|J with f_iK = sum over K of
     the pairwise cross-spectra (the superposition of K), conditioned on J by
     the direct formula.  J empty gives the unconditioned aggregate."""
-    d = field.d
-    K = tuple(K)
-    J = tuple(J)
     if not K:
         raise ValidationError("K must be non-empty")
-    overlap = ({i} | set(J)) & set(K)
-    if overlap:
-        raise ValidationError(f"K overlaps i/J: {sorted(overlap)}")
-    if i in J:
-        raise ValidationError("i cannot appear in J")
-    if len(set(K)) != len(K) or len(set(J)) != len(J):
-        raise ValidationError("K and J must not hold duplicates")
-    for k in K + J:
-        if not 1 <= k <= d:
-            raise ValidationError(f"component {k} outside 1..{d}")
-
+    proj = _schur_projection(field, (i,), J, K)
     kidx = [k - 1 for k in K]
-    f_iK = field.values[..., i - 1, kidx].sum(axis=-1)
-    if not J:
-        return f_iK
-    jidx = [k - 1 for k in J]
-    f_JJ = field.values[..., jidx, :][..., :, jidx]
-    f_Ji = field.values[..., jidx, [i - 1] * len(jidx)][..., None]
-    f_JK = field.values[..., jidx, :][..., :, kidx].sum(axis=-1, keepdims=True)
-    try:
-        solved = np.linalg.solve(f_JJ, f_JK)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("conditioning block f_JJ is singular")
-    correction = (np.conj(f_Ji[..., 0]) * solved[..., 0]).sum(axis=-1)
-    return f_iK - correction
+    return field.values[..., i - 1, kidx].sum(axis=-1) - proj[..., 0, :].sum(axis=-1)

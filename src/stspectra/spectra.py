@@ -536,8 +536,55 @@ def coherence(field: SpectralField, i: int, j: int) -> np.ndarray:
     return out
 
 
+def _grid_point(grid: FrequencyGrid, flat: int) -> tuple[int, int, int]:
+    """(p, q, u) of the ordinate at a flat (C-order) index of the grid."""
+    a, b, c = np.unravel_index(int(flat), grid.shape)
+    return (int(grid.p_values[a]), int(grid.q_values[b]), int(grid.u_values[c]))
+
+
+def _component_indices(d: int, *sets) -> list[list[int]]:
+    """0-based indices of 1-based component sets, each inside 1..d, with no
+    component repeated within or across the sets."""
+    flat = [k for s in sets for k in s]
+    outside = sorted({k for k in flat if not 1 <= k <= d})
+    if outside:
+        raise ValidationError(f"components {outside} outside 1..{d}")
+    if len(set(flat)) != len(flat):
+        raise ValidationError(
+            f"component sets {[tuple(s) for s in sets]} repeat a component"
+        )
+    return [[k - 1 for k in s] for s in sets]
+
+
+def _schur_projection(field: SpectralField, rows, J, cols=None) -> np.ndarray:
+    """The projection f_RJ f_JJ^{-1} f_JC at every ordinate, shape
+    grid + (|R|, |C|), for 1-based component sets R = ``rows``, J and
+    C = ``cols``.  The sets must be disjoint, except that C defaults to R
+    itself; an empty J gives zeros.
+
+    Raises SingularMatrixError at the first ordinate whose f_JJ is singular.
+    """
+    if cols is None:
+        R, Jx = _component_indices(field.d, rows, J)
+        C = R
+    else:
+        R, Jx, C = _component_indices(field.d, rows, J, cols)
+    v = field.values
+    f_JJ = v[..., Jx, :][..., :, Jx]
+    try:
+        x = np.linalg.solve(f_JJ, v[..., Jx, :][..., :, C])
+    except np.linalg.LinAlgError:
+        sign, _ = np.linalg.slogdet(f_JJ)
+        raise SingularMatrixError(
+            "conditioning block f_JJ is singular; smooth more broadly or drop "
+            "components",
+            grid_point=_grid_point(field.grid, np.argmax(sign == 0)),
+        ) from None
+    return v[..., R, :][..., :, Jx] @ x
+
+
 def multiple_coherence(
-    field: SpectralField, i: int, J: list[int] | tuple[int, ...], ridge: float = 0.0
+    field: SpectralField, i: int, J: list[int] | tuple[int, ...]
 ) -> np.ndarray:
     """Squared multiple coherence of component i on the set J:
     f_iJ * f_JJ^{-1} * f_Ji / f_ii per ordinate.
@@ -547,49 +594,15 @@ def multiple_coherence(
     field : smoothed spectral field.
     i : target component (1-based), not in J.
     J : non-empty list of distinct regressor components.
-    ridge : optional diagonal loading, as a fraction of mean(diag(f_JJ)),
-        for deliberately rank-deficient constructions.
 
     Raises
     ------
     SingularMatrixError : if f_JJ is singular at some ordinate (the first
         offending ordinate is reported).
     """
-    J = list(J)
     if not J:
         raise ValidationError("J must be non-empty")
-    if len(set(J)) != len(J):
-        raise ValidationError("J holds duplicate components")
-    if i in J:
-        raise ValidationError("target component cannot appear in J")
-    d = len(field.labels)
-    if any(not 1 <= k <= d for k in (i, *J)):
-        raise ValidationError(f"components must lie in 1..{d}")
-    idx = [k - 1 for k in J]
-    fJJ = field.values[..., idx, :][..., :, idx]
-    fJi = field.values[..., idx, [i - 1] * len(idx)][..., None]  # (...,|J|,1)
-    if ridge > 0:
-        m = len(idx)
-        tr = np.trace(fJJ, axis1=-2, axis2=-1).real / m
-        fJJ = fJJ + (ridge * tr)[..., None, None] * np.eye(m)
-    try:
-        solved = np.linalg.solve(fJJ, fJi)
-    except np.linalg.LinAlgError:
-        flat = fJJ.reshape(-1, len(idx), len(idx))
-        for k in range(flat.shape[0]):
-            try:
-                np.linalg.solve(flat[k], np.ones((len(idx), 1), dtype=complex))
-            except np.linalg.LinAlgError:
-                point = np.unravel_index(k, field.grid.shape)
-                w = (
-                    int(field.grid.p_values[point[0]]),
-                    int(field.grid.q_values[point[1]]),
-                    int(field.grid.u_values[point[2]]),
-                )
-                raise SingularMatrixError("f_JJ singular", grid_point=w)
-        raise
-    quad = np.conj(fJi[..., 0]) * solved[..., 0]
-    num = quad.sum(axis=-1).real
+    num = _schur_projection(field, (i,), J)[..., 0, 0].real
     den = field.entry(i, i).real
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)

@@ -19,7 +19,13 @@ from stspectra import (
     simulate_binomial_null,
     smooth_spectra,
 )
-from stspectra.cli import SLICE_XI_WARNING, main
+from stspectra.cli import (
+    SLICE_XI_WARNING,
+    _config_dict,
+    _config_hash,
+    build_parser,
+    main,
+)
 from stspectra.graph import graph_from_json
 
 GRID_ARGS = ["--p-max", "3", "--q-min", "-3", "--q-max", "3"]
@@ -434,6 +440,30 @@ class TestClassicalCli:
             if not l.startswith("#")
         ][1:]
         assert data[0].split(",")[3] == "mark_weighted_k_centred"
+
+
+    @pytest.mark.parametrize("estimator", ["pair-correlation", "k", "mark-k"])
+    def test_default_t_grid_fits_short_patterns(self, tmp_path, estimator):
+        # T=4 leaves no eroded temporal domain at t=2; the default keeps t=1
+        events = simulate_events(tmp_path, "sim", marks="normal:2,0.5", T=4)
+        argv = ["classical", str(events), "--time-is-index", "--estimator", estimator,
+                "--component", "1", "--r-grid", "0.05,0.1"]
+        assert run([*argv, "--out", tmp_path / "default"]) == 0
+        assert run([*argv, "--t-grid", "1", "--out", tmp_path / "explicit"]) == 0
+        rows = data_rows(tmp_path / "default" / "curves.csv")
+        assert rows == data_rows(tmp_path / "explicit" / "curves.csv")
+        assert {r.split(",")[1] for r in rows[1:]} == {"1"}
+        args = build_parser()[0].parse_args([*argv, "--out", "unused"])
+        cfg = _config_dict(args, {"resolved_t_grid": [1.0]})
+        text = (tmp_path / "default" / "curves.csv").read_text()
+        assert f"# config_hash={_config_hash(cfg)}" in text.splitlines()
+
+    def test_default_t_grid_keeps_both_lags_on_long_patterns(self, tmp_path):
+        events = simulate_events(tmp_path, "sim", T=5)
+        out = tmp_path / "cl"
+        assert run(["classical", events, "--time-is-index", "--estimator", "k",
+                    "--r-grid", "0.1", "--out", out]) == 0
+        assert [r.split(",")[1] for r in data_rows(out / "curves.csv")[1:]] == ["1", "2"]
 
 
 class TestPipeline:

@@ -1,5 +1,7 @@
 """Lag-domain back-transformation: symmetry, deltas, round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from stspectra import (
     dft,
     forward_from_lags,
     inverse_transform,
+    partial_cross_lags,
+    partial_field,
     partial_lag_characteristics,
     periodogram_matrix,
     scaled_covariance,
     smooth_spectra,
     symmetrise_scalar,
 )
-from stspectra.errors import SymmetryError, ValidationError
+from stspectra.errors import SingularMatrixError, SymmetryError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,44 @@ class TestPartialLags:
         )
         assert np.abs(out.cross.values - plain.values).max() < 1e-12
         assert out.conditioning == ()
+
+
+    def test_all_rest_lags_read_the_ridged_partial_field(self, smoothed):
+        # duplicate component 2 as component 3 at (p=1, q=0, u=0): exactly
+        # rank deficient there, still Hermitian PSD and conjugate symmetric
+        vals = smoothed.values.copy()
+        point = (1, -smoothed.grid.q_min, -smoothed.grid.u_min)
+        vals[point + (2,)] = vals[point + (1,)]
+        vals[point + (slice(None), 2)] = vals[point + (slice(None), 1)]
+        field = dataclasses.replace(smoothed, values=vals)
+        pf = partial_field(field)
+        assert pf.ridge[point] > 0.0 and not pf.singular.any()
+        lags = partial_cross_lags(pf, field.T)
+        assert [lag.pair for lag in lags] == [(1, 2), (1, 3), (2, 3)]
+        for lag in lags:
+            i, j = lag.pair
+            ref = inverse_transform(pf.cross[..., i - 1, j - 1], field.grid, field.T)
+            assert np.array_equal(lag.values, ref.values)
+        part = partial_lag_characteristics(field, 1, 2)
+        assert np.array_equal(part.cross.values, lags[0].values)
+        for lag, (a, b) in ((part.auto_i, (0, 1)), (part.auto_j, (1, 0))):
+            auto = pf.auto[..., a, b].astype(complex)
+            ref = inverse_transform(auto, field.grid, field.T)
+            assert np.array_equal(lag.values, ref.values)
+
+    def test_singular_ordinate_raises_with_its_grid_point(self, smoothed):
+        vals = smoothed.values.copy()
+        vals[2, 1, 3] = 0.0
+        field = dataclasses.replace(smoothed, values=vals)
+        where = (2, int(field.grid.q_values[1]), int(field.grid.u_values[3]))
+        pf = partial_field(field)
+        for call in (
+            lambda: partial_cross_lags(pf, field.T),
+            lambda: partial_lag_characteristics(field, 1, 3),
+        ):
+            with pytest.raises(SingularMatrixError) as err:
+                call()
+            assert err.value.grid_point == where
 
 
 class TestScaledCovariance:

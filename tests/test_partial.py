@@ -10,6 +10,7 @@ from stspectra import (
     SpectralField,
     dft,
     invert_spectral_matrix,
+    multiple_coherence,
     partial_coherence_three,
     partial_coherency,
     partial_cross_spectrum_direct,
@@ -20,7 +21,7 @@ from stspectra import (
     simulate_binomial_null,
     smooth_spectra,
 )
-from stspectra.errors import ValidationError
+from stspectra.errors import SingularMatrixError, ValidationError
 from stspectra.partial import COND_THRESHOLD, RIDGE_FRACTIONS, _gershgorin_certified
 
 
@@ -484,3 +485,26 @@ class TestPartialDot:
             partial_dot_spectrum(field, 1, K=(2,), J=(2,))
         with pytest.raises(ValidationError):
             partial_dot_spectrum(field, 1, K=(2,), J=(1,))
+
+
+class TestSchurSubsets:
+    """The explicit-subset queries share one Schur projection, so they share
+    its report of the first singular ordinate."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda f: partial_cross_spectrum_direct(f, 1, 2),
+            lambda f: partial_cross_spectrum_direct(f, 1, 2, conditioning=(3,)),
+            lambda f: partial_dot_spectrum(f, 1, K=(2,), J=(3,)),
+            lambda f: multiple_coherence(f, 1, [2, 3]),
+        ],
+        ids=["direct", "direct-subset", "dot", "multiple-coherence"],
+    )
+    def test_singular_block_reports_first_ordinate(self, query):
+        field = random_hpd_field(3, n_points=6, seed=41)
+        vals = field.values.copy()
+        vals[2:4] = 0.0  # ordinates p=2 and p=3 of a grid along p
+        with pytest.raises(SingularMatrixError) as err:
+            query(replace_values(field, vals))
+        assert err.value.grid_point == (2, 0, 0)
