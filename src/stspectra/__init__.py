@@ -62,11 +62,9 @@ from .partial import (
     PartialField,
     invert_spectral_matrix,
     partial_coherence_three,
-    partial_coherency,
     partial_cross_spectrum_direct,
     partial_dot_spectrum,
     partial_field,
-    rescaled_inverse_density,
 )
 from .graph import (
     CalibrationResult,

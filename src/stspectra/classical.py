@@ -70,11 +70,7 @@ _PAIR_BLOCK = 2048
 
 def _source_arrays(source) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int]:
     """Pooled coordinate arrays (x, y, t, marks, T) of a pattern or component."""
-    if isinstance(source, MultiPattern):
-        if not source.window.is_unit_square:
-            raise ValidationError("estimators expect the unit square; rescale first")
-        return source.x, source.y, source.t, source.marks, source.T
-    if isinstance(source, Component):
+    if isinstance(source, (MultiPattern, Component)):
         if not source.window.is_unit_square:
             raise ValidationError("estimators expect the unit square; rescale first")
         return source.x, source.y, source.t, source.marks, source.T
@@ -618,20 +614,24 @@ def estimate_pair_correlation(
     )
 
 
+def _component_number(pattern: MultiPattern, item) -> int:
+    """The 1-based index of a component named by label or by index.  A label
+    match wins; a decimal string that matches no label is read as an index."""
+    if isinstance(item, str):
+        if item in pattern.labels:
+            return pattern.labels.index(item) + 1
+        if not item.isdecimal():
+            raise ValidationError(f"unknown component label {item!r}")
+    k = int(item)
+    if not 1 <= k <= pattern.d:
+        raise ValidationError(f"component index {k} outside 1..{pattern.d}")
+    return k
+
+
 def _resolve_types(pattern: MultiPattern, spec) -> tuple[int, ...]:
     if spec is None:
         return tuple(range(1, pattern.d + 1))
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            if item not in pattern.labels:
-                raise ValidationError(f"unknown component label {item!r}")
-            out.append(pattern.labels.index(item) + 1)
-        else:
-            k = int(item)
-            if not 1 <= k <= pattern.d:
-                raise ValidationError(f"component index {k} out of range")
-            out.append(k)
+    out = [_component_number(pattern, item) for item in spec]
     if len(set(out)) != len(out):
         raise ValidationError("duplicate components in type set")
     return tuple(sorted(out))

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .classical import (
+    _component_number,
     _eroded_t_grid,
     estimate_intensity,
     estimate_k,
@@ -546,12 +547,7 @@ def cmd_simulate(args) -> int:
 def _component_source(pattern: MultiPattern, name: str | None):
     if name is None:
         return pattern.pooled(), ""
-    if name.isdigit():
-        idx = int(name)
-    else:
-        if name not in pattern.labels:
-            raise ValidationError(f"unknown component label {name!r}")
-        idx = pattern.labels.index(name) + 1
+    idx = _component_number(pattern, name)
     return pattern.component(idx), pattern.labels[idx - 1]
 
 

@@ -29,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "Window",
-    "Event",
     "MultiPattern",
     "Component",
     "LoadReport",
@@ -91,17 +90,6 @@ class Window:
             return self.area
         x0, x1, y0, y1 = self.source_extent
         return (x1 - x0) * (y1 - y0)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One event row; mainly a convenience for constructing small fixtures."""
-
-    x: float
-    y: float
-    t: int
-    type_id: int
-    mark: float | None = None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Everything here operates on a smoothed spectral matrix field.  Each
 conditioning question has one route.  Conditioning on all remaining
-components goes through the per-ordinate inverse (:func:`partial_field`,
-ridged where the matrix is ill conditioned): from it come the rescaled
-inverse densities |d_ij| (the dependence-graph statistic), the partial
-coherencies and the pair-conditioned cross- and auto-spectra, which the
-partial table, the graph and the lag outputs all read.  Conditioning on an
+components goes through the per-ordinate inverse
+(:func:`invert_spectral_matrix`, ridged where the matrix is ill
+conditioned), and :func:`partial_field` is the only place that turns it
+into statistics: the rescaled inverse densities |d_ij| (the
+dependence-graph statistic), the partial coherencies and the
+pair-conditioned cross- and auto-spectra, which the partial table, the
+graph and the lag outputs all read.  Conditioning on an
 explicit subset goes through the Schur complement on the conditioning
 block (:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`,
 and ``spectra.multiple_coherence``).  The two routes agree analytically
@@ -38,8 +40,6 @@ __all__ = [
     "PartialField",
     "PairConditional",
     "invert_spectral_matrix",
-    "rescaled_inverse_density",
-    "partial_coherency",
     "partial_field",
     "partial_cross_spectrum_direct",
     "partial_coherence_three",
@@ -70,12 +70,6 @@ class InverseField:
     @property
     def d(self) -> int:
         return self.values.shape[-1]
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise ValidationError(f"component pair ({i},{j}) outside 1..{d}")
-        return self.values[..., i - 1, j - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,27 +227,6 @@ def invert_spectral_matrix(
         labels=field.labels,
         cond_threshold=cond_threshold,
     )
-
-
-def rescaled_inverse_density(inv: InverseField, i: int, j: int) -> np.ndarray:
-    """|d_ij| = |b_ij| / sqrt(b_ii * b_jj) per ordinate, the modulus of the
-    partial coherency as in :func:`partial_field`: in [0,1] up to rounding;
-    NaN where the ordinate is flagged singular."""
-    return np.abs(partial_coherency(inv, i, j))
-
-
-def partial_coherency(inv: InverseField, i: int, j: int) -> np.ndarray:
-    """Complex partial coherency -b_ij / sqrt(b_ii * b_jj), conditioned on
-    all components except i and j."""
-    if i == j:
-        raise ValidationError("partial coherency needs i != j")
-    bij = inv.entry(i, j)
-    den2 = inv.entry(i, i).real * inv.entry(j, j).real
-    out = np.full(bij.shape, np.nan, dtype=complex)
-    ok = ~inv.singular & (den2 > 0)
-    den = np.sqrt(np.where(den2 > 0, den2, 1.0))
-    np.divide(-bij, den, out=out, where=ok)
-    return out
 
 
 def partial_field(field: SpectralField) -> PartialField:

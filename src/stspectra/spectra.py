@@ -2,9 +2,12 @@
 
 The pipeline here is: non-uniform discrete Fourier transform of each
 component's events, evaluated by direct summation on an integer frequency
-lattice; the periodogram matrix formed from outer products of the transforms;
-rectangular (Daniell-type) smoothing of the matrix field; and the derived
-coherence, gain, co/quad/amplitude/phase and polar summaries.
+lattice; the periodogram matrix formed from outer products of the
+transforms, where the count normalisation is applied; rectangular
+(Daniell-type) smoothing of the matrix field, the one smoothing routine;
+and the derived coherence, gain, co/quad/amplitude/phase and polar
+summaries.  Every derived statistic, the "component i against all others"
+(dot) family included, reads the smoothed field.
 
 Component indices in the public API are 1-based, matching event type ids.
 """
@@ -525,15 +528,19 @@ def smooth_spectra(
     )
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
 def coherence(field: SpectralField, i: int, j: int) -> np.ndarray:
     """Squared coherence |f_ij|^2 / (f_ii * f_jj) per ordinate, in [0,1]
     (up to rounding) for smoothed fields; ordinates with a vanishing
     denominator report 0."""
     num = np.abs(field.entry(i, j)) ** 2
-    den = field.entry(i, i).real * field.entry(j, j).real
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+    return _ratio(num, field.entry(i, i).real * field.entry(j, j).real)
 
 
 def _grid_point(grid: FrequencyGrid, flat: int) -> tuple[int, int, int]:
@@ -603,10 +610,7 @@ def multiple_coherence(
     if not J:
         raise ValidationError("J must be non-empty")
     num = _schur_projection(field, (i,), J)[..., 0, 0].real
-    den = field.entry(i, i).real
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+    return _ratio(num, field.entry(i, i).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -622,87 +626,61 @@ class DotSpectrum:
     normalisation: str
 
 
-def dot_spectrum(
-    dfts: DftVector,
-    i: int,
-    half_widths: tuple[int, int, int] | None = None,
-    normalisation: str = "sqrt_counts",
-) -> DotSpectrum:
-    """Spectrum of component i against everything else.
+def dot_spectrum(field: SpectralField, i: int) -> DotSpectrum:
+    """Spectrum of component i against the superposition of all others,
+    read from the smoothed field.
 
-    The superposition transform is the exact sum F_dot = sum_{j != i} F_j,
-    so on the unnormalised scale the cross-spectrum equals the sum of the
-    pairwise cross-spectra; with ``sqrt_counts`` the dot pseudo-component is
-    normalised by its own count n_dot = sum_{j != i} n_j.
+    The superposition transform is the exact sum F_dot = sum_{j != i} F_j
+    and smoothing is linear, so the dot spectra are weighted sums of the
+    field's entries: f_i,dot = sum_j w_j f_ij and f_dot,dot =
+    sum_jk w_j w_k f_jk over j, k != i.  Under ``none`` every w_j is 1;
+    under ``sqrt_counts`` w_j = sqrt(n_j / n_dot) undoes each entry's count
+    normalisation and normalises the dot pseudo-component by its own count
+    n_dot = sum_{j != i} n_j, counts below 1 counting as 1 as in
+    :func:`periodogram_matrix`.
     """
-    if normalisation not in NORMALISATIONS:
-        raise ValidationError(f"unknown normalisation {normalisation!r}")
-    if not 1 <= i <= dfts.d:
-        raise ValidationError(f"component {i} outside 1..{dfts.d}")
-    if dfts.d < 2:
+    if field.kind != "smoothed":
+        raise ValidationError("dot spectra read the smoothed field")
+    _component_indices(field.d, (i,))
+    if field.d < 2:
         raise ValidationError("dot spectrum needs d >= 2")
-    fi = dfts.values[i - 1]
-    others = [k for k in range(dfts.d) if k != i - 1]
-    fdot = dfts.values[others].sum(axis=0)
-    n_i = float(dfts.counts[i - 1])
-    n_dot = float(dfts.counts[others].sum())
-    if normalisation == "sqrt_counts":
-        c_cross = 1.0 / np.sqrt(max(n_i, 1.0) * max(n_dot, 1.0))
-        c_i = 1.0 / max(n_i, 1.0)
-        c_dot = 1.0 / max(n_dot, 1.0)
-    else:
-        c_cross = c_i = c_dot = 1.0
-    raw_cross = fi * np.conj(fdot) * c_cross
-    raw_i = (fi.real**2 + fi.imag**2) * c_i
-    raw_dot = (fdot.real**2 + fdot.imag**2) * c_dot
-    if half_widths is None:
-        half_widths = default_half_widths(dfts.T)
-    cross = _box_average(raw_cross, dfts.grid, dfts.T, half_widths)
-    auto_i = _box_average(raw_i, dfts.grid, dfts.T, half_widths)
-    auto_dot = _box_average(raw_dot, dfts.grid, dfts.T, half_widths)
-    num = np.abs(cross) ** 2
-    den = auto_i * auto_dot
-    coh = np.zeros_like(num)
-    np.divide(num, den, out=coh, where=den > 0)
+    others = [k for k in range(field.d) if k != i - 1]
+    w = np.ones(len(others))
+    if field.normalisation == "sqrt_counts":
+        n = np.maximum(field.counts[others].astype(float), 1.0)
+        w = np.sqrt(n / max(float(field.counts[others].sum()), 1.0))
+    block = field.values[..., others, :][..., :, others]
+    cross = field.values[..., i - 1, others] @ w
+    auto_i = field.values[..., i - 1, i - 1].real
+    auto_dot = ((block @ w) @ w).real
     return DotSpectrum(
         cross=cross,
-        coherence=coh,
+        coherence=_ratio(np.abs(cross) ** 2, auto_i * auto_dot),
         auto_i=auto_i,
         auto_dot=auto_dot,
         i=i,
-        normalisation=normalisation,
+        normalisation=field.normalisation,
     )
+
+
+def _gain(auto_i: np.ndarray, coh: np.ndarray, auto_j: np.ndarray) -> np.ndarray:
+    """sqrt(f_ii * R) / f_jj, zero where f_jj vanishes."""
+    return _ratio(np.sqrt(np.clip(auto_i * coh, 0.0, None)), auto_j)
 
 
 def gain_spectrum(field: SpectralField, i: int, j: int) -> np.ndarray:
     """Gain of component i over j: sqrt(f_ii * R_ij) / f_jj with R_ij the
     squared coherence.  G_{i|i} reduces to f_ii^{-1/2}; zero coherence gives
     zero gain."""
-    f_ii = field.entry(i, i).real
-    f_jj = field.entry(j, j).real
-    if i == j:
-        out = np.zeros_like(f_ii)
-        np.divide(1.0, np.sqrt(np.where(f_ii > 0, f_ii, 1.0)), out=out, where=f_ii > 0)
-        return out
-    r = coherence(field, i, j)
-    num = np.sqrt(np.clip(f_ii * r, 0.0, None))
-    out = np.zeros_like(num)
-    np.divide(num, f_jj, out=out, where=f_jj > 0)
-    return out
+    return _gain(
+        field.entry(i, i).real, coherence(field, i, j), field.entry(j, j).real
+    )
 
 
-def gain_dot_spectrum(
-    dfts: DftVector,
-    i: int,
-    half_widths: tuple[int, int, int] | None = None,
-    normalisation: str = "sqrt_counts",
-) -> np.ndarray:
+def gain_dot_spectrum(field: SpectralField, i: int) -> np.ndarray:
     """Gain of component i over the superposition of all others."""
-    ds = dot_spectrum(dfts, i, half_widths, normalisation)
-    num = np.sqrt(np.clip(ds.auto_i * ds.coherence, 0.0, None))
-    out = np.zeros_like(num)
-    np.divide(num, ds.auto_dot, out=out, where=ds.auto_dot > 0)
-    return out
+    ds = dot_spectrum(field, i)
+    return _gain(ds.auto_i, ds.coherence, ds.auto_dot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -811,18 +789,11 @@ def theta_spectrum(values: np.ndarray, grid: FrequencyGrid) -> PolarSpectrum:
 
 def dot_multiple_gap(field: SpectralField, i: int) -> float:
     """Diagnostic: max absolute gap between the squared multiple coherence of
-    i on all other components and the dot-spectrum squared coherence formed
-    from the same field's entries.  The two coincide for the theoretical
-    spectrum but not for smoothed estimates with d > 2; this reports the gap
-    rather than asserting it away."""
+    i on all other components and the squared coherence of i with their
+    superposition (:func:`dot_spectrum`).  The two coincide for the
+    theoretical spectrum but not for smoothed estimates with d > 2; this
+    reports the gap rather than asserting it away.  Both are invariant to
+    the count normalisation, and so is the gap."""
     others = [k for k in range(1, field.d + 1) if k != i]
     rm = multiple_coherence(field, i, others)
-    idx = [k - 1 for k in others]
-    f_idot = field.values[..., i - 1, idx].sum(axis=-1)
-    f_dotdot = field.values[..., idx, :][..., :, idx].sum(axis=(-2, -1)).real
-    f_ii = field.entry(i, i).real
-    num = np.abs(f_idot) ** 2
-    den = f_ii * f_dotdot
-    rdot = np.zeros_like(num)
-    np.divide(num, den, out=rdot, where=den > 0)
-    return float(np.abs(rm - rdot).max())
+    return float(np.abs(rm - dot_spectrum(field, i).coherence).max())

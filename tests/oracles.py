@@ -5,6 +5,7 @@ import csv
 import numpy as np
 
 from stspectra import DftVector
+from stspectra.spectra import _box_average
 
 
 def exp_phases(coord, freqs):
@@ -65,6 +66,34 @@ def dft_separable(pattern, grid):
         T=T,
         labels=pattern.labels,
     )
+
+
+def dot_spectra_from_transforms(dfts, i, half_widths, normalisation):
+    """The dot spectra of component i through a second periodogram: the
+    superposition transform F_dot = sum_{j != i} F_j is formed explicitly,
+    its cross- and auto-periodograms with F_i are normalised (under
+    ``sqrt_counts``) by sqrt(n_i * n_dot), n_i and n_dot, with
+    n_dot = sum_{j != i} n_j and counts below 1 counting as 1, and each is
+    box-averaged.  Returns (cross, auto_i, auto_dot, coherence)."""
+    fi = dfts.values[i - 1]
+    others = [k for k in range(dfts.d) if k != i - 1]
+    fdot = dfts.values[others].sum(axis=0)
+    n_i = max(float(dfts.counts[i - 1]), 1.0)
+    n_dot = max(float(dfts.counts[others].sum()), 1.0)
+    if normalisation == "none":
+        n_i = n_dot = 1.0
+
+    def smooth(raw):
+        return _box_average(raw, dfts.grid, dfts.T, half_widths)
+
+    cross = smooth(fi * np.conj(fdot) / np.sqrt(n_i * n_dot))
+    auto_i = smooth((fi.real**2 + fi.imag**2) / n_i)
+    auto_dot = smooth((fdot.real**2 + fdot.imag**2) / n_dot)
+    num = np.abs(cross) ** 2
+    den = auto_i * auto_dot
+    coh = np.zeros_like(num)
+    np.divide(num, den, out=coh, where=den > 0)
+    return cross, auto_i, auto_dot, coh
 
 
 def csv_field_text(value) -> str:

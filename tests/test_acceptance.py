@@ -112,7 +112,7 @@ def analysed_run(pattern, half_widths=HW):
             BOUNDS.add_stats(coherence(smoothed, i, j))
         rest = tuple(j for j in range(1, d + 1) if j != i)
         BOUNDS.add_stats(multiple_coherence(smoothed, i, rest))
-    BOUNDS.add_stats(dot_spectrum(dfts, 1, half_widths=half_widths).coherence)
+    BOUNDS.add_stats(dot_spectrum(smoothed, 1).coherence)
     if d >= 3:
         pf = partial_field(smoothed)
         BOUNDS.add_stats(pf.abs_d)

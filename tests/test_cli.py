@@ -441,6 +441,32 @@ class TestClassicalCli:
         ][1:]
         assert data[0].split(",")[3] == "mark_weighted_k_centred"
 
+    def test_digit_labels_resolve_as_labels_first(self, tmp_path):
+        # labels 7 and 3 in first-appearance order: component 1 is "7"
+        rng = np.random.default_rng(4)
+        lines = ["x,y,time,type,mark"]
+        for k, (x, y, m) in enumerate(rng.random((160, 3))):
+            lines.append(f"{x:.17g},{y:.17g},{k % 3 + 1},{'73'[k % 2]},{m + 1:.17g}")
+        events = tmp_path / "digits.csv"
+        events.write_text("\n".join(lines) + "\n")
+        argv = ["classical", events, "--time-is-index", "--r-grid", "0.1",
+                "--t-grid", "1"]
+
+        def curves(name, *flags):
+            assert run([*argv, *flags, "--out", tmp_path / name]) == 0
+            return data_rows(tmp_path / name / "curves.csv")
+
+        by_label = curves("label7", "--estimator", "mark-k", "--component", "7")
+        assert by_label == curves("index1", "--estimator", "mark-k", "--component", "1")
+        assert by_label[1].split(",")[4:] == ["7", "7"]
+        assert curves("label3", "--estimator", "mark-k", "--component", "3") == curves(
+            "index2", "--estimator", "mark-k", "--component", "2"
+        )
+        k_labels = curves("k73", "--estimator", "k", "--C", "7", "--D", "3")
+        assert k_labels == curves("k12", "--estimator", "k", "--C", "1", "--D", "2")
+        assert run([*argv, "--estimator", "mark-k", "--component", "4",
+                    "--out", tmp_path / "bad"]) != 0
+
 
     @pytest.mark.parametrize("estimator", ["pair-correlation", "k", "mark-k"])
     def test_default_t_grid_fits_short_patterns(self, tmp_path, estimator):

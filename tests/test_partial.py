@@ -12,12 +12,10 @@ from stspectra import (
     invert_spectral_matrix,
     multiple_coherence,
     partial_coherence_three,
-    partial_coherency,
     partial_cross_spectrum_direct,
     partial_dot_spectrum,
     partial_field,
     periodogram_matrix,
-    rescaled_inverse_density,
     simulate_binomial_null,
     smooth_spectra,
 )
@@ -212,13 +210,6 @@ class TestInversion:
         with pytest.raises(ValidationError):
             invert_spectral_matrix(raw)
 
-    def test_entry_validates_indices(self, smoothed):
-        inv = invert_spectral_matrix(smoothed)
-        with pytest.raises(ValidationError):
-            inv.entry(0, 1)
-        with pytest.raises(ValidationError):
-            inv.entry(1, 4)
-
 
 class TestConditioningScreen:
     """Gershgorin discs certify well-conditioned ordinates without an
@@ -362,29 +353,21 @@ class TestPartialField:
 
     def test_rescaled_inverse_density_definition(self, smoothed):
         inv = invert_spectral_matrix(smoothed)
-        d12 = rescaled_inverse_density(inv, 1, 2)
-        manual = np.abs(inv.values[..., 0, 1]) / np.sqrt(
-            inv.values[..., 0, 0].real * inv.values[..., 1, 1].real
-        )
-        assert np.allclose(d12, manual, atol=1e-13)
+        pf = partial_field(smoothed)
+        for i, j in ((1, 2), (1, 3), (3, 2)):
+            manual = np.abs(inv.values[..., i - 1, j - 1]) / np.sqrt(
+                inv.values[..., i - 1, i - 1].real * inv.values[..., j - 1, j - 1].real
+            )
+            assert np.allclose(pf.pair_abs_d(i, j), manual, atol=1e-13)
 
     def test_partial_coherency_sign(self, smoothed):
         inv = invert_spectral_matrix(smoothed)
-        r12 = partial_coherency(inv, 1, 2)
-        manual = -inv.values[..., 0, 1] / np.sqrt(
-            inv.values[..., 0, 0].real * inv.values[..., 1, 1].real
-        )
-        assert np.allclose(r12, manual, atol=1e-13)
-
-    def test_matches_primitive_routes(self, smoothed):
-        inv = invert_spectral_matrix(smoothed)
         pf = partial_field(smoothed)
-        assert np.allclose(
-            pf.pair_abs_d(1, 3), rescaled_inverse_density(inv, 1, 3), atol=1e-13
-        )
-        assert np.allclose(
-            pf.pair_coherency(2, 3), partial_coherency(inv, 2, 3), atol=1e-13
-        )
+        for i, j in ((1, 2), (2, 3), (3, 1)):
+            manual = -inv.values[..., i - 1, j - 1] / np.sqrt(
+                inv.values[..., i - 1, i - 1].real * inv.values[..., j - 1, j - 1].real
+            )
+            assert np.allclose(pf.pair_coherency(i, j), manual, atol=1e-13)
 
     def test_labels_and_conditioning(self, smoothed):
         pf = partial_field(smoothed)

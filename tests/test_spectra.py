@@ -40,7 +40,7 @@ from stspectra.errors import ValidationError
 from stspectra.spectra import EVENT_CHUNK, _axis_phases, _step_phases
 
 from conftest import build_pattern
-from oracles import dft_exp, dft_separable, exp_phases
+from oracles import dft_exp, dft_separable, dot_spectra_from_transforms, exp_phases
 
 # point -> (component a value, component b value); grid point (p, q, u), T=2
 DFT_ORACLE = {
@@ -411,41 +411,106 @@ class TestCoherence:
             multiple_coherence(smoothed, 1, [1, 2])
 
 
+def dot_fields(pattern, grid, half_widths):
+    """The transforms and the smoothed field under each normalisation."""
+    dfts = dft(pattern, grid)
+    return dfts, {
+        norm: smooth_spectra(periodogram_matrix(dfts, norm), half_widths)
+        for norm in ("none", "sqrt_counts")
+    }
+
+
+def assert_matches_transform_route(dfts, field, i):
+    """dot_spectrum and gain_dot_spectrum of the field against the second
+    periodogram of the superposition transform, within 1e-12 relative."""
+    cross, auto_i, auto_dot, coh = dot_spectra_from_transforms(
+        dfts, i, field.half_widths, field.normalisation
+    )
+    gain = np.zeros_like(auto_dot)
+    np.divide(np.sqrt(auto_i * coh), auto_dot, out=gain, where=auto_dot > 0)
+    ds = dot_spectrum(field, i)
+    pairs = [
+        (ds.cross, cross),
+        (ds.auto_i, auto_i),
+        (ds.auto_dot, auto_dot),
+        (ds.coherence, coh),
+        (gain_dot_spectrum(field, i), gain),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestDotSpectrum:
     def test_linearity_unnormalised(self, trio_pattern, small_grid):
         # F_dot = sum of the other components' transforms, exactly
-        dfts = dft(trio_pattern, small_grid)
-        ds = dot_spectrum(dfts, 1, half_widths=(1, 1, 0), normalisation="none")
-        per = periodogram_matrix(dfts, normalisation="none")
-        sm = smooth_spectra(per, (1, 1, 0))
+        _, fields = dot_fields(trio_pattern, small_grid, (1, 1, 0))
+        sm = fields["none"]
+        ds = dot_spectrum(sm, 1)
         expected = sm.entry(1, 2) + sm.entry(1, 3)
         assert np.abs(ds.cross - expected).max() < 1e-10 * np.abs(expected).max()
 
     def test_coherence_invariant_to_normalisation(self, trio_pattern, small_grid):
-        dfts = dft(trio_pattern, small_grid)
-        a = dot_spectrum(dfts, 2, half_widths=(1, 1, 0), normalisation="none")
-        b = dot_spectrum(dfts, 2, half_widths=(1, 1, 0), normalisation="sqrt_counts")
+        _, fields = dot_fields(trio_pattern, small_grid, (1, 1, 0))
+        a = dot_spectrum(fields["none"], 2)
+        b = dot_spectrum(fields["sqrt_counts"], 2)
         assert np.abs(a.coherence - b.coherence).max() < 1e-10
 
-    def test_coherence_bounds(self, trio_pattern, small_grid):
-        dfts = dft(trio_pattern, small_grid)
+    def test_coherence_bounds(self, smoothed):
         for i in range(1, 4):
-            ds = dot_spectrum(dfts, i, half_widths=(1, 1, 1))
+            ds = dot_spectrum(smoothed, i)
             assert ds.coherence.min() >= 0.0
             assert ds.coherence.max() <= 1.0 + 1e-9
 
     def test_two_components_match_plain_cross(self, tiny_pattern, tiny_grid):
         # d=2: the superposition of "everything but i" is just the other one
         dfts = dft(tiny_pattern, tiny_grid)
-        ds = dot_spectrum(dfts, 1, half_widths=(1, 1, 0))
         per = smooth_spectra(periodogram_matrix(dfts), (1, 1, 0))
+        ds = dot_spectrum(per, 1)
         assert np.abs(ds.cross - per.entry(1, 2)).max() < 1e-12
+
+    @pytest.mark.parametrize("normalisation", ["none", "sqrt_counts"])
+    def test_matches_transform_route(self, trio_pattern, small_grid, normalisation):
+        dfts, fields = dot_fields(trio_pattern, small_grid, (1, 1, 1))
+        for i in range(1, 4):
+            assert_matches_transform_route(dfts, fields[normalisation], i)
+
+    @pytest.mark.parametrize("normalisation", ["none", "sqrt_counts"])
+    def test_matches_transform_route_with_absent_component(self, normalisation):
+        # a T=1 slice in which component 3 has no events (count 0)
+        rng = np.random.default_rng(11)
+        x, y = rng.random((2, 90))
+        t = np.repeat([1, 2], 45)
+        type_id = np.where(t == 1, np.arange(90) % 2 + 1, np.arange(90) % 3 + 1)
+        pattern = build_pattern(x, y, t, type_id, ("a", "b", "c"), T=2)
+        sl = pattern.slice_time(1)
+        assert sl.counts.tolist() == [23, 22, 0]
+        grid = FrequencyGrid(p_max=4, q_min=-4, q_max=4, u_min=0, u_max=0)
+        dfts, fields = dot_fields(sl, grid, (1, 1, 0))
+        for i in range(1, 4):
+            assert_matches_transform_route(dfts, fields[normalisation], i)
+        assert not dot_spectrum(fields[normalisation], 3).coherence.any()
+
+    def test_rejects_raw_field_and_bad_index(self, trio_pattern, small_grid):
+        raw = periodogram_matrix(dft(trio_pattern, small_grid))
+        with pytest.raises(ValidationError):
+            dot_spectrum(raw, 1)
+        with pytest.raises(ValidationError):
+            dot_spectrum(smooth_spectra(raw, (1, 1, 1)), 4)
 
     def test_gap_diagnostic_small_but_nonzero(self, trio_pattern, small_grid):
         raw = periodogram_matrix(dft(trio_pattern, small_grid))
         sm = smooth_spectra(raw, (1, 1, 1))
         gap = dot_multiple_gap(sm, 1)
         assert 0.0 <= gap <= 1.0
+
+    def test_gap_invariant_to_normalisation(self, trio_pattern, small_grid):
+        # unequal counts: both coherences ignore the count normalisation
+        assert len(set(trio_pattern.counts.tolist())) == 3
+        _, fields = dot_fields(trio_pattern, small_grid, (1, 1, 1))
+        for i in range(1, 4):
+            a = dot_multiple_gap(fields["none"], i)
+            b = dot_multiple_gap(fields["sqrt_counts"], i)
+            assert abs(a - b) <= 1e-12
 
 
 class TestGainAndDecomposition:
@@ -456,10 +521,9 @@ class TestGainAndDecomposition:
     def test_gain_nonnegative(self, smoothed):
         assert gain_spectrum(smoothed, 1, 2).min() >= 0.0
 
-    def test_gain_dot_matches_definition(self, trio_pattern, small_grid):
-        dfts = dft(trio_pattern, small_grid)
-        ds = dot_spectrum(dfts, 3, half_widths=(1, 1, 1))
-        g = gain_dot_spectrum(dfts, 3, half_widths=(1, 1, 1))
+    def test_gain_dot_matches_definition(self, smoothed):
+        ds = dot_spectrum(smoothed, 3)
+        g = gain_dot_spectrum(smoothed, 3)
         expected = np.zeros_like(ds.auto_dot)
         np.divide(
             np.sqrt(ds.auto_i * ds.coherence),
