@@ -2,9 +2,12 @@
 
 First order: Gaussian kernel intensity estimators with per-event
 edge normalisers evaluated on the same cell grid as the surface, so the
-estimated mass equals the event count by construction.  Spatial,
-temporal, separable product and full non-separable variants share that
-normalisation.
+estimated mass equals the event count by construction.  The spatial
+surface, the temporal curve and the space-time ``KernelIntensity`` take
+their normalisers from one helper.  ``KernelIntensity`` serves both the
+separable product and the full non-separable model through one ``at``,
+which visits queries and events in blocks, so its memory stays bounded
+by one block of each.
 
 Second order: inhomogeneous pair correlation and cross-type cumulative
 second-moment (K) estimators with an Epanechnikov ring kernel in space.
@@ -47,8 +50,7 @@ __all__ = [
     "CurveEstimate",
     "IntensitySurface",
     "TemporalIntensity",
-    "SeparableIntensity",
-    "NonSeparableIntensity",
+    "KernelIntensity",
     "scott_bandwidths",
     "estimate_spatial_intensity",
     "estimate_temporal_intensity",
@@ -147,6 +149,42 @@ def _check_bandwidth(bw: float, name: str) -> float:
     return bw
 
 
+def _cell_centers(cells: int) -> tuple[np.ndarray, float]:
+    """Centres and width of ``cells`` equal cells along the unit interval."""
+    if cells < 2:
+        raise ValidationError("need at least 2 cells per axis")
+    step = 1.0 / cells
+    return (np.arange(cells) + 0.5) * step, step
+
+
+def _edge_kernels(source, bandwidth: float | None, cells: int | None = None):
+    """(bw, centers, kernels, norm) of the source's events on one grid.
+
+    With ``cells`` the grid is the ``cells`` x ``cells`` square and there is
+    a kernel for x and one for y; without, it is the steps 1..T and there is
+    one kernel for t.  ``bw`` is the checked bandwidth (Scott's rule when
+    None), each kernel holds every event's Gaussian at the centers, and
+    ``norm`` is each event's edge normaliser: the product over the kernels
+    of its mass, a sum over the centers times the cell width."""
+    x, y, t, _, T = _source_arrays(source)
+    if x.size == 0:
+        raise ValidationError("cannot estimate intensity of an empty source")
+    if cells is None:
+        name, axes = "temporal", (t.astype(float),)
+        centers, width = np.arange(1, T + 1, dtype=float), 1.0
+    else:
+        name, axes = "spatial", (x, y)
+        centers, width = _cell_centers(cells)
+    if bandwidth is None:
+        bandwidth = scott_bandwidths(source)[1 if cells is None else 0]
+    bw = _check_bandwidth(bandwidth, name)
+    kernels = [_gauss_1d(centers, a, bw) for a in axes]
+    norm = np.prod([k.sum(axis=1) * width for k in kernels], axis=0)
+    if np.any(norm <= 0):
+        raise ValidationError(f"{name} kernel mass vanished on the grid; bandwidth too small")
+    return bw, centers, kernels, norm
+
+
 def estimate_spatial_intensity(
     source, bandwidth: float | None = None, cells: int = DEFAULT_CELLS
 ) -> IntensitySurface:
@@ -154,26 +192,12 @@ def estimate_spatial_intensity(
 
     Each event's kernel is divided by its own mass over the cell grid,
     so the surface integrates to the event count on that grid."""
-    x, y, _, _, _ = _source_arrays(source)
-    if x.size == 0:
-        raise ValidationError("cannot estimate intensity of an empty source")
-    if cells < 2:
-        raise ValidationError("need at least 2 cells per axis")
-    if bandwidth is None:
-        bandwidth = scott_bandwidths(source)[0]
-    bw = _check_bandwidth(bandwidth, "spatial")
+    bw, centers, (kx, ky), norm = _edge_kernels(source, bandwidth, cells)
     step = 1.0 / cells
-    centers = (np.arange(cells) + 0.5) * step
-    kx = _gauss_1d(centers, x, bw)
-    ky = _gauss_1d(centers, y, bw)
-    norm = (kx.sum(axis=1) * step) * (ky.sum(axis=1) * step)
-    if np.any(norm <= 0):
-        raise ValidationError("kernel mass vanished on the grid; bandwidth too small")
-    vals = (kx / norm[:, None]).T @ ky
     return IntensitySurface(
         x_centers=centers,
         y_centers=centers,
-        values=vals,
+        values=(kx / norm[:, None]).T @ ky,
         bandwidth=bw,
         cell_area=step * step,
     )
@@ -181,24 +205,19 @@ def estimate_spatial_intensity(
 
 def estimate_temporal_intensity(source, bandwidth: float | None = None) -> TemporalIntensity:
     """One-dimensional analogue over the integer steps 1..T."""
-    _, _, t, _, T = _source_arrays(source)
-    if t.size == 0:
-        raise ValidationError("cannot estimate intensity of an empty source")
-    if bandwidth is None:
-        bandwidth = scott_bandwidths(source)[1]
-    bw = _check_bandwidth(bandwidth, "temporal")
-    steps = np.arange(1, T + 1, dtype=float)
-    kt = _gauss_1d(steps, t.astype(float), bw)
-    norm = kt.sum(axis=1)
-    if np.any(norm <= 0):
-        raise ValidationError("kernel mass vanished on the steps; bandwidth too small")
-    vals = (kt / norm[:, None]).sum(axis=0)
-    return TemporalIntensity(steps=steps, values=vals, bandwidth=bw)
+    bw, steps, (kt,), norm = _edge_kernels(source, bandwidth)
+    return TemporalIntensity(
+        steps=steps, values=(kt / norm[:, None]).sum(axis=0), bandwidth=bw
+    )
 
 
 @dataclass(frozen=True, eq=False)
-class SeparableIntensity:
-    """Product intensity lambda(s, t) = lambda_1(s) * lambda_2(t) / n."""
+class KernelIntensity:
+    """Space-time Gaussian kernel intensity with per-event edge normalisers.
+
+    The separable model is the product lambda_1(s) * lambda_2(t) / n of the
+    spatial and temporal estimates; the full model sums each event's
+    space-time kernel without the product restriction."""
 
     x: np.ndarray
     y: np.ndarray
@@ -209,97 +228,49 @@ class SeparableIntensity:
     cells: int
     space_norm: np.ndarray
     time_norm: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def _space_at(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
-        pref = 1.0 / (2.0 * np.pi * self.eps * self.eps)
-        out = np.zeros(qx.shape, dtype=float)
-        for lo in range(0, self.n, _PAIR_BLOCK):
-            sl = slice(lo, lo + _PAIR_BLOCK)
-            dx = qx[..., None] - self.x[sl]
-            dy = qy[..., None] - self.y[sl]
-            k = pref * np.exp(-(dx * dx + dy * dy) / (2.0 * self.eps * self.eps))
-            out += (k / self.space_norm[sl]).sum(axis=-1)
-        return out
-
-    def _time_at(self, qt: np.ndarray) -> np.ndarray:
-        z = (qt[..., None] - self.t) / self.delta
-        k = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * self.delta)
-        return (k / self.time_norm).sum(axis=-1)
-
-    def at(self, qx, qy, qt) -> np.ndarray:
-        qx = np.asarray(qx, dtype=float)
-        qy = np.asarray(qy, dtype=float)
-        qt = np.asarray(qt, dtype=float)
-        return self._space_at(qx, qy) * self._time_at(qt) / self.n
-
-    __call__ = at
-
-    def integral(self, cells: int | None = None) -> float:
-        cells = self.cells if cells is None else cells
-        step = 1.0 / cells
-        centers = (np.arange(cells) + 0.5) * step
-        gx, gy = np.meshgrid(centers, centers, indexing="ij")
-        space = (self._space_at(gx.ravel(), gy.ravel()).sum()) * step * step
-        time = self._time_at(np.arange(1, self.T + 1, dtype=float)).sum()
-        return float(space * time / self.n)
-
-
-@dataclass(frozen=True, eq=False)
-class NonSeparableIntensity:
-    """Full space-time kernel intensity without the product restriction."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t: np.ndarray
-    T: int
-    eps: float
-    delta: float
-    cells: int
-    space_norm: np.ndarray
-    time_norm: np.ndarray
+    separable: bool
 
     @property
     def n(self) -> int:
         return self.x.size
 
     def at(self, qx, qy, qt) -> np.ndarray:
-        qx = np.asarray(qx, dtype=float)
-        qy = np.asarray(qy, dtype=float)
-        qt = np.asarray(qt, dtype=float)
-        pref = 1.0 / (2.0 * np.pi * self.eps * self.eps)
-        tpref = 1.0 / (np.sqrt(2.0 * np.pi) * self.delta)
-        out = np.zeros(np.broadcast_shapes(qx.shape, qy.shape, qt.shape), dtype=float)
-        denom = self.space_norm * self.time_norm
-        for lo in range(0, self.n, _PAIR_BLOCK):
-            sl = slice(lo, lo + _PAIR_BLOCK)
-            dx = qx[..., None] - self.x[sl]
-            dy = qy[..., None] - self.y[sl]
-            dz = (qt[..., None] - self.t[sl]) / self.delta
-            k = (
-                pref
-                * np.exp(-(dx * dx + dy * dy) / (2.0 * self.eps * self.eps))
-                * tpref
-                * np.exp(-0.5 * dz * dz)
-            )
-            out += (k / denom[sl]).sum(axis=-1)
-        return out
+        """The intensity at the broadcast query points.
+
+        Queries and events are taken ``_PAIR_BLOCK`` at a time, so memory is
+        bounded by one block of each, whatever their numbers."""
+        qx, qy, qt = np.broadcast_arrays(*(np.asarray(q, dtype=float) for q in (qx, qy, qt)))
+        shape = qx.shape
+        qx, qy, qt = qx.ravel(), qy.ravel(), qt.ravel()
+        space = np.zeros(qx.size)
+        time = np.zeros(qx.size)
+        for qlo in range(0, qx.size, _PAIR_BLOCK):
+            qs = slice(qlo, qlo + _PAIR_BLOCK)
+            for lo in range(0, self.n, _PAIR_BLOCK):
+                sl = slice(lo, lo + _PAIR_BLOCK)
+                ks = _gauss_1d(self.x[sl], qx[qs], self.eps)
+                ks *= _gauss_1d(self.y[sl], qy[qs], self.eps)
+                ks /= self.space_norm[sl]
+                kt = _gauss_1d(self.t[sl], qt[qs], self.delta)
+                kt /= self.time_norm[sl]
+                if self.separable:
+                    space[qs] += ks.sum(axis=1)
+                    time[qs] += kt.sum(axis=1)
+                else:
+                    ks *= kt
+                    space[qs] += ks.sum(axis=1)
+        out = space * time / self.n if self.separable else space
+        return out.reshape(shape)
 
     __call__ = at
 
     def integral(self, cells: int | None = None) -> float:
-        cells = self.cells if cells is None else cells
-        step = 1.0 / cells
-        centers = (np.arange(cells) + 0.5) * step
-        total = 0.0
+        """The integral over the unit square and the steps 1..T: the
+        intensity summed over the cell grid at each step, times the cell area."""
+        centers, step = _cell_centers(self.cells if cells is None else cells)
         gx, gy = np.meshgrid(centers, centers, indexing="ij")
-        for s in range(1, self.T + 1):
-            qt = np.full(gx.size, float(s))
-            total += self.at(gx.ravel(), gy.ravel(), qt).sum() * step * step
-        return float(total)
+        steps = np.arange(1, self.T + 1, dtype=float)
+        return float(self.at(gx.ravel(), gy.ravel(), steps[:, None]).sum() * step * step)
 
 
 def estimate_intensity(
@@ -308,39 +279,12 @@ def estimate_intensity(
     delta: float | None = None,
     cells: int = DEFAULT_CELLS,
     separable: bool = True,
-):
+) -> KernelIntensity:
     """Space-time kernel intensity, separable product by default."""
+    eps, _, _, space_norm = _edge_kernels(source, eps, cells)
+    delta, _, _, time_norm = _edge_kernels(source, delta)
     x, y, t, _, T = _source_arrays(source)
-    if x.size == 0:
-        raise ValidationError("cannot estimate intensity of an empty source")
-    if eps is None or delta is None:
-        se, sd = scott_bandwidths(source)
-        eps = se if eps is None else eps
-        delta = sd if delta is None else delta
-    eps = _check_bandwidth(eps, "spatial")
-    delta = _check_bandwidth(delta, "temporal")
-    step = 1.0 / cells
-    centers = (np.arange(cells) + 0.5) * step
-    kx = _gauss_1d(centers, x, eps)
-    ky = _gauss_1d(centers, y, eps)
-    space_norm = (kx.sum(axis=1) * step) * (ky.sum(axis=1) * step)
-    steps_ax = np.arange(1, T + 1, dtype=float)
-    kt = _gauss_1d(steps_ax, t.astype(float), delta)
-    time_norm = kt.sum(axis=1)
-    if np.any(space_norm <= 0) or np.any(time_norm <= 0):
-        raise ValidationError("kernel mass vanished on the grid; bandwidth too small")
-    cls = SeparableIntensity if separable else NonSeparableIntensity
-    return cls(
-        x=x,
-        y=y,
-        t=t,
-        T=T,
-        eps=eps,
-        delta=delta,
-        cells=cells,
-        space_norm=space_norm,
-        time_norm=time_norm,
-    )
+    return KernelIntensity(x, y, t, T, eps, delta, cells, space_norm, time_norm, separable)
 
 
 # ---------------------------------------------------------------------------

@@ -356,24 +356,39 @@ def _coerce(action: argparse.Action, text: str):
         raise ValidationError(f"config key {action.dest!r} expects a boolean")
     ty = action.type or str
     try:
-        return ty(text)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+        value = ty(text)
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValidationError(f"config key {action.dest!r}: cannot read {text!r}") from None
+    # the key of a repeatable flag gives one item
+    return [value] if isinstance(action, argparse._AppendAction) else value
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill still-default options from the key=value config file."""
+def _given_dests(argv: list[str] | None) -> set[str]:
+    """The destinations of the arguments given on the command line, found by
+    parsing it again with no defaults."""
+    parser, registry = build_parser()
+    for sub in registry.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _merge_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None
+) -> None:
+    """Fill the options not given on the command line from the key=value
+    config file; a given flag wins even where it equals the default."""
     if not getattr(args, "config", None):
         return
     cfg = _read_config(args.config)
+    given = _given_dests(argv)
     for key, text in cfg.items():
         dest = key.replace("-", "_")
         action = next((a for a in parser._actions if a.dest == dest), None)
         if action is None:
             raise ValidationError(f"unknown config key {key!r}")
-        if getattr(args, dest, None) != parser.get_default(dest):
-            continue
-        setattr(args, dest, _coerce(action, text))
+        if dest not in given:
+            setattr(args, dest, _coerce(action, text))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +583,7 @@ def _separable_plugin(pattern: MultiPattern, args):
                 out[sel] = est.at(x[sel], y[sel], t[sel])
         return out
 
-    return typed, per_type
+    return typed
 
 
 def _default_t_grid(pattern: MultiPattern, args) -> tuple[float, ...]:
@@ -623,10 +638,9 @@ def cmd_classical(args) -> int:
         source, label = _component_source(pattern, args.component)
         intensity = None
         if not args.homogeneous:
-            est = estimate_intensity(
+            intensity = estimate_intensity(
                 source, eps=args.eps, delta=args.delta, cells=args.cells
             )
-            intensity = est.at
         curve = estimate_pair_correlation(
             source,
             args.r_grid,
@@ -639,7 +653,7 @@ def cmd_classical(args) -> int:
     elif args.estimator == "k":
         intensity = None
         if not args.homogeneous:
-            intensity, _ = _separable_plugin(pattern, args)
+            intensity = _separable_plugin(pattern, args)
         curve = estimate_k(
             pattern,
             args.r_grid,
@@ -1042,7 +1056,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, registry = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, registry[args.subcommand])
+        _merge_config(args, registry[args.subcommand], argv)
         for dest in REQUIRED_AFTER_MERGE.get(args.subcommand, ()):
             if getattr(args, dest, None) is None:
                 registry[args.subcommand].error(

@@ -374,6 +374,21 @@ class _BadRow(Exception):
     """Some row fails a check; :func:`_raise_row_error` finds which."""
 
 
+def _checked_rows(reader, path: Path):
+    """The rows of a csv reader over ``path``; text that does not decode
+    becomes a :class:`ValidationError` and a fault csv reports (a field
+    over its size limit) a :class:`RowError` at csv's line, both naming
+    the file."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        # a DictReader updates its line_num only after a row parses
+        line = getattr(reader, "reader", reader).line_num
+        raise RowError(line, f"{path}: {exc}") from None
+
+
 def _raise_row_error(path: Path, colmap: dict[str, str], has_marks: bool) -> None:
     """Scan ``path`` row by row and raise the error of its first bad row.
 
@@ -385,7 +400,7 @@ def _raise_row_error(path: Path, colmap: dict[str, str], has_marks: bool) -> Non
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         seen: set[tuple] = set()
-        for row in reader:
+        for row in _checked_rows(reader, path):
             line = reader.line_num
             x = _parse_float(row[colmap["x"]], colmap["x"], line)
             y = _parse_float(row[colmap["y"]], colmap["y"], line)
@@ -539,7 +554,7 @@ def load_events(
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(_checked_rows(reader, path), None)
         if header is None:
             raise EmptyInputError(f"{path}: file is empty")
         for role in REQUIRED_FIELDS:

@@ -1,6 +1,7 @@
 """Independent numerical and text routes used only as test oracles."""
 
 import csv
+import math
 
 import numpy as np
 
@@ -116,3 +117,37 @@ def csv_writer_table(path, comments, header, rows, lineterminator="\n"):
         writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows([csv_field_text(v) for v in row] for row in rows)
+
+
+def kernel_intensity_loop(x, y, t, T, eps, delta, cells, separable, queries):
+    """The kernel intensity at each (qx, qy, qt) of ``queries`` by plain
+    loops over events, cell centres and steps, scalar arithmetic only.
+
+    Each event's edge normalisers are its Gaussian kernel masses: over the
+    ``cells`` x ``cells`` grid of the unit square in space, and over the
+    steps 1..T in time.  The separable model is (sum of normalised spatial
+    kernels) * (sum of normalised temporal kernels) / n; the full model sums
+    the product of each event's two normalised kernels."""
+
+    def gauss(v, bw):
+        return math.exp(-0.5 * (v / bw) ** 2) / (math.sqrt(2.0 * math.pi) * bw)
+
+    centres = [(k + 0.5) / cells for k in range(cells)]
+    n = len(x)
+    space_norm = [
+        sum(gauss(c - x[j], eps) for c in centres) / cells
+        * sum(gauss(c - y[j], eps) for c in centres) / cells
+        for j in range(n)
+    ]
+    time_norm = [sum(gauss(s - t[j], delta) for s in range(1, T + 1)) for j in range(n)]
+    out = []
+    for qx, qy, qt in queries:
+        space = time = full = 0.0
+        for j in range(n):
+            ks = gauss(qx - x[j], eps) * gauss(qy - y[j], eps) / space_norm[j]
+            kt = gauss(qt - t[j], delta) / time_norm[j]
+            space += ks
+            time += kt
+            full += ks * kt
+        out.append(space * time / n if separable else full)
+    return out

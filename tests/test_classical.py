@@ -2,10 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stspectra
+from stspectra import classical
 from stspectra import (
     estimate_intensity,
     estimate_k,
@@ -22,6 +28,7 @@ from stspectra.errors import DomainError, ValidationError
 from stspectra.ingest import MultiPattern, Window
 
 from conftest import build_pattern
+from oracles import kernel_intensity_loop
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +297,57 @@ class TestIntensity:
     def test_nonseparable_integral_is_event_count(self, oracle_pattern):
         lam = estimate_intensity(oracle_pattern, cells=32, separable=False)
         assert lam.integral() == pytest.approx(oracle_pattern.n, rel=1e-9)
+
+    @pytest.mark.parametrize("separable", [True, False])
+    @pytest.mark.parametrize("block", [7, classical._PAIR_BLOCK])
+    def test_at_matches_per_event_loop(self, oracle_pattern, monkeypatch, separable, block):
+        # a block of 7 splits both the 60 events and the 45 queries
+        monkeypatch.setattr(classical, "_PAIR_BLOCK", block)
+        p = oracle_pattern
+        rng = np.random.default_rng(3)
+        qx = np.r_[rng.random(30), p.x[:15]]
+        qy = np.r_[rng.random(30), p.y[:15]]
+        qt = np.r_[rng.uniform(0.5, 4.5, 30), p.t[:15]]
+        lam = estimate_intensity(p, eps=0.12, delta=0.8, cells=16, separable=separable)
+        expect = kernel_intensity_loop(
+            p.x.tolist(), p.y.tolist(), p.t.tolist(), p.T, 0.12, 0.8, 16, separable,
+            zip(qx.tolist(), qy.tolist(), qt.tolist()),
+        )
+        np.testing.assert_allclose(lam.at(qx, qy, qt), expect, rtol=1e-12, atol=0)
+        # broadcast queries evaluate as their flattened points
+        grid = lam.at(qx[:, None], qy[None, :], 2.0)
+        assert grid.shape == (45, 45)
+        flat = lam.at(np.repeat(qx, 45), np.tile(qy, 45), np.full(45 * 45, 2.0))
+        np.testing.assert_array_equal(grid.ravel(), flat)
+
+    def test_at_memory_is_bounded_by_the_blocks(self):
+        # an unblocked sum over events holds a queries x events matrix and
+        # peaks above 800 MiB here
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from stspectra import MultiPattern, Window, estimate_intensity\n"
+            "rng = np.random.default_rng(5)\n"
+            "n = 6000\n"
+            "pat = MultiPattern(x=rng.random(n), y=rng.random(n),\n"
+            "    t=rng.integers(1, 5, n), type_id=rng.integers(1, 4, n),\n"
+            "    labels=('a', 'b', 'c'), window=Window(0.0, 1.0, 0.0, 1.0, T=4))\n"
+            "src = pat.pooled()\n"
+            "v = estimate_intensity(src).at(src.x, src.y, src.t)\n"
+            "assert np.isfinite(v).all() and (v > 0).all()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(stspectra.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mib < 450, f"peak RSS {peak_mib:.0f} MiB"
 
     def test_separable_evaluates_pointwise(self, oracle_pattern):
         lam = estimate_intensity(oracle_pattern, cells=32)

@@ -178,6 +178,33 @@ class TestIngest:
         assert report["error"] == "validation"
         assert "100000000000000000000000" in report["message"]
 
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            pytest.param(b"x,y,time,type\xff\xfe\n0.1,0.2,1,a\n", "validation",
+                         "not utf-8 text (invalid start byte)", id="bad-bytes-in-header"),
+            # past the first block of text the reader decodes
+            pytest.param(b"x,y,time,type\n" + b"0.25,0.5,1,a\n" * 2000
+                         + b"0.5,0.5,1,\xff\xfe\n", "validation",
+                         "not utf-8 text (invalid start byte)", id="bad-bytes-in-row"),
+            pytest.param(b"x,y,time,type\n0.1,0.2,1,a\n0.5,0.5,1," + b"b" * 131073
+                         + b"\n", "row", "field larger than field limit (131072)",
+                         id="over-long-field"),
+        ],
+    )
+    def test_undecodable_and_overlong_input_reports_json(
+        self, tmp_path, capsys, data, error, message
+    ):
+        src = tmp_path / "raw.csv"
+        src.write_bytes(data)
+        assert run(["ingest", src, "--time-is-index", "--out", tmp_path / "out"]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == error
+        assert str(src) in report["message"]
+        assert report["message"].lower().endswith(message)
+        if error == "row":
+            assert report["message"].startswith("line 3: ")
+
     def test_bad_schema_reports_json(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("lon,lat\n1,2\n")
@@ -468,6 +495,30 @@ class TestClassicalCli:
                     "--out", tmp_path / "bad"]) != 0
 
 
+    @pytest.mark.parametrize("estimator", ["pair-correlation", "k"])
+    def test_kernel_plugin_curves(self, tmp_path, estimator):
+        events = simulate_events(tmp_path, "sim", T=5)
+        argv = ["classical", events, "--time-is-index", "--estimator", estimator,
+                "--no-homogeneous", "--r-grid", "0.05,0.1", "--cells", "16"]
+        assert run([*argv, "--out", tmp_path / "a"]) == 0
+        assert run([*argv, "--out", tmp_path / "b"]) == 0
+        a = (tmp_path / "a" / "curves.csv").read_bytes()
+        assert a == (tmp_path / "b" / "curves.csv").read_bytes()
+        rows = [r.split(",") for r in data_rows(tmp_path / "a" / "curves.csv")[1:]]
+        assert len(rows) == 4
+        assert all(np.isfinite(float(r[2])) for r in rows)
+
+    @pytest.mark.parametrize("estimator", ["pair-correlation", "k"])
+    @pytest.mark.parametrize("cells", ["0", "-3"])
+    def test_kernel_plugin_rejects_bad_cells(self, tmp_path, capsys, estimator, cells):
+        events = simulate_events(tmp_path, "sim", T=5)
+        assert run(
+            ["classical", events, "--time-is-index", "--estimator", estimator,
+             "--no-homogeneous", "--cells", cells, "--out", tmp_path / "x"]
+        ) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"error": "validation", "message": "need at least 2 cells per axis"}
+
     @pytest.mark.parametrize("estimator", ["pair-correlation", "k", "mark-k"])
     def test_default_t_grid_fits_short_patterns(self, tmp_path, estimator):
         # T=4 leaves no eroded temporal domain at t=2; the default keeps t=1
@@ -589,6 +640,39 @@ class TestConfigMerge:
         ) == 0
         g = graph_from_json((out / "graph.json").read_text())
         assert g.xi == 0.5
+
+    def test_explicit_flag_wins_at_its_default(self, tmp_path):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p-max = 4\nnormalisation = none\ntime-is-index = true\n")
+        out = tmp_path / "pd"
+        # --p-max 16 and --normalisation sqrt_counts are the parser defaults
+        assert run(
+            ["partial", events, "--p-max", "16", "--normalisation", "sqrt_counts",
+             "--config", cfg, "--out", out]
+        ) == 0
+        comments = [
+            l for l in (out / "partial.csv").read_text().splitlines() if l.startswith("#")
+        ]
+        assert any(l.startswith("# grid=p:0..16,") for l in comments)
+        assert "# normalisation=sqrt_counts" in comments
+
+    def test_link_key_gives_one_link_and_flags_replace_it(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("kind = linked_cluster\nrates = 40,40,40\nT = 3\nlink = 1,2,5,0.01\n")
+
+        def links(name, *flags):
+            out = tmp_path / name
+            assert run(["simulate", "--config", cfg, *flags, "--out", out]) == 0
+            truth = json.loads((out / "truth.json").read_text())
+            return truth["spec"]["link_pairs"], truth["true_edges"]
+
+        assert links("cfg") == (
+            [{"i": 1, "j": 2, "offspring_rate": 5.0, "dispersion": 0.01}], [[1, 2]]
+        )
+        pairs, edges = links("flag", "--link", "2,3,6,0.02")
+        assert [(p["i"], p["j"]) for p in pairs] == [(2, 3)]
+        assert edges == [[2, 3]]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")

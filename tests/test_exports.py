@@ -3,6 +3,7 @@ removed from the package stay removed."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -13,8 +14,15 @@ MODULES = sorted(
 )
 
 # one route per statistic: the dot family reads the smoothed field, and
-# |d_ij| and the partial coherency come only from PartialField
-REMOVED = ("partial_coherency", "rescaled_inverse_density", "Event")
+# |d_ij| and the partial coherency come only from PartialField; one
+# kernel-intensity class serves the separable and the full model
+REMOVED = (
+    "partial_coherency",
+    "rescaled_inverse_density",
+    "Event",
+    "SeparableIntensity",
+    "NonSeparableIntensity",
+)
 
 
 @pytest.mark.parametrize("name", ["stspectra"] + MODULES)
@@ -23,6 +31,8 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+    modules = [n for n in exported if isinstance(getattr(module, n), types.ModuleType)]
+    assert modules == []
 
 
 def test_removed_names_stay_removed():
