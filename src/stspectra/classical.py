@@ -222,10 +222,8 @@ class KernelIntensity:
     x: np.ndarray
     y: np.ndarray
     t: np.ndarray
-    T: int
     eps: float
     delta: float
-    cells: int
     space_norm: np.ndarray
     time_norm: np.ndarray
     separable: bool
@@ -264,14 +262,6 @@ class KernelIntensity:
 
     __call__ = at
 
-    def integral(self, cells: int | None = None) -> float:
-        """The integral over the unit square and the steps 1..T: the
-        intensity summed over the cell grid at each step, times the cell area."""
-        centers, step = _cell_centers(self.cells if cells is None else cells)
-        gx, gy = np.meshgrid(centers, centers, indexing="ij")
-        steps = np.arange(1, self.T + 1, dtype=float)
-        return float(self.at(gx.ravel(), gy.ravel(), steps[:, None]).sum() * step * step)
-
 
 def estimate_intensity(
     source,
@@ -283,8 +273,8 @@ def estimate_intensity(
     """Space-time kernel intensity, separable product by default."""
     eps, _, _, space_norm = _edge_kernels(source, eps, cells)
     delta, _, _, time_norm = _edge_kernels(source, delta)
-    x, y, t, _, T = _source_arrays(source)
-    return KernelIntensity(x, y, t, T, eps, delta, cells, space_norm, time_norm, separable)
+    x, y, t, _, _ = _source_arrays(source)
+    return KernelIntensity(x, y, t, eps, delta, space_norm, time_norm, separable)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +693,8 @@ def mark_permutation_envelope(
     envelope is the pointwise min and max over the permuted statistics."""
     if permutations < 1:
         raise ValidationError("need at least one permutation")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     cells, pairs, marks = _marked_pairs(source, r_grid, t_grid)
     mbar = float(marks.mean())
     observed = _centred_mark_k(cells, pairs, marks, mbar)

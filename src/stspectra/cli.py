@@ -168,11 +168,6 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--u-min", type=int, default=None)
     parser.add_argument("--u-max", type=int, default=None)
     parser.add_argument(
-        "--include-dc",
-        action="store_true",
-        help="admit the (0,0,0) ordinate to sup/threshold statistics",
-    )
-    parser.add_argument(
         "--half-widths",
         type=_parse_int_triple,
         default=None,
@@ -333,9 +328,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 # config file merge
 
 
+def _read_text(path: str) -> str:
+    """The text of a file the command line names; undecodable bytes are a
+    ValidationError naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+
+
 def _read_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -435,7 +439,6 @@ def _analysis_spec(args, T: int) -> AnalysisSpec:
             q_max=pick(args.q_max, g.q_max),
             u_min=pick(args.u_min, g.u_min),
             u_max=pick(args.u_max, g.u_max),
-            include_dc=args.include_dc,
         ),
         half_widths=pick(args.half_widths, default.half_widths),
         normalisation=args.normalisation,
@@ -484,8 +487,7 @@ def _provenance_comments(
         hw = spec.half_widths
         lines += [
             f"# grid=p:{g['p'][0]}..{g['p'][1]},"
-            f"q:{g['q'][0]}..{g['q'][1]},u:{g['u'][0]}..{g['u'][1]},"
-            f"dc:{'included' if g['include_dc'] else 'excluded'}",
+            f"q:{g['q'][0]}..{g['q'][1]},u:{g['u'][0]}..{g['u'][1]}",
             f"# normalisation={spec.normalisation}",
             f"# smoothing={hw[0]},{hw[1]},{hw[2]}",
         ]
@@ -967,7 +969,7 @@ def cmd_pipeline(args) -> int:
         text = args.simulate_spec
         try:
             doc = json.loads(
-                text if text.lstrip().startswith("{") else Path(text).read_text()
+                text if text.lstrip().startswith("{") else _read_text(text)
             )
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--simulate document is not JSON: {exc}") from None

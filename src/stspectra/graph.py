@@ -1,9 +1,10 @@
 """Dependence graphs from partial coherence fields.
 
 The edge statistic for a pair (i, j) is the supremum of the rescaled
-inverse cross-density magnitude |d_ij| over the frequency grid, DC
-excluded by default; an edge is drawn when the statistic reaches the
-threshold xi.  The threshold can be calibrated on binomial null
+inverse cross-density magnitude |d_ij| over the non-zero frequencies of
+the grid (at DC the uncentred transform is the event count, which says
+nothing about dependence); an edge is drawn when the statistic reaches
+the threshold xi.  The threshold can be calibrated on binomial null
 replicates that keep the observed counts but scatter events uniformly,
 taking an upper quantile of the null distribution of the maximal
 statistic over all pairs, so the calibrated graph controls the
@@ -52,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EdgeStatistics:
-    """Pairwise supremum statistics over the (non-DC) frequency grid.
+    """Pairwise supremum statistics over the frequency grid without DC.
 
     stats[i, j] holds sup |d_ij| with NaN for pairs that had no usable
     ordinate; argmax[i, j] is the (p, q, u) frequency attaining it;
@@ -63,7 +64,6 @@ class EdgeStatistics:
     stats: np.ndarray
     argmax: np.ndarray
     reliable: np.ndarray
-    include_dc: bool
     labels: tuple[str, ...]
 
     @property
@@ -87,7 +87,6 @@ class DependenceGraph:
     stats: np.ndarray
     argmax: np.ndarray
     reliable: np.ndarray
-    include_dc: bool
     warnings: tuple[str, ...] = ()
     provenance: dict = dc_field(default_factory=dict)
 
@@ -120,7 +119,6 @@ class DependenceGraph:
             and np.array_equal(self.stats, other.stats, equal_nan=True)
             and np.array_equal(self.argmax, other.argmax)
             and np.array_equal(self.reliable, other.reliable)
-            and self.include_dc == other.include_dc
             and self.warnings == other.warnings
             and self.provenance == other.provenance
         )
@@ -181,8 +179,7 @@ def partial_pipeline(
 
 
 def edge_statistics(pf: PartialField) -> EdgeStatistics:
-    """Supremum of |d_ij| per pair over the grid; DC enters only when the
-    grid's ``include_dc`` is set."""
+    """Supremum of |d_ij| per pair over every ordinate of the grid but DC."""
     mask = pf.grid.sup_mask()
     if not mask.any():
         raise ValidationError("no frequency ordinates left after DC exclusion")
@@ -217,7 +214,6 @@ def edge_statistics(pf: PartialField) -> EdgeStatistics:
         stats=stats,
         argmax=argmax,
         reliable=reliable,
-        include_dc=pf.grid.include_dc,
         labels=pf.labels,
     )
 
@@ -261,7 +257,6 @@ def build_dependence_graph(
         stats=es.stats,
         argmax=es.argmax,
         reliable=es.reliable,
-        include_dc=es.include_dc,
         warnings=tuple(warnings),
         provenance=dict(provenance or {}),
     )
@@ -304,6 +299,8 @@ def calibrate_null_threshold(
         spec = AnalysisSpec.default(pattern.T)
     if replicates < 1:
         raise ValidationError("need at least one replicate")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if not 0.0 < quantile < 1.0:
         raise ValidationError("quantile must lie strictly between 0 and 1")
     if spec.marked and not pattern.has_marks:
@@ -414,7 +411,6 @@ def graph_to_json(graph: DependenceGraph) -> str:
         "version": 1,
         "labels": list(graph.labels),
         "xi": graph.xi,
-        "include_dc": graph.include_dc,
         "edges": [
             {
                 "i": i,
@@ -444,7 +440,8 @@ def graph_to_json(graph: DependenceGraph) -> str:
 
 
 def graph_from_json(text: str) -> DependenceGraph:
-    """Rebuild a graph from its JSON serialisation."""
+    """Rebuild a graph from its JSON serialisation.  Keys it does not read,
+    such as the DC switch that older documents carry, are ignored."""
     doc = json.loads(text)
     if doc.get("format") != "stspectra-graph":
         raise ValidationError("not a dependence-graph document")
@@ -463,7 +460,6 @@ def graph_from_json(text: str) -> DependenceGraph:
         stats=stats,
         argmax=argmax,
         reliable=reliable,
-        include_dc=bool(doc["include_dc"]),
         warnings=tuple(doc.get("warnings", ())),
         provenance=dict(doc.get("provenance", {})),
     )

@@ -65,7 +65,6 @@ class InverseField:
     singular: np.ndarray
     grid: FrequencyGrid
     labels: tuple[str, ...]
-    cond_threshold: float
 
     @property
     def d(self) -> int:
@@ -91,7 +90,6 @@ class PartialField:
     singular: np.ndarray
     grid: FrequencyGrid
     labels: tuple[str, ...]
-    conditioning: str = "all-remaining"
 
     @property
     def d(self) -> int:
@@ -180,16 +178,14 @@ def _well_conditioned(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
 
 
 def invert_spectral_matrix(
-    field: SpectralField,
-    cond_threshold: float = COND_THRESHOLD,
-    ridge_fractions: tuple[float, ...] = RIDGE_FRACTIONS,
+    field: SpectralField, cond_threshold: float = COND_THRESHOLD
 ) -> InverseField:
     """Invert the d x d matrix at every ordinate, with ridge escalation.
 
     Ordinates whose condition number (from the eigenvalues, the matrices
     being Hermitian; see :func:`_well_conditioned`) exceeds
     ``cond_threshold`` get diagonal loading eps*(trace/d)*I with eps
-    escalating through ``ridge_fractions`` until the condition number
+    escalating through ``RIDGE_FRACTIONS`` until the condition number
     passes; the applied eps is recorded.  If no step passes, the ordinate is
     flagged singular (NaN inverse) rather than aborting the run.
     """
@@ -203,7 +199,7 @@ def invert_spectral_matrix(
     ridge = np.zeros(n)
     bad = ~_well_conditioned(work, cond_threshold)
     eye = np.eye(d)
-    for eps in ridge_fractions:
+    for eps in RIDGE_FRACTIONS:
         if not bad.any():
             break
         idx = np.nonzero(bad)[0]
@@ -225,7 +221,6 @@ def invert_spectral_matrix(
         singular=singular.reshape(shape),
         grid=field.grid,
         labels=field.labels,
-        cond_threshold=cond_threshold,
     )
 
 

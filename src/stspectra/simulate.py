@@ -93,6 +93,8 @@ class SimSpec:
             raise ValidationError("all component rates must be > 0")
         if self.T < 1:
             raise ValidationError("T must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.kind == "homogeneous_poisson" and self.link_pairs:
             raise ValidationError("homogeneous_poisson takes no link pairs")
         d = len(self.rates)
@@ -265,6 +267,8 @@ def simulate_binomial_null(
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size < 2 or (counts <= 0).any():
         raise ValidationError("need >= 2 components with positive counts")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.Generator(np.random.Philox(seed))
     xs, ys, ts = [], [], []
     for n_i in counts:

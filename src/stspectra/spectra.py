@@ -57,8 +57,8 @@ EVENT_CHUNK = 4096
 class FrequencyGrid:
     """Integer frequency lattice: p in 0..p_max, q in q_min..q_max,
     u in u_min..u_max.  Every range must contain zero so the ordinate
-    (0,0,0) exists; it is computed always and excluded from sup-type
-    statistics unless ``include_dc`` is set.
+    (0,0,0) exists; it is computed always and never enters sup-type
+    statistics, where the uncentred transform is the event count.
     """
 
     p_max: int
@@ -66,7 +66,6 @@ class FrequencyGrid:
     q_max: int
     u_min: int
     u_max: int
-    include_dc: bool = False
 
     def __post_init__(self):
         if self.p_max < 0:
@@ -77,19 +76,10 @@ class FrequencyGrid:
             raise ValidationError("u range must contain 0")
 
     @classmethod
-    def default(
-        cls, T: int, p_max: int = 16, q_abs: int = 16, include_dc: bool = False
-    ) -> "FrequencyGrid":
+    def default(cls, T: int) -> "FrequencyGrid":
         """Default lattice: p 0..16, q -16..16, u spanning the T temporal
         ordinates -floor((T-1)/2) .. floor(T/2)."""
-        return cls(
-            p_max=p_max,
-            q_min=-q_abs,
-            q_max=q_abs,
-            u_min=-((T - 1) // 2),
-            u_max=T // 2,
-            include_dc=include_dc,
-        )
+        return cls(p_max=16, q_min=-16, q_max=16, u_min=-((T - 1) // 2), u_max=T // 2)
 
     @property
     def p_values(self) -> np.ndarray:
@@ -121,10 +111,10 @@ class FrequencyGrid:
         return (0, -self.q_min, -self.u_min)
 
     def sup_mask(self) -> np.ndarray:
-        """Boolean mask of ordinates admitted to sup/threshold statistics."""
+        """Boolean mask of ordinates admitted to sup/threshold statistics:
+        every ordinate but DC."""
         mask = np.ones(self.shape, dtype=bool)
-        if not self.include_dc:
-            mask[self.dc_index] = False
+        mask[self.dc_index] = False
         return mask
 
     def describe(self) -> dict:
@@ -132,7 +122,6 @@ class FrequencyGrid:
             "p": [0, self.p_max],
             "q": [self.q_min, self.q_max],
             "u": [self.u_min, self.u_max],
-            "include_dc": self.include_dc,
         }
 
 
@@ -144,9 +133,9 @@ def default_half_widths(T: int) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class AnalysisSpec:
     """What defines the partial-spectral edge statistic: the frequency grid
-    (which also decides whether DC enters the sup), the smoothing
-    half-widths, the periodogram normalisation and whether the transforms
-    are mark-weighted.
+    (whose sup runs over every ordinate but DC), the smoothing half-widths,
+    the periodogram normalisation and whether the transforms are
+    mark-weighted.
 
     The analysis, its null calibration and its slice graphs all run from
     one spec, so the null is built for exactly the statistic of the analysis.
@@ -165,9 +154,9 @@ class AnalysisSpec:
     def for_slice(self) -> "AnalysisSpec":
         """The spec for one temporal step analysed as a T=1 pattern.
 
-        The grid keeps its p/q range and DC decision with u in 0..0, the
-        temporal half-width becomes 0 and the normalisation is kept.  Slice
-        transforms are unmarked."""
+        The grid keeps its p/q range with u in 0..0, so DC again stays out
+        of the sup; the temporal half-width becomes 0 and the normalisation
+        is kept.  Slice transforms are unmarked."""
         return AnalysisSpec(
             grid=replace(self.grid, u_min=0, u_max=0),
             half_widths=(self.half_widths[0], self.half_widths[1], 0),
@@ -341,7 +330,6 @@ class SpectralField:
     labels: tuple[str, ...]
     half_widths: tuple[int, int, int] | None = None
     marked: bool = False
-    adequate: bool | None = None
 
     @property
     def d(self) -> int:
@@ -506,8 +494,7 @@ def smooth_spectra(
     acc = _box_average(field.values, field.grid, field.T, (hp, hq, hu))
 
     size = (2 * hp + 1) * (2 * hq + 1) * (2 * hu + 1)
-    adequate = size >= field.d
-    if not adequate:
+    if size < field.d:
         warnings.warn(
             f"smoothing neighbourhood {size} < d={field.d}: smoothed matrices "
             "are rank deficient",
@@ -524,7 +511,6 @@ def smooth_spectra(
         labels=field.labels,
         half_widths=(hp, hq, hu),
         marked=field.marked,
-        adequate=adequate,
     )
 
 

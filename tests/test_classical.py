@@ -290,13 +290,24 @@ class TestIntensity:
         assert curve.mass() == pytest.approx(oracle_pattern.n, rel=1e-12)
         assert curve.steps.tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    @staticmethod
+    def cell_grid_mass(lam, cells, T):
+        """The intensity summed over the cells x cells grid at each step
+        1..T, times the cell area."""
+        centers = (np.arange(cells) + 0.5) / cells
+        gx, gy = np.meshgrid(centers, centers, indexing="ij")
+        steps = np.arange(1, T + 1, dtype=float)
+        return lam.at(gx.ravel(), gy.ravel(), steps[:, None]).sum() / cells**2
+
     def test_separable_integral_is_event_count(self, oracle_pattern):
         lam = estimate_intensity(oracle_pattern, cells=32)
-        assert lam.integral() == pytest.approx(oracle_pattern.n, rel=1e-9)
+        mass = self.cell_grid_mass(lam, 32, oracle_pattern.T)
+        assert mass == pytest.approx(oracle_pattern.n, rel=1e-9)
 
     def test_nonseparable_integral_is_event_count(self, oracle_pattern):
         lam = estimate_intensity(oracle_pattern, cells=32, separable=False)
-        assert lam.integral() == pytest.approx(oracle_pattern.n, rel=1e-9)
+        mass = self.cell_grid_mass(lam, 32, oracle_pattern.T)
+        assert mass == pytest.approx(oracle_pattern.n, rel=1e-9)
 
     @pytest.mark.parametrize("separable", [True, False])
     @pytest.mark.parametrize("block", [7, classical._PAIR_BLOCK])
@@ -477,3 +488,7 @@ class TestMarkedK:
             mark_permutation_envelope(
                 oracle_pattern.component(1), (0.1,), (1.0,), permutations=0
             )
+
+    def test_envelope_rejects_negative_seed(self, oracle_pattern):
+        with pytest.raises(ValidationError, match="seed"):
+            mark_permutation_envelope(oracle_pattern.component(1), (0.1,), (1.0,), seed=-1)

@@ -232,7 +232,7 @@ class TestSpectra:
         comments = [l for l in lines if l.startswith("#")]
         assert any(l.startswith("# artifact=stspectra-spectra") for l in comments)
         assert any(l.startswith("# config_hash=") for l in comments)
-        assert any("grid=p:0..3,q:-3..3,u:-1..1,dc:excluded" in l for l in comments)
+        assert "# grid=p:0..3,q:-3..3,u:-1..1" in comments
         assert any("smoothing=1,1,0" in l for l in comments)
         header = lines[len(comments)]
         assert header == "p,q,u,i,j,re,im,kind"
@@ -383,17 +383,16 @@ class TestSharedPaths:
     def test_graph_pipeline_invert_agree(self, tmp_path):
         events = simulate_events(tmp_path, "sim", marks="normal:2,0.5", seed=12)
         common = [events, "--time-is-index", "--marked", "--xi", "0.6", "--per-slice",
-                  "--include-dc", *GRID_ARGS]
+                  *GRID_ARGS]
         g, p, inv = tmp_path / "g", tmp_path / "p", tmp_path / "inv"
         assert run(["graph", *common, "--format", "json", "--out", g]) == 0
         assert run(["pipeline", *common, "--lags", "--out", p]) == 0
-        assert run(["invert", events, "--time-is-index", "--marked", "--include-dc",
+        assert run(["invert", events, "--time-is-index", "--marked",
                     "--out", inv, *GRID_ARGS]) == 0
         assert data_rows(g / "persistence.csv") == data_rows(p / "persistence.csv")
         for step in (1, 2, 3):
             name = f"slice_{step}.json"
             assert (g / name).read_bytes() == (p / name).read_bytes()
-            assert json.loads((g / name).read_text())["include_dc"] is True
         assert data_rows(inv / "lags.csv") == data_rows(p / "lags.csv")
         assert len(data_rows(p / "lags.csv")) == 1 + 3 * 7 * 7 * 3
 
@@ -610,6 +609,19 @@ class TestPipeline:
         assert report["error"] == "validation"
         assert named in report["message"]
 
+    def test_undecodable_simulate_file_reports_json(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"kind": "\xff\xfe"}')
+        assert run(
+            ["pipeline", "--simulate", spec, "--xi", "0.5", "--out", tmp_path / "x"]
+        ) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "validation"
+        assert str(spec) in report["message"]
+        assert "invalid start byte" in report["message"]
+
     def test_xi_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["pipeline", "--simulate", self.SPEC, "--out", tmp_path / "x"])
@@ -677,11 +689,31 @@ class TestConfigMerge:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("xii = 0.95\n")
+        # include_dc was a setting once; DC now never enters the sup
+        for line in ("xii = 0.95", "xi = 0.95\ninclude_dc = true"):
+            cfg.write_text(line + "\n")
+            assert run(
+                ["graph", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "x",
+                 *GRID_ARGS]
+            ) == 1
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "validation"
+            assert report["message"].startswith("unknown config key")
+
+    def test_undecodable_config_reports_json(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"xi = 0.95\nformat = \xff\xfe\n")
         assert run(
-            ["graph", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "x", *GRID_ARGS]
+            ["graph", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "x",
+             *GRID_ARGS]
         ) == 1
-        assert "unknown config key" in json.loads(capsys.readouterr().err)["message"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "validation"
+        assert str(cfg) in report["message"]
+        assert "invalid start byte" in report["message"]
 
     def test_unreadable_value_rejected(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
@@ -712,7 +744,74 @@ class TestConfigMerge:
         assert hashes[0] == hashes[1]
 
 
+class TestNegativeSeeds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--rates", "5,5", "--seed", "-1"],
+            ["pipeline", "--simulate", '{"kind": "homogeneous_poisson", "rates": [40, 40, 40], '
+             '"T": 2, "seed": -1}', "--xi", "0.5"],
+            ["pipeline", "--simulate", '{"kind": "homogeneous_poisson", "rates": [40, 40, 40], '
+             '"T": 2}', "--xi", "null:q95", "--replicates", "2", "--calibration-seed", "-5"],
+            ["graph", "{events}", "--time-is-index", "--xi", "null:q95", "--replicates", "2",
+             "--calibration-seed", "-5", *GRID_ARGS],
+        ],
+        ids=["simulate", "simulate-document", "pipeline-calibration", "graph-calibration"],
+    )
+    def test_negative_seed_reports_json(self, tmp_path, capsys, argv):
+        if "{events}" in argv:
+            events = simulate_events(tmp_path, "sim")
+            capsys.readouterr()
+            argv = [events if a == "{events}" else a for a in argv]
+        assert run([*argv, "--out", tmp_path / "x"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "validation"
+        assert report["message"] == "seed must be >= 0"
+
+
+COMMON_DESTS = {"config", "threads", "out"}
+PATTERN_DESTS = {"input", "col", "time_is_index", "bin_width", "bin_origin", "window"}
+GRID_DESTS = {"p_max", "q_min", "q_max", "u_min", "u_max", "half_widths", "normalisation",
+              "marked"}
+CALIBRATION_DESTS = {"xi", "per_slice", "replicates", "calibration_seed"}
+
+
+class TestParserSurface:
+    def test_flag_destinations(self):
+        # every settable value of every subcommand; adding or removing one
+        # changes this table
+        expected = {
+            "ingest": COMMON_DESTS | PATTERN_DESTS,
+            "simulate": COMMON_DESTS | {"kind", "rates", "T", "link", "seed", "mark_dist"},
+            "classical": COMMON_DESTS | PATTERN_DESTS | {
+                "estimator", "component", "C", "D", "r_grid", "t_grid", "eps", "delta",
+                "cells", "homogeneous"},
+            "spectra": COMMON_DESTS | PATTERN_DESTS | GRID_DESTS | {"polar"},
+            "partial": COMMON_DESTS | PATTERN_DESTS | GRID_DESTS,
+            "graph": COMMON_DESTS | PATTERN_DESTS | GRID_DESTS | CALIBRATION_DESTS | {"format"},
+            "invert": COMMON_DESTS | PATTERN_DESTS | GRID_DESTS | {"pair", "scaled"},
+            "pipeline": COMMON_DESTS | PATTERN_DESTS | GRID_DESTS | CALIBRATION_DESTS | {
+                "simulate_spec", "lags"},
+        }
+        _, registry = build_parser()
+        assert {
+            name: {a.dest for a in sub._actions if a.dest != "help"}
+            for name, sub in registry.items()
+        } == expected
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("sub", ["spectra", "partial", "graph", "invert", "pipeline"])
+    def test_include_dc_flag_is_gone(self, sub, capsys):
+        # dropping the flag silently would change the statistic such a
+        # command line asked for, so it stops with a usage error
+        with pytest.raises(SystemExit) as exc:
+            run([sub, "x.csv", "--include-dc"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --include-dc\n" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             run(["spectra", "x.csv", "--frobnicate"])

@@ -1,5 +1,6 @@
 """Edge statistics, thresholded graphs, null calibration, slice tables."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -71,13 +72,6 @@ class TestEdgeStatistics:
         assert es.argmax[0, 1].tolist() == [1, 0, 0]
         assert es.pair(1, 3) == 0.4
         assert es.argmax[0, 2].tolist() == [0, -1, 0]
-        assert not es.include_dc
-
-    def test_sup_with_dc(self):
-        pf = hand_field()
-        es = edge_statistics(replace(pf, grid=replace(pf.grid, include_dc=True)))
-        assert es.pair(1, 2) == 0.99
-        assert es.argmax[0, 1].tolist() == [0, 0, 0]
 
     def test_unresolvable_pair_is_nan_unreliable(self):
         es = edge_statistics(hand_field())
@@ -172,6 +166,14 @@ class TestSerialisation:
         back = graph_from_json(graph_to_json(g))
         assert back.equals(g)
 
+    def test_json_with_dc_key_still_reads(self):
+        # documents written before DC was always excluded carry this key
+        g = build_dependence_graph(hand_field(), xi=0.5)
+        doc = json.loads(graph_to_json(g))
+        assert "include_dc" not in doc
+        doc["include_dc"] = False
+        assert graph_from_json(json.dumps(doc)).equals(g)
+
     def test_json_format_guard(self):
         with pytest.raises(ValidationError):
             graph_from_json('{"format": "something-else"}')
@@ -222,6 +224,10 @@ class TestCalibration:
             calibrate_null_threshold(
                 simulate_binomial_null((10, 10), 2, seed=0), quantile=1.0
             )
+        with pytest.raises(ValidationError, match="seed"):
+            calibrate_null_threshold(
+                simulate_binomial_null((10, 10), 2, seed=0), replicates=1, seed=-1
+            )
 
 
 @pytest.fixture(scope="module")
@@ -267,12 +273,10 @@ class TestSliceGraphs:
     def test_temporal_half_width_must_vanish(self, gappy_pattern):
         # a slice has a single temporal ordinate, so for_slice() drops the
         # temporal half-width and the u range whatever the full-data spec says
-        spec = AnalysisSpec(FrequencyGrid.default(3, include_dc=True), (1, 1, 1))
+        spec = AnalysisSpec(FrequencyGrid.default(3), (1, 1, 1))
         sl = spec.for_slice()
         assert sl.half_widths == (1, 1, 0)
-        assert sl.grid == FrequencyGrid(
-            p_max=16, q_min=-16, q_max=16, u_min=0, u_max=0, include_dc=True
-        )
+        assert sl.grid == FrequencyGrid(p_max=16, q_min=-16, q_max=16, u_min=0, u_max=0)
         out = per_slice_graphs(gappy_pattern, xi=0.5, spec=spec)
         flat = per_slice_graphs(gappy_pattern, xi=0.5, spec=replace(spec, half_widths=(1, 1, 0)))
         for g, h in zip(out.graphs, flat.graphs):

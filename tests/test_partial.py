@@ -372,7 +372,6 @@ class TestPartialField:
     def test_labels_and_conditioning(self, smoothed):
         pf = partial_field(smoothed)
         assert pf.labels == smoothed.labels
-        assert pf.conditioning == "all-remaining"
 
     def test_index_validation(self, smoothed):
         pf = partial_field(smoothed)

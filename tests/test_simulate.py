@@ -77,6 +77,12 @@ class TestSpecValidation:
                 link_pairs=(LinkSpec(1, 2, 1.0, 0.0),),
             )
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            poisson_spec(seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_binomial_null([5, 5], T=1, seed=-1)
+
     def test_bad_mark_dist(self):
         with pytest.raises(ValidationError):
             poisson_spec(mark_dist="cauchy:0,1")
