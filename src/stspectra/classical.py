@@ -27,13 +27,15 @@ expectation of K exactly 2*pi*r^2*t.
 
 K, the pair correlation and the centred mark-weighted K share one
 close-pair engine.  ``_close_pairs`` keeps, block by block of first
-members, the pairs within the largest spatial support and the largest
-weighted lag of the (r, t) grid; ``_cell_sums`` then reduces those pairs
+members, the pairs within the largest spatial support (``reach``) and the
+largest weighted lag of the (r, t) grid.  It finds them through a cell
+index of the second members, so each first member meets only the partners
+in its 3 x 3 neighbouring cells.  ``_cell_sums`` then reduces those pairs
 to every cell's sum, applying the first member's eligibility, the spatial
 and temporal weights and the pair weight.  K and the pair correlation
-reduce each block as it comes, so memory stays bounded by the block; the
-mark statistics keep the whole pair list, which every mark permutation
-reuses.
+reduce each block as it comes, so memory stays bounded by the pairs within
+``reach`` of one block; the mark statistics keep the whole pair list, which
+every mark permutation reuses.
 """
 
 from __future__ import annotations
@@ -417,24 +419,55 @@ def _close_pairs(first, second, cells: _Cells):
     """The close pairs, one block of ``_PAIR_BLOCK`` first members at a time.
 
     first and second are (x, y, t, global index).  Each block yields the
-    pairs within the largest spatial support and the largest weighted lag
-    of the cells; self-pairs are excluded by global index."""
+    pairs within the largest spatial support (``reach``) and the largest
+    weighted lag of the cells, in row-major (i, j) order; self-pairs are
+    excluded by global index.
+
+    The second members are indexed once by square cells of side 1/m, m the
+    largest whole number with m * reach * (1 + 1e-9) <= 1.  The margin keeps
+    the side above ``reach`` after rounding: with side exactly ``reach`` the
+    rounded cell index can split a kept pair over two cells (at reach 0.1
+    and m = 10, x = 0.3 and 0.19999999999999998 land in cells 3 and 1).
+    Cell keys are row-major in (x cell, y cell), so the three cells of one
+    neighbouring x row are one run of the sorted members, and each first
+    member meets only the candidates of its 3 x 3 neighbouring cells.  The
+    found pairs are put back in (i, j) order by one sort per block."""
     xi, yi, ti, gi = first
-    xj, yj, tj, gj = second
+    xj, yj, _, _ = second
     border = _border_distance(xi, yi)
     reach = cells.supports.max()
     lag_max = cells.dmaxes.max()
+    m = max(int(1.0 / (reach * (1.0 + 1e-9))), 1)
+
+    def cell(v):  # a coordinate of exactly 1.0 lands in the last cell
+        return np.minimum((v * m).astype(np.intp), m - 1)
+
+    key = cell(xj) * m + cell(yj)
+    order = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[order], np.arange(m * m + 1))
+    xs, ys, ts, gs = (a[order] for a in second)
     for lo in range(0, xi.size, _PAIR_BLOCK):
         sl = slice(lo, lo + _PAIR_BLOCK)
-        dist = xi[sl, None] - xj
-        np.hypot(dist, yi[sl, None] - yj, out=dist)
-        i, j = np.nonzero(dist <= reach)
-        d = dist[i, j]
-        i += lo
-        lag = np.abs(ti[i] - tj[j])
-        keep = (lag <= lag_max) & (gi[i] != gj[j])
-        i = i[keep]
-        yield _Pairs(i, j[keep], d[keep], lag[keep], border[i], ti[i])
+        row, col = cell(xi[sl]), cell(yi[sl])
+        found = []
+        for step in (-1, 0, 1):
+            a = np.flatnonzero((row + step >= 0) & (row + step < m))
+            base = (row[a] + step) * m
+            begin = start[base + np.maximum(col[a] - 1, 0)]
+            count = start[base + np.minimum(col[a] + 1, m - 1) + 1] - begin
+            i = np.repeat(a + lo, count)
+            # positions in the sorted members: each run from its begin on
+            s = np.repeat(begin - np.cumsum(count) + count, count) + np.arange(i.size)
+            lag = np.abs(ti[i] - ts[s])
+            keep = np.flatnonzero((lag <= lag_max) & (gi[i] != gs[s]))
+            i, s, lag = i[keep], s[keep], lag[keep]
+            d = np.hypot(xi[i] - xs[s], yi[i] - ys[s])
+            near = np.flatnonzero(d <= reach)
+            found.append((i[near], order[s[near]], d[near], lag[near]))
+        i, j, d, lag = (np.concatenate(parts) for parts in zip(*found))
+        rank = np.argsort(i * xj.size + j)
+        i = i[rank]
+        yield _Pairs(i, j[rank], d[rank], lag[rank], border[i], ti[i])
 
 
 def _cell_sums(cells: _Cells, pairs: _Pairs, weight: np.ndarray) -> np.ndarray:

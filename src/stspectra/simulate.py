@@ -11,6 +11,7 @@ the output byte-for-byte; the algorithm name is recorded in provenance.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,17 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64"
 
 KINDS = ("homogeneous_poisson", "linked_cluster")
+
+
+def _spec_integer(value, name: str) -> int:
+    """A simulation document's whole-number entry, which must be a JSON
+    integer: a float, a bool or a numeric string is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(
+            f"simulation spec has an unreadable value: {name} must be an "
+            f"integer, got {json.dumps(value, default=repr)}"
+        )
+    return int(value)
 
 
 def _parse_mark_dist(text: str) -> tuple[float, float]:
@@ -146,19 +158,19 @@ class SimSpec:
         try:
             links = tuple(
                 LinkSpec(
-                    i=int(lp["i"]),
-                    j=int(lp["j"]),
+                    i=_spec_integer(lp["i"], f"'i' of link pair {k}"),
+                    j=_spec_integer(lp["j"], f"'j' of link pair {k}"),
                     offspring_rate=float(lp["offspring_rate"]),
                     dispersion=float(lp["dispersion"]),
                 )
-                for lp in doc.get("link_pairs", [])
+                for k, lp in enumerate(doc.get("link_pairs", []), 1)
             )
             return cls(
                 kind=doc["kind"],
                 rates=tuple(float(r) for r in doc["rates"]),
-                T=int(doc["T"]),
+                T=_spec_integer(doc["T"], "'T'"),
                 link_pairs=links,
-                seed=int(doc.get("seed", 0)),
+                seed=_spec_integer(doc.get("seed", 0), "'seed'"),
                 mark_dist=doc.get("mark_dist"),
             )
         except KeyError as exc:

@@ -151,3 +151,28 @@ def kernel_intensity_loop(x, y, t, T, eps, delta, cells, separable, queries):
             full += ks * kt
         out.append(space * time / n if separable else full)
     return out
+
+
+def close_pairs_dense(first, second, cells, block):
+    """The close pairs of ``classical._close_pairs`` by a dense search: each
+    block of ``block`` first members against every second member, through a
+    block x partners distance matrix whose row-major nonzeros give the
+    (i, j) order.  Yields one ``classical._Pairs`` per block."""
+    from stspectra.classical import _Pairs, _border_distance
+
+    xi, yi, ti, gi = first
+    xj, yj, tj, gj = second
+    border = _border_distance(xi, yi)
+    reach = cells.supports.max()
+    lag_max = cells.dmaxes.max()
+    for lo in range(0, xi.size, block):
+        sl = slice(lo, lo + block)
+        dist = xi[sl, None] - xj
+        np.hypot(dist, yi[sl, None] - yj, out=dist)
+        i, j = np.nonzero(dist <= reach)
+        d = dist[i, j]
+        i += lo
+        lag = np.abs(ti[i] - tj[j])
+        keep = (lag <= lag_max) & (gi[i] != gj[j])
+        i = i[keep]
+        yield _Pairs(i, j[keep], d[keep], lag[keep], border[i], ti[i])

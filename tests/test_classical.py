@@ -28,7 +28,7 @@ from stspectra.errors import DomainError, ValidationError
 from stspectra.ingest import MultiPattern, Window
 
 from conftest import build_pattern
-from oracles import kernel_intensity_loop
+from oracles import close_pairs_dense, kernel_intensity_loop
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,25 @@ def naive_marked_k(comp, r, t):
             w = table[abs(int(tt[i]) - int(tt[j]))]
             total += w * (marks[i] * marks[j] / (mbar * mbar) - 1.0)
     return total / (lam * lam * side * side * steps)
+
+
+def child_peak_mib(script):
+    """Peak resident memory, in MiB, of a fresh interpreter running
+    ``script`` against this checkout's package."""
+    script += (
+        "import resource\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(stspectra.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +280,94 @@ class TestPairCorrelationOracle:
         assert rows[0][:2] == (0.1, 1.0)
 
 
+def pair_search_cells(reach, lag_max):
+    """The (r, t) cells as far as the pair search reads them: the largest
+    support and the largest weighted lag.  Built directly, since a reach of
+    half the window or more leaves no eroded domain for ``_cells``."""
+    return classical._Cells(
+        r=np.array([reach]), t=np.array([1.0]), eps=None, tables=np.ones((1, 8)), T=8,
+        supports=np.array([reach]), dmaxes=np.array([lag_max]), measure=np.ones((1, 1)),
+    )
+
+
+def pair_search_events(reach, n=400, seed=8):
+    """(x, y, t, global index) of events on and off the cell borders.
+
+    A third are uniform; a third sit on multiples of 1/q (q = 1..12, which
+    holds every cell border for reach >= 0.08) or of reach/2, or on one of
+    their float neighbours; a third take one coordinate from each.  x = 1.0
+    and y = 1.0 are among the border values, and so are 0.3 and
+    0.19999999999999998.  The last four events form two pairs at distance
+    exactly ``reach``, one along each axis."""
+    rng = np.random.default_rng(seed)
+    border = np.unique(np.r_[
+        [k / q for q in range(1, 13) for k in range(q + 1)],
+        np.arange(0.0, 1.0, reach / 2),
+        0.3, 0.19999999999999998,
+    ])
+    border = np.r_[border, np.nextafter(border, -1.0)[1:], np.nextafter(border, 2.0)[:-1]]
+    third = n // 3
+    x = np.r_[rng.random(third), rng.choice(border, third), rng.choice(border, n - 2 * third)]
+    y = np.r_[rng.random(third), rng.choice(border, third), rng.random(n - 2 * third)]
+    x[-4:] = 0.0, reach, 0.25, 0.25
+    y[-4:] = 0.5, 0.5, 0.0, reach
+    t = rng.integers(1, 9, n)
+    t[-4:] = 1
+    return x, y, t, np.arange(n)
+
+
+class TestClosePairs:
+    """The cell-index pair search against the dense block x partners search."""
+
+    @pytest.mark.parametrize("reach", [0.5, 0.7, 0.1, 0.25, 0.13, 0.03])
+    @pytest.mark.parametrize("sets", ["same", "overlapping", "disjoint", "empty-second"])
+    @pytest.mark.parametrize("block", [7, classical._PAIR_BLOCK])
+    def test_matches_dense_search(self, monkeypatch, reach, sets, block):
+        monkeypatch.setattr(classical, "_PAIR_BLOCK", block)
+        events = pair_search_events(reach)
+        take = {
+            "same": (slice(None), slice(None)),
+            "overlapping": (slice(0, 300), slice(150, None)),
+            "disjoint": (slice(0, 200), slice(200, None)),
+            "empty-second": (slice(None), slice(0, 0)),
+        }[sets]
+        first, second = (tuple(a[part] for a in events) for part in take)
+        cells = pair_search_cells(reach, lag_max=2)
+        got = list(classical._close_pairs(first, second, cells))
+        want = list(close_pairs_dense(first, second, cells, block))
+        assert len(got) == len(want) == -(-first[0].size // block)
+        for g, w in zip(got, want):
+            for name, a, b in zip(classical._Pairs._fields, g, w):
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+        if sets == "same":
+            assert (np.concatenate([w.dist for w in want]) == reach).sum() >= 4
+
+    def test_pair_across_a_rounded_cell_border(self):
+        # at reach 0.1, cells of side exactly 0.1 put these x in cells 3 and 1
+        x = np.array([0.3, 0.19999999999999998])
+        events = (x, np.full(2, 0.5), np.ones(2, dtype=np.int64), np.arange(2))
+        (pairs,) = classical._close_pairs(events, events, pair_search_cells(0.1, 0))
+        np.testing.assert_array_equal(pairs.i, [0, 1])
+        np.testing.assert_array_equal(pairs.j, [1, 0])
+
+    def test_memory_is_bounded_by_the_pairs_in_reach(self):
+        # a dense block x partners search peaks above 500 MiB here
+        script = (
+            "import numpy as np\n"
+            "from stspectra import MultiPattern, Window, estimate_pair_correlation\n"
+            "rng = np.random.default_rng(7)\n"
+            "n = 13000\n"
+            "pat = MultiPattern(x=rng.random(n), y=rng.random(n),\n"
+            "    t=rng.integers(1, 9, n), type_id=rng.integers(1, 4, n),\n"
+            "    labels=('a', 'b', 'c'), window=Window(0.0, 1.0, 0.0, 1.0, T=8))\n"
+            "est = estimate_pair_correlation(pat.pooled(), [0.02, 0.05, 0.1], [1.0])\n"
+            "assert np.isfinite(est.values).all()\n"
+        )
+        peak_mib = child_peak_mib(script)
+        assert peak_mib < 300, f"peak RSS {peak_mib:.0f} MiB"
+
+
 class TestIntensity:
     def test_spatial_mass_is_event_count(self, oracle_pattern):
         surf = estimate_spatial_intensity(oracle_pattern)
@@ -335,7 +442,6 @@ class TestIntensity:
         # an unblocked sum over events holds a queries x events matrix and
         # peaks above 800 MiB here
         script = (
-            "import resource\n"
             "import numpy as np\n"
             "from stspectra import MultiPattern, Window, estimate_intensity\n"
             "rng = np.random.default_rng(5)\n"
@@ -346,18 +452,8 @@ class TestIntensity:
             "src = pat.pooled()\n"
             "v = estimate_intensity(src).at(src.x, src.y, src.t)\n"
             "assert np.isfinite(v).all() and (v > 0).all()\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        src = str(Path(stspectra.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        peak_mib = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        peak_mib = child_peak_mib(script)
         assert peak_mib < 450, f"peak RSS {peak_mib:.0f} MiB"
 
     def test_separable_evaluates_pointwise(self, oracle_pattern):

@@ -609,6 +609,24 @@ class TestPipeline:
         assert report["error"] == "validation"
         assert named in report["message"]
 
+    @pytest.mark.parametrize(
+        "key, value", [("T", 2.9), ("seed", True), ("T", "2")],
+        ids=["float", "bool", "numeric-string"],
+    )
+    def test_non_integer_simulate_entry_reports_json(self, tmp_path, capsys, key, value):
+        doc = dict(json.loads(self.SPEC), **{key: value})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run(
+            ["pipeline", "--simulate", spec, "--xi", "0.5", "--out", tmp_path / "x"]
+        ) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "validation"
+        assert f"'{key}' must be an integer" in report["message"]
+        assert not (tmp_path / "x" / "events.csv").exists()
+
     def test_undecodable_simulate_file_reports_json(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_bytes(b'{"kind": "\xff\xfe"}')

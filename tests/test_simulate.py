@@ -107,6 +107,26 @@ class TestSpecValidation:
         assert doc["rng"] == RNG_ALGORITHM
         assert SimSpec.from_dict(doc) == spec
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("T", 2.9, "'T' must be an integer, got 2.9"),
+            ("seed", True, "'seed' must be an integer, got true"),
+            ("T", "3", "'T' must be an integer, got \"3\""),
+            ("i", 1.0, "'i' of link pair 1 must be an integer, got 1.0"),
+        ],
+        ids=["float", "bool", "numeric-string", "float-link-index"],
+    )
+    def test_dict_integers_are_not_coerced(self, key, value, named):
+        doc = json.loads(json.dumps(linked_spec().to_dict()))
+        if key == "i":
+            doc["link_pairs"][0]["i"] = value
+        else:
+            doc[key] = value
+        with pytest.raises(ValidationError) as exc:
+            SimSpec.from_dict(doc)
+        assert named in str(exc.value)
+
     def test_rng_is_philox(self):
         assert RNG_ALGORITHM == "philox4x64"
 
