@@ -57,11 +57,8 @@ from .spectra import (
     theta_spectrum,
 )
 from .partial import (
-    InverseField,
     PairConditional,
     PartialField,
-    invert_spectral_matrix,
-    partial_coherence_three,
     partial_cross_spectrum_direct,
     partial_dot_spectrum,
     partial_field,
@@ -84,7 +81,6 @@ from .graph import (
 from .inverse import (
     LagField,
     PartialLagSet,
-    forward_from_lags,
     inverse_transform,
     partial_cross_lags,
     partial_lag_characteristics,
@@ -117,16 +113,14 @@ __all__ = [
     "default_half_widths", "dft", "dot_multiple_gap", "dot_spectrum",
     "gain_dot_spectrum", "gain_spectrum", "marked_dft", "multiple_coherence",
     "periodogram_matrix", "r_spectrum", "smooth_spectra", "theta_spectrum",
-    "InverseField", "PairConditional", "PartialField", "invert_spectral_matrix",
-    "partial_coherence_three", "partial_cross_spectrum_direct", "partial_dot_spectrum",
-    "partial_field",
+    "PairConditional", "PartialField", "partial_cross_spectrum_direct",
+    "partial_dot_spectrum", "partial_field",
     "CalibrationResult", "DependenceGraph", "EdgeStatistics", "SliceGraphs",
     "build_dependence_graph", "calibrate_null_threshold", "edge_statistics",
     "graph_from_json", "graph_to_dot", "graph_to_json", "partial_pipeline",
     "per_slice_graphs", "spectral_fields",
-    "LagField", "PartialLagSet", "forward_from_lags", "inverse_transform",
-    "partial_cross_lags", "partial_lag_characteristics", "scaled_covariance",
-    "symmetrise_scalar",
+    "LagField", "PartialLagSet", "inverse_transform", "partial_cross_lags",
+    "partial_lag_characteristics", "scaled_covariance", "symmetrise_scalar",
     "CurveEstimate", "estimate_intensity", "estimate_k", "estimate_pair_correlation",
     "estimate_spatial_intensity", "estimate_temporal_intensity",
     "mark_permutation_envelope", "mark_weighted_k", "poisson_k", "scott_bandwidths",

@@ -5,7 +5,8 @@ mirror-extends them by conjugate symmetry f(-w) = conj(f(w)), then applies
 the discrete inverse sum with the exp(+i...) kernel and 1/|grid|
 normalisation on the conjugate lag lattice (spatial lags on multiples of
 1/(2*p_max+1), integer time lags).  On that lattice the forward and inverse
-sums are an exact transform pair, which the round-trip tests pin down.
+sums are an exact transform pair, which the round-trip tests pin down
+against a forward-sum oracle.
 
 The zero-lag ordinate carries the point-mass (Dirac) part of the covariance
 and is reported separately from the continuous part.
@@ -26,7 +27,6 @@ __all__ = [
     "PartialLagSet",
     "symmetrise_scalar",
     "inverse_transform",
-    "forward_from_lags",
     "partial_lag_characteristics",
     "partial_cross_lags",
     "scaled_covariance",
@@ -50,10 +50,6 @@ class LagField:
     h: np.ndarray
     values: np.ndarray
     kind: str
-    p_full: np.ndarray
-    q_full: np.ndarray
-    u_full: np.ndarray
-    T: int
     pair: tuple[int, int] | None = None
 
     @property
@@ -167,28 +163,8 @@ def inverse_transform(
         h=h,
         values=out.real.copy(),
         kind=kind,
-        p_full=p_full,
-        q_full=q_full,
-        u_full=u_full,
-        T=T,
         pair=pair,
     )
-
-
-def forward_from_lags(lag: LagField) -> np.ndarray:
-    """Forward transform of a lag field back onto the symmetrised frequency
-    grid — the exact inverse of :func:`inverse_transform` on its lattice."""
-    ep = np.exp(
-        (-2j * np.pi) * np.multiply.outer(lag.p_full.astype(float), lag.c_x)
-    )
-    eq = np.exp(
-        (-2j * np.pi) * np.multiply.outer(lag.q_full.astype(float), lag.c_y)
-    )
-    eu = np.exp(
-        (-2j * np.pi / lag.T)
-        * np.multiply.outer(lag.u_full.astype(float), lag.h.astype(float))
-    )
-    return np.einsum("pa,qb,uc,abc->pqu", ep, eq, eu, lag.values, optimize=True)
 
 
 def _require_nonsingular(pf: PartialField) -> None:

@@ -2,18 +2,18 @@
 
 Everything here operates on a smoothed spectral matrix field.  Each
 conditioning question has one route.  Conditioning on all remaining
-components goes through the per-ordinate inverse
-(:func:`invert_spectral_matrix`, ridged where the matrix is ill
-conditioned), and :func:`partial_field` is the only place that turns it
-into statistics: the rescaled inverse densities |d_ij| (the
-dependence-graph statistic), the partial coherencies and the
+components goes through :func:`partial_field`, the one inversion entry
+point: it inverts the matrix at every ordinate (ridged where the matrix is
+ill conditioned) and turns the inverse into the rescaled inverse densities
+|d_ij| (the dependence-graph statistic), the partial coherencies and the
 pair-conditioned cross- and auto-spectra, which the partial table, the
-graph and the lag outputs all read.  Conditioning on an
-explicit subset goes through the Schur complement on the conditioning
-block (:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`,
-and ``spectra.multiple_coherence``).  The two routes agree analytically
-where both apply; tests pin the agreement numerically.  The marked variants
-are the identical machinery applied to a marked spectral field.
+graph and the lag outputs all read; its :class:`PartialField` also keeps
+the ridged inverse.  Conditioning on an explicit subset goes through the
+Schur complement on the conditioning block
+(:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`, and
+``spectra.multiple_coherence``).  The two routes agree analytically where
+both apply; tests pin the agreement numerically.  The marked variants are
+the identical machinery applied to a marked spectral field.
 """
 
 from __future__ import annotations
@@ -22,27 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFieldError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import DegenerateFieldError, ValidationError
 from .spectra import (
     FrequencyGrid,
     SpectralField,
     _component_indices,
-    _grid_point,
+    _require_smoothed,
     _schur_projection,
 )
 
 __all__ = [
-    "InverseField",
     "PartialField",
     "PairConditional",
-    "invert_spectral_matrix",
     "partial_field",
     "partial_cross_spectrum_direct",
-    "partial_coherence_three",
     "partial_dot_spectrum",
 ]
 
@@ -51,30 +44,14 @@ RIDGE_FRACTIONS = (1e-8, 1e-6, 1e-4)
 
 
 @dataclass(frozen=True, eq=False)
-class InverseField:
-    """Per-ordinate inverse of a spectral matrix field.
-
-    ridge holds the diagonal-loading fraction actually applied at each
-    ordinate (0 where the plain inverse was well conditioned); singular marks
-    ordinates where every escalation step failed — their inverse entries are
-    NaN and downstream statistics are flagged unreliable.
-    """
-
-    values: np.ndarray
-    ridge: np.ndarray
-    singular: np.ndarray
-    grid: FrequencyGrid
-    labels: tuple[str, ...]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
 class PartialField:
-    """All-pairs partial statistics, conditioned on the remaining components.
+    """All-pairs partial statistics, conditioned on the remaining components,
+    and the per-ordinate inverse they are read from.
 
+    inverse[..., i, j] is b_ij, the inverse of the smoothed spectral matrix
+    after the diagonal-loading fraction in ``ridge`` (0 where the plain
+    inverse was well conditioned); ``singular`` marks ordinates where every
+    ridge step failed, whose inverse and statistics are NaN.
     abs_d[..., i, j] is the rescaled inverse density |b_ij|/sqrt(b_ii*b_jj)
     (the sup of which drives the dependence graph); coherency is the signed
     complex partial coherency -b_ij/sqrt(b_ii*b_jj); cross and auto are the
@@ -86,6 +63,7 @@ class PartialField:
     abs_d: np.ndarray
     cross: np.ndarray
     auto: np.ndarray
+    inverse: np.ndarray
     ridge: np.ndarray
     singular: np.ndarray
     grid: FrequencyGrid
@@ -105,10 +83,6 @@ class PartialField:
 
 
 def _as_matrix_field(field: SpectralField) -> np.ndarray:
-    if field.kind != "smoothed":
-        raise ValidationError(
-            "inversion operates on the smoothed field, not the raw periodogram"
-        )
     d = field.d
     if d < 2:
         raise ValidationError("need d >= 2 components")
@@ -137,13 +111,13 @@ def _as_matrix_field(field: SpectralField) -> np.ndarray:
     return field.values
 
 
-def _gershgorin_certified(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
+def _gershgorin_certified(mats: np.ndarray, threshold: float) -> np.ndarray:
     """Which matrices of a stack of Hermitian matrices Gershgorin discs
-    prove to have a condition number of at most ``cond_threshold``.
+    prove to have a condition number of at most ``threshold``.
 
     Every eigenvalue of a Hermitian matrix lies in [lo, hi] with
     lo = min_i(a_ii - R_i), hi = max_i(a_ii + R_i) and R_i the off-diagonal
-    absolute row sum, so lo > 0 and hi / lo <= cond_threshold / 2 bound the
+    absolute row sum, so lo > 0 and hi / lo <= threshold / 2 bound the
     condition number; the factor 2 absorbs rounding in lo, hi and in the
     eigenvalues the exact test would use.  Non-finite matrices, near-singular
     ones and strongly coherent ones are not certified.
@@ -153,41 +127,43 @@ def _gershgorin_certified(mats: np.ndarray, cond_threshold: float) -> np.ndarray
         radius = np.abs(mats).sum(axis=-1) - np.abs(diag)
         lo = (diag - radius).min(axis=-1)
         hi = (diag + radius).max(axis=-1)
-        return (lo > 0) & (hi <= 0.5 * cond_threshold * lo)
+        return (lo > 0) & (hi <= 0.5 * threshold * lo)
 
 
-def _well_conditioned(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
+def _well_conditioned(mats: np.ndarray, threshold: float) -> np.ndarray:
     """Whether each matrix of a stack of Hermitian matrices has a finite
     2-norm condition number max|lambda| / min|lambda| of at most
-    ``cond_threshold``.
+    ``threshold``.
 
     Matrices :func:`_gershgorin_certified` passes need no eigensolve; the
     rest get their eigenvalues from eigvalsh.  Matrices with non-finite
     entries, on which eigvalsh returns arbitrary values without an error,
     are never well conditioned.
     """
-    ok = _gershgorin_certified(mats, cond_threshold)
+    ok = _gershgorin_certified(mats, threshold)
     rest = np.nonzero(~ok)[0]
     rest = rest[np.isfinite(mats[rest]).all(axis=(-2, -1))]
     if rest.size:
         with np.errstate(all="ignore"):
             lam = np.abs(np.linalg.eigvalsh(mats[rest]))
             cond = lam.max(axis=-1) / lam.min(axis=-1)
-        ok[rest] = np.isfinite(cond) & (cond <= cond_threshold)
+        ok[rest] = np.isfinite(cond) & (cond <= threshold)
     return ok
 
 
-def invert_spectral_matrix(
-    field: SpectralField, cond_threshold: float = COND_THRESHOLD
-) -> InverseField:
-    """Invert the d x d matrix at every ordinate, with ridge escalation.
+def _ridged_inverse(
+    field: SpectralField,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the d x d matrix at every ordinate, with ridge escalation;
+    returns (inverse, ridge, singular) over the grid.
 
     Ordinates whose condition number (from the eigenvalues, the matrices
     being Hermitian; see :func:`_well_conditioned`) exceeds
-    ``cond_threshold`` get diagonal loading eps*(trace/d)*I with eps
-    escalating through ``RIDGE_FRACTIONS`` until the condition number
-    passes; the applied eps is recorded.  If no step passes, the ordinate is
-    flagged singular (NaN inverse) rather than aborting the run.
+    ``COND_THRESHOLD``, read at call time, get diagonal loading
+    eps*(trace/d)*I with eps escalating through ``RIDGE_FRACTIONS`` until
+    the condition number passes; the applied eps is recorded.  If no step
+    passes, the ordinate is flagged singular (NaN inverse) rather than
+    aborting the run.
     """
     values = _as_matrix_field(field)
     d = field.d
@@ -197,7 +173,7 @@ def invert_spectral_matrix(
 
     work = flat.copy()
     ridge = np.zeros(n)
-    bad = ~_well_conditioned(work, cond_threshold)
+    bad = ~_well_conditioned(work, COND_THRESHOLD)
     eye = np.eye(d)
     for eps in RIDGE_FRACTIONS:
         if not bad.any():
@@ -205,7 +181,7 @@ def invert_spectral_matrix(
         idx = np.nonzero(bad)[0]
         tr = np.einsum("kii->k", flat[idx]).real / d
         candidate = flat[idx] + (eps * tr)[:, None, None] * eye
-        ok = _well_conditioned(candidate, cond_threshold)
+        ok = _well_conditioned(candidate, COND_THRESHOLD)
         work[idx[ok]] = candidate[ok]
         ridge[idx[ok]] = eps
         bad[idx[ok]] = False
@@ -215,25 +191,20 @@ def invert_spectral_matrix(
     good = ~singular
     if good.any():
         inv[good] = np.linalg.inv(work[good])
-    return InverseField(
-        values=inv.reshape(values.shape),
-        ridge=ridge.reshape(shape),
-        singular=singular.reshape(shape),
-        grid=field.grid,
-        labels=field.labels,
-    )
+    return inv.reshape(values.shape), ridge.reshape(shape), singular.reshape(shape)
 
 
 def partial_field(field: SpectralField) -> PartialField:
-    """All-pairs partial statistics through the inverse route.
+    """All-pairs partial statistics through the ridged per-ordinate inverse
+    (see :func:`_ridged_inverse`).
 
     The pair-conditioned spectra come from the 2x2 block identity: with
     B the inverse matrix and det = b_ii*b_jj - |b_ij|^2,
     f_ij|rest = -b_ij/det,  f_ii|rest = b_jj/det.
     """
-    inv = invert_spectral_matrix(field)
-    b = inv.values
-    d = inv.d
+    _require_smoothed(field)
+    b, ridge, singular = _ridged_inverse(field)
+    d = field.d
     diag = np.arange(d)
     bii = b[..., diag, diag].real  # (P,Q,U,d)
     bij2 = b * np.conj(b)
@@ -248,23 +219,24 @@ def partial_field(field: SpectralField) -> PartialField:
         )
     for arr, fill in ((coherency, 0), (abs_d, 0.0), (cross, 0), (auto, 0)):
         arr[..., diag, diag] = fill
-        arr[inv.singular] = np.nan
+        arr[singular] = np.nan
     return PartialField(
         coherency=coherency,
         abs_d=abs_d,
         cross=cross,
         auto=auto,
-        ridge=inv.ridge,
-        singular=inv.singular,
-        grid=inv.grid,
-        labels=inv.labels,
+        inverse=b,
+        ridge=ridge,
+        singular=singular,
+        grid=field.grid,
+        labels=field.labels,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class PairConditional:
-    """Direct-route pair statistics: f_ij|rest, the two conditional autos,
-    and the normalised complex coherency."""
+    """Direct-route pair statistics given the conditioning set: f_ij|J, the
+    two conditional autos, and the normalised complex coherency."""
 
     cross: np.ndarray
     auto_i: np.ndarray
@@ -277,20 +249,18 @@ def partial_cross_spectrum_direct(
     field: SpectralField,
     i: int,
     j: int,
-    conditioning: tuple[int, ...] | list[int] | None = None,
+    conditioning: tuple[int, ...] | list[int],
 ) -> PairConditional:
-    """Direct (Schur complement) route:
-    f_ij|rest = f_ij - f_i,rest * f_rest,rest^{-1} * f_rest,j.
+    """Direct (Schur complement) route, conditioned on the set J =
+    ``conditioning``:
+    f_ij|J = f_ij - f_iJ * f_JJ^{-1} * f_Jj.
 
-    ``conditioning`` defaults to every component except i and j; pass an
-    explicit tuple to condition on a subset.  With an empty conditioning set
-    (d = 2) the partial quantities reduce to the ordinary ones exactly.
+    Conditioning on every other component goes through
+    :func:`partial_field` instead.  With an empty conditioning set the
+    partial quantities reduce to the ordinary ones exactly.
     """
-    if conditioning is None:
-        rest = tuple(k for k in range(1, field.d + 1) if k not in (i, j))
-    else:
-        rest = tuple(conditioning)
-    proj = _schur_projection(field, (i, j), rest)
+    J = tuple(conditioning)
+    proj = _schur_projection(field, (i, j), J)
     cross = field.entry(i, j) - proj[..., 0, 1]
     auto_i = (field.entry(i, i) - proj[..., 0, 0]).real
     auto_j = (field.entry(j, j) - proj[..., 1, 1]).real
@@ -304,45 +274,8 @@ def partial_cross_spectrum_direct(
         auto_i=auto_i,
         auto_j=auto_j,
         coherency=coherency,
-        conditioning=rest,
+        conditioning=J,
     )
-
-
-def partial_coherence_three(
-    field: SpectralField, i: int, j: int, k: int
-) -> np.ndarray:
-    """Three-component shortcut: partial coherency of (i,j) given k alone,
-
-        R_ij|k = (R_ij - R_ik * R_kj) / sqrt((1-|R_ik|^2) * (1-|R_jk|^2)),
-
-    with complex coherencies R_ab = f_ab / sqrt(f_aa * f_bb) throughout.
-    This is the composition that reproduces the matrix-inversion route (the
-    numerator product is conjugate-ordered, the denominator terms are real).
-    Perfect collinearity with k (|R| -> 1) raises a singularity error.
-    """
-    _component_indices(field.d, (i, j, k))
-
-    def coherency_of(a, b):
-        den2 = field.entry(a, a).real * field.entry(b, b).real
-        if (den2 <= 0).any():
-            raise SingularMatrixError(
-                "vanishing auto-spectrum",
-                grid_point=_grid_point(field.grid, np.argmax(den2 <= 0)),
-            )
-        return field.entry(a, b) / np.sqrt(den2)
-
-    r_ij = coherency_of(i, j)
-    r_ik = coherency_of(i, k)
-    r_kj = coherency_of(k, j)
-    m_ik = (r_ik * np.conj(r_ik)).real
-    m_jk = (np.conj(r_kj) * r_kj).real
-    bad = (m_ik >= 1.0) | (m_jk >= 1.0)
-    if bad.any():
-        raise SingularMatrixError(
-            "component perfectly coherent with the conditioning component",
-            grid_point=_grid_point(field.grid, np.argmax(bad)),
-        )
-    return (r_ij - r_ik * r_kj) / np.sqrt((1.0 - m_ik) * (1.0 - m_jk))
 
 
 def partial_dot_spectrum(

@@ -11,6 +11,7 @@ the output byte-for-byte; the algorithm name is recorded in provenance.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +45,31 @@ def _spec_integer(value, name: str) -> int:
             f"integer, got {json.dumps(value, default=repr)}"
         )
     return int(value)
+
+
+def _spec_list(value, name: str) -> list:
+    """A simulation document's list entry, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ValidationError(
+            f"simulation spec has an unreadable value: {name} must be a list, "
+            f"got {json.dumps(value, default=repr)}"
+        )
+    return value
+
+
+def _spec_real(value, name: str) -> float:
+    """A simulation spec's real-valued entry, which must be a finite number:
+    a bool, a string, NaN or an infinity is refused, not coerced."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValidationError(
+            f"simulation spec has an unreadable value: {name} must be a "
+            f"finite number, got {json.dumps(value, default=repr)}"
+        )
+    return float(value)
 
 
 def _parse_mark_dist(text: str) -> tuple[float, float]:
@@ -88,15 +114,22 @@ class SimSpec:
     mark_dist: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        object.__setattr__(
-            self,
-            "link_pairs",
-            tuple(
-                lp if isinstance(lp, LinkSpec) else LinkSpec(*lp)
-                for lp in self.link_pairs
-            ),
+        rates = tuple(
+            _spec_real(r, f"entry {k} of 'rates'") for k, r in enumerate(self.rates, 1)
         )
+        links = []
+        for k, lp in enumerate(self.link_pairs, 1):
+            lp = lp if isinstance(lp, LinkSpec) else LinkSpec(*lp)
+            links.append(
+                LinkSpec(
+                    lp.i,
+                    lp.j,
+                    _spec_real(lp.offspring_rate, f"'offspring_rate' of link pair {k}"),
+                    _spec_real(lp.dispersion, f"'dispersion' of link pair {k}"),
+                )
+            )
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "link_pairs", tuple(links))
         if self.kind not in KINDS:
             raise ValidationError(f"unknown simulation kind {self.kind!r}")
         if len(self.rates) < 2:
@@ -156,18 +189,19 @@ class SimSpec:
         if not isinstance(doc, dict):
             raise ValidationError("simulation spec must be a JSON object")
         try:
+            pairs = _spec_list(doc.get("link_pairs", []), "'link_pairs'")
             links = tuple(
                 LinkSpec(
                     i=_spec_integer(lp["i"], f"'i' of link pair {k}"),
                     j=_spec_integer(lp["j"], f"'j' of link pair {k}"),
-                    offspring_rate=float(lp["offspring_rate"]),
-                    dispersion=float(lp["dispersion"]),
+                    offspring_rate=lp["offspring_rate"],
+                    dispersion=lp["dispersion"],
                 )
-                for k, lp in enumerate(doc.get("link_pairs", []), 1)
+                for k, lp in enumerate(pairs, 1)
             )
             return cls(
                 kind=doc["kind"],
-                rates=tuple(float(r) for r in doc["rates"]),
+                rates=_spec_list(doc["rates"], "'rates'"),
                 T=_spec_integer(doc["T"], "'T'"),
                 link_pairs=links,
                 seed=_spec_integer(doc.get("seed", 0), "'seed'"),

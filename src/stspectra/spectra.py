@@ -168,8 +168,7 @@ class AnalysisSpec:
 class DftVector:
     """Stacked component transforms over a frequency grid.
 
-    values: complex array (d, P, Q, U); counts: events per component;
-    marked: whether summands carry centred mark weights.
+    values: complex array (d, P, Q, U); counts: events per component.
     """
 
     values: np.ndarray
@@ -177,8 +176,6 @@ class DftVector:
     grid: FrequencyGrid
     T: int
     labels: tuple[str, ...]
-    marked: bool = False
-    mark_means: np.ndarray | None = None
 
     def __post_init__(self):
         if self.values.shape != (self.counts.size,) + self.grid.shape:
@@ -271,11 +268,10 @@ def _transform(pattern: MultiPattern, grid: FrequencyGrid, marked: bool) -> DftV
     _check_unit(pattern)
     if marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
-    comps = [pattern.component(i + 1) for i in range(pattern.d)]
-    means = np.array([c.marks.mean() for c in comps]) if marked else None
     values = np.empty((pattern.d,) + grid.shape, dtype=np.complex128)
-    for i, c in enumerate(comps):
-        weights = c.marks - means[i] if marked else None
+    for i in range(pattern.d):
+        c = pattern.component(i + 1)
+        weights = c.marks - c.marks.mean() if marked else None
         values[i] = _dft_single(c.x, c.y, c.t, pattern.T, grid, weights)
     return DftVector(
         values=values,
@@ -283,8 +279,6 @@ def _transform(pattern: MultiPattern, grid: FrequencyGrid, marked: bool) -> DftV
         grid=grid,
         T=pattern.T,
         labels=pattern.labels,
-        marked=marked,
-        mark_means=means,
     )
 
 
@@ -329,7 +323,6 @@ class SpectralField:
     T: int
     labels: tuple[str, ...]
     half_widths: tuple[int, int, int] | None = None
-    marked: bool = False
 
     @property
     def d(self) -> int:
@@ -391,7 +384,6 @@ def periodogram_matrix(
         counts=dfts.counts,
         T=dfts.T,
         labels=dfts.labels,
-        marked=dfts.marked,
     )
 
 
@@ -510,7 +502,6 @@ def smooth_spectra(
         T=field.T,
         labels=field.labels,
         half_widths=(hp, hq, hu),
-        marked=field.marked,
     )
 
 
@@ -549,14 +540,26 @@ def _component_indices(d: int, *sets) -> list[list[int]]:
     return [[k - 1 for k in s] for s in sets]
 
 
+def _require_smoothed(field: SpectralField) -> None:
+    """Refuse the raw periodogram where a statistic needs the smoothed field:
+    its rank-1 matrices make every conditional and dot statistic degenerate
+    (multiple coherence 1, partial spectra 0 or NaN)."""
+    if field.kind != "smoothed":
+        raise ValidationError(
+            "conditional and dot statistics read the smoothed field, not the "
+            "raw periodogram"
+        )
+
+
 def _schur_projection(field: SpectralField, rows, J, cols=None) -> np.ndarray:
-    """The projection f_RJ f_JJ^{-1} f_JC at every ordinate, shape
-    grid + (|R|, |C|), for 1-based component sets R = ``rows``, J and
-    C = ``cols``.  The sets must be disjoint, except that C defaults to R
-    itself; an empty J gives zeros.
+    """The projection f_RJ f_JJ^{-1} f_JC at every ordinate of a smoothed
+    field, shape grid + (|R|, |C|), for 1-based component sets R = ``rows``,
+    J and C = ``cols``.  The sets must be disjoint, except that C defaults
+    to R itself; an empty J gives zeros.
 
     Raises SingularMatrixError at the first ordinate whose f_JJ is singular.
     """
+    _require_smoothed(field)
     if cols is None:
         R, Jx = _component_indices(field.d, rows, J)
         C = R
@@ -625,8 +628,7 @@ def dot_spectrum(field: SpectralField, i: int) -> DotSpectrum:
     n_dot = sum_{j != i} n_j, counts below 1 counting as 1 as in
     :func:`periodogram_matrix`.
     """
-    if field.kind != "smoothed":
-        raise ValidationError("dot spectra read the smoothed field")
+    _require_smoothed(field)
     _component_indices(field.d, (i,))
     if field.d < 2:
         raise ValidationError("dot spectrum needs d >= 2")

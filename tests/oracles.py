@@ -97,6 +97,42 @@ def dot_spectra_from_transforms(dfts, i, half_widths, normalisation):
     return cross, auto_i, auto_dot, coh
 
 
+def partial_coherence_three(field, i, j, k):
+    """The partial coherency of (i, j) given k alone, composed from the
+    complex coherencies R_ab = f_ab / sqrt(f_aa * f_bb):
+
+        R_ij|k = (R_ij - R_ik * R_kj) / sqrt((1-|R_ik|^2) * (1-|R_jk|^2)).
+
+    The third route to the partial coherency at d = 3, beside the inverse
+    (``partial_field``) and the Schur complement
+    (``partial_cross_spectrum_direct``)."""
+
+    def coherency(a, b):
+        return field.entry(a, b) / np.sqrt(
+            field.entry(a, a).real * field.entry(b, b).real
+        )
+
+    r_ij, r_ik, r_kj = coherency(i, j), coherency(i, k), coherency(k, j)
+    return (r_ij - r_ik * r_kj) / np.sqrt(
+        (1.0 - np.abs(r_ik) ** 2) * (1.0 - np.abs(r_kj) ** 2)
+    )
+
+
+def forward_from_lags(lag):
+    """The forward sum of a lag field back onto the symmetrised frequency
+    grid of ``inverse_transform``: the exact inverse of that transform on
+    its lag lattice.  The frequencies follow from the lattice: c_x holds
+    p / Ps for p in -p_max..p_max, c_y likewise for q, and h holds the T
+    temporal ordinates, which double as the time lags."""
+    p = np.rint(lag.c_x * lag.c_x.size)
+    q = np.rint(lag.c_y * lag.c_y.size)
+    u = lag.h.astype(float)
+    ep = np.exp((-2j * np.pi) * np.multiply.outer(p, lag.c_x))
+    eq = np.exp((-2j * np.pi) * np.multiply.outer(q, lag.c_y))
+    eu = np.exp((-2j * np.pi / lag.h.size) * np.multiply.outer(u, u))
+    return np.einsum("pa,qb,uc,abc->pqu", ep, eq, eu, lag.values, optimize=True)
+
+
 def csv_field_text(value) -> str:
     """One value as the per-row writers formatted it before csv.writer saw
     it: floats with 17 significant digits, ints in decimal, text as is."""

@@ -26,7 +26,7 @@ from conftest import (
     build_pattern,
     record_criterion,
 )
-from oracles import dft_separable
+from oracles import dft_separable, forward_from_lags, partial_coherence_three
 from test_partial import random_hpd_field
 from test_spectra import DFT_ORACLE, grid_index
 
@@ -42,12 +42,10 @@ from stspectra import (
     dot_spectrum,
     estimate_k,
     estimate_spatial_intensity,
-    forward_from_lags,
     inverse_transform,
     mark_permutation_envelope,
     marked_dft,
     multiple_coherence,
-    partial_coherence_three,
     partial_cross_spectrum_direct,
     partial_field,
     periodogram_matrix,
@@ -193,7 +191,8 @@ def test_criterion_01_partial_route_agreement():
         for i in range(1, d + 1):
             for j in range(i + 1, d + 1):
                 via_inverse = pf.pair_coherency(i, j)
-                direct = partial_cross_spectrum_direct(field, i, j).coherency
+                rest = tuple(k for k in range(1, d + 1) if k not in (i, j))
+                direct = partial_cross_spectrum_direct(field, i, j, rest).coherency
                 worst = max(worst, float(np.abs(via_inverse - direct).max()))
                 if d == 3:
                     (k,) = (m for m in (1, 2, 3) if m not in (i, j))

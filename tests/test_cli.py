@@ -132,6 +132,23 @@ class TestSimulate:
         assert truth["true_edges"] == [[1, 2]]
         assert "true edges: [(1, 2)]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "rates, link, named",
+        [
+            ("nan,40", "1,2,5,0.05", "entry 1 of 'rates'"),
+            ("40,40", "1,2,nan,0.05", "'offspring_rate' of link pair 1"),
+        ],
+        ids=["nan-rate", "nan-offspring-rate"],
+    )
+    def test_non_finite_value_reports_json(self, tmp_path, capsys, rates, link, named):
+        argv = ["simulate", "--kind", "linked_cluster", "--rates", rates, "--T", "2"]
+        assert run(argv + ["--link", link, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert report["error"] == "validation"
+        assert named in report["message"]
+
     def test_rates_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--T", "2"])

@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and names that were
 removed from the package stay removed."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -15,14 +17,27 @@ MODULES = sorted(
 
 # one route per statistic: the dot family reads the smoothed field, and
 # |d_ij| and the partial coherency come only from PartialField; one
-# kernel-intensity class serves the separable and the full model
+# kernel-intensity class serves the separable and the full model; one
+# inversion entry point (partial_field), whose result carries the inverse;
+# the cross-check routes live in tests/oracles.py
 REMOVED = (
     "partial_coherency",
     "rescaled_inverse_density",
     "Event",
     "SeparableIntensity",
     "NonSeparableIntensity",
+    "InverseField",
+    "invert_spectral_matrix",
+    "partial_coherence_three",
+    "forward_from_lags",
 )
+
+# recorded fields nothing reads
+REMOVED_FIELDS = {
+    "LagField": ("p_full", "q_full", "u_full", "T"),
+    "DftVector": ("marked", "mark_means"),
+    "SpectralField": ("marked",),
+}
 
 
 @pytest.mark.parametrize("name", ["stspectra"] + MODULES)
@@ -40,4 +55,13 @@ def test_removed_names_stay_removed():
         module = importlib.import_module(name)
         assert [n for n in REMOVED if n in getattr(module, "__all__", [])] == []
         assert [n for n in REMOVED if hasattr(module, n)] == []
-    assert not hasattr(stspectra.InverseField, "entry")
+
+
+def test_removed_fields_and_defaults_stay_removed():
+    for cls, names in REMOVED_FIELDS.items():
+        fields = {f.name for f in dataclasses.fields(getattr(stspectra, cls))}
+        assert fields.isdisjoint(names)
+    assert "inverse" in {f.name for f in dataclasses.fields(stspectra.PartialField)}
+    # conditioning on all the other components has one route, partial_field
+    params = inspect.signature(stspectra.partial_cross_spectrum_direct).parameters
+    assert params["conditioning"].default is inspect.Parameter.empty

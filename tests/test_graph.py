@@ -58,6 +58,7 @@ def hand_field(singular_at=None, labels=("a", "b", "c")):
         abs_d=abs_d,
         cross=zeros,
         auto=zeros,
+        inverse=zeros,
         ridge=np.zeros(grid.shape),
         singular=singular,
         grid=grid,
@@ -96,6 +97,7 @@ class TestEdgeStatistics:
             abs_d=zeros,
             cross=zeros.astype(complex),
             auto=zeros.astype(complex),
+            inverse=zeros.astype(complex),
             ridge=np.zeros(grid.shape),
             singular=np.zeros(grid.shape, dtype=bool),
             grid=grid,

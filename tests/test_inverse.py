@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import forward_from_lags
 from stspectra import (
     FrequencyGrid,
     dft,
-    forward_from_lags,
     inverse_transform,
     partial_cross_lags,
     partial_field,
@@ -97,8 +97,8 @@ class TestAnalyticDeltas:
         T = 4
         a0, b0, h0 = 2, -3, -1
         lag = inverse_transform(phase_field(grid, T, a0, b0, h0), grid, T)
-        ia = int(np.nonzero(lag.p_full == a0)[0][0])
-        ib = int(np.nonzero(lag.q_full == b0)[0][0])
+        # the lattice runs over p, q in -3..3
+        ia, ib = a0 + 3, b0 + 3
         ic = int(np.nonzero(lag.h == h0)[0][0])
         expected = np.zeros(lag.values.shape)
         expected[ia, ib, ic] = 1.0

@@ -5,20 +5,21 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import partial_coherence_three
 from stspectra import (
     FrequencyGrid,
     SpectralField,
     dft,
-    invert_spectral_matrix,
     multiple_coherence,
-    partial_coherence_three,
     partial_cross_spectrum_direct,
     partial_dot_spectrum,
     partial_field,
+    partial_lag_characteristics,
     periodogram_matrix,
     simulate_binomial_null,
     smooth_spectra,
 )
+from stspectra import partial
 from stspectra.errors import SingularMatrixError, ValidationError
 from stspectra.partial import COND_THRESHOLD, RIDGE_FRACTIONS, _gershgorin_certified
 
@@ -55,13 +56,13 @@ def svd_cond(mats):
     return cond
 
 
-def svd_ridge_decisions(field, cond_threshold=COND_THRESHOLD):
+def svd_ridge_decisions(field, threshold=COND_THRESHOLD):
     """Oracle: the ridge escalation with condition numbers from the SVD
     (np.linalg.cond); returns the (ridge, singular) arrays."""
     d = field.d
     flat = field.values.reshape(-1, d, d)
     ridge = np.zeros(flat.shape[0])
-    bad = ~(svd_cond(flat) <= cond_threshold)
+    bad = ~(svd_cond(flat) <= threshold)
     for eps in RIDGE_FRACTIONS:
         idx = np.nonzero(bad)[0]
         if idx.size == 0:
@@ -69,17 +70,24 @@ def svd_ridge_decisions(field, cond_threshold=COND_THRESHOLD):
         tr = np.einsum("kii->k", flat[idx]).real / d
         with np.errstate(invalid="ignore"):
             c2 = svd_cond(flat[idx] + (eps * tr)[:, None, None] * np.eye(d))
-        ok = c2 <= cond_threshold
+        ok = c2 <= threshold
         ridge[idx[ok]] = eps
         bad[idx[ok]] = False
     shape = field.values.shape[:3]
     return ridge.reshape(shape), bad.reshape(shape)
 
 
-def assert_same_ridge_decisions(inv, field, cond_threshold=COND_THRESHOLD):
-    ridge, singular = svd_ridge_decisions(field, cond_threshold)
+def assert_same_ridge_decisions(inv, field, threshold=COND_THRESHOLD):
+    ridge, singular = svd_ridge_decisions(field, threshold)
     assert np.array_equal(inv.ridge, ridge)
     assert np.array_equal(inv.singular, singular)
+
+
+def inverse_at(monkeypatch, field, threshold):
+    """``partial_field(field)`` with the ridge ladder's condition threshold
+    set to ``threshold``."""
+    monkeypatch.setattr(partial, "COND_THRESHOLD", threshold)
+    return partial_field(field)
 
 
 def stack_field(mats):
@@ -89,6 +97,11 @@ def stack_field(mats):
     n, d = mats.shape[:2]
     field = random_hpd_field(d, n_points=n)
     return replace_values(field, mats.reshape(field.values.shape))
+
+
+def rest_of(d, i, j):
+    """Every component of 1..d except i and j."""
+    return tuple(k for k in range(1, d + 1) if k not in (i, j))
 
 
 def random_unitary(d, seed):
@@ -119,16 +132,16 @@ def smoothed(trio_pattern, small_grid):
 class TestInversion:
     def test_inverse_solves_exactly(self):
         field = random_hpd_field(4, seed=1)
-        inv = invert_spectral_matrix(field)
-        prod = field.values @ inv.values
+        inv = partial_field(field)
+        prod = field.values @ inv.inverse
         assert np.abs(prod - np.eye(4)).max() < 1e-10
         assert not inv.singular.any()
         assert (inv.ridge == 0).all()
 
     def test_inverse_hermitian(self, smoothed):
-        inv = invert_spectral_matrix(smoothed)
-        swapped = np.conj(np.swapaxes(inv.values, -1, -2))
-        assert np.abs(inv.values - swapped).max() < 1e-10
+        inv = partial_field(smoothed)
+        swapped = np.conj(np.swapaxes(inv.inverse, -1, -2))
+        assert np.abs(inv.inverse - swapped).max() < 1e-10
 
     def test_rank_deficient_point_gets_ridge(self):
         field = random_hpd_field(3, n_points=5, seed=2, jitter=1e-14)
@@ -137,22 +150,22 @@ class TestInversion:
         # still Hermitian PSD
         vals[0, ..., 2, :] = vals[0, ..., 1, :]
         vals[0, ..., :, 2] = vals[0, ..., :, 1]
-        inv = invert_spectral_matrix(replace_values(field, vals))
+        inv = partial_field(replace_values(field, vals))
         assert inv.ridge[0, 0, 0] > 0.0
         assert inv.ridge[1:].max() == 0.0
         assert not inv.singular.any()
-        assert np.isfinite(inv.values).all()
+        assert np.isfinite(inv.inverse).all()
         assert_same_ridge_decisions(inv, replace_values(field, vals))
         # an all-zero component at points 2 and 3, as in an empty slice
         vals[2:4, ..., 2, :] = 0.0
         vals[2:4, ..., :, 2] = 0.0
         empty = replace_values(field, vals)
-        inv = invert_spectral_matrix(empty)
+        inv = partial_field(empty)
         assert (inv.ridge[2:4] > 0.0).all()
         assert not inv.singular.any()
         assert_same_ridge_decisions(inv, empty)
 
-    def test_ridge_escalates_until_condition_passes(self):
+    def test_ridge_escalates_until_condition_passes(self, monkeypatch):
         # diag(1, 1, 1e-8) has condition 1e8; only the largest loading
         # fraction brings it under a 1e5 threshold
         vals = np.zeros((1, 1, 1, 3, 3), dtype=complex)
@@ -168,23 +181,23 @@ class TestInversion:
             labels=("1", "2", "3"),
             half_widths=(1, 1, 0),
         )
-        inv = invert_spectral_matrix(field, cond_threshold=1e5)
+        inv = inverse_at(monkeypatch, field, 1e5)
         assert inv.ridge[0, 0, 0] == RIDGE_FRACTIONS[-1]
         assert not inv.singular[0, 0, 0]
-        assert_same_ridge_decisions(inv, field, cond_threshold=1e5)
-        plain = invert_spectral_matrix(field)  # cond 1e8 < default threshold
+        assert_same_ridge_decisions(inv, field, threshold=1e5)
+        plain = inverse_at(monkeypatch, field, COND_THRESHOLD)  # cond 1e8 passes
         assert plain.ridge[0, 0, 0] == 0.0
         assert_same_ridge_decisions(plain, field)
         # component 3 all zero, as in an empty slice: exactly singular; the
         # loadings 2/3 * (1e-8, 1e-6, 1e-4) give conditions 1.5e8, 1.5e6, 1.5e4
         field = replace_values(field, vals * np.diag([1.0, 1.0, 0.0]))
         for threshold, eps in ((1e5, RIDGE_FRACTIONS[-1]), (1e10, RIDGE_FRACTIONS[0])):
-            inv = invert_spectral_matrix(field, cond_threshold=threshold)
+            inv = inverse_at(monkeypatch, field, threshold)
             assert inv.ridge[0, 0, 0] == eps
-            assert_same_ridge_decisions(inv, field, cond_threshold=threshold)
-        inv = invert_spectral_matrix(field, cond_threshold=1e3)
+            assert_same_ridge_decisions(inv, field, threshold=threshold)
+        inv = inverse_at(monkeypatch, field, 1e3)
         assert inv.singular[0, 0, 0]
-        assert_same_ridge_decisions(inv, field, cond_threshold=1e3)
+        assert_same_ridge_decisions(inv, field, threshold=1e3)
         assert COND_THRESHOLD == 1e10
         assert RIDGE_FRACTIONS == (1e-8, 1e-6, 1e-4)
 
@@ -192,23 +205,23 @@ class TestInversion:
         field = random_hpd_field(3, n_points=3, seed=3)
         vals = field.values.copy()
         vals[1] = 0.0
-        inv = invert_spectral_matrix(replace_values(field, vals))
+        inv = partial_field(replace_values(field, vals))
         assert inv.singular[1, 0, 0]
-        assert np.isnan(inv.values[1]).all()
+        assert np.isnan(inv.inverse[1]).all()
         assert not inv.singular[0, 0, 0]
-        assert np.isfinite(inv.values[0]).all()
+        assert np.isfinite(inv.inverse[0]).all()
         # a non-finite matrix (NaN marks reach the library unchecked) is
         # flagged singular too
         vals[2, ..., 0, 0] = np.nan
-        inv = invert_spectral_matrix(replace_values(field, vals))
+        inv = partial_field(replace_values(field, vals))
         assert inv.singular[1:].all()
-        assert np.isnan(inv.values[2]).all()
+        assert np.isnan(inv.inverse[2]).all()
         assert not inv.singular[0, 0, 0]
 
     def test_raw_field_rejected(self, trio_pattern, small_grid):
         raw = periodogram_matrix(dft(trio_pattern, small_grid))
         with pytest.raises(ValidationError):
-            invert_spectral_matrix(raw)
+            partial_field(raw)
 
 
 class TestConditioningScreen:
@@ -223,15 +236,15 @@ class TestConditioningScreen:
             mat = 0.5 * (mat + np.conj(mat.T))
         return mat
 
-    def test_decisions_around_threshold(self):
+    def test_decisions_around_threshold(self, monkeypatch):
         rot = random_unitary(3, seed=4)
         for threshold in (COND_THRESHOLD, 1e5):
             conds = (threshold / 4, 0.9 * threshold, 1.1 * threshold)
             mats = [self.with_condition(c) for c in conds]
             mats += [self.with_condition(c, rot) for c in conds]
             field = stack_field(mats)
-            inv = invert_spectral_matrix(field, cond_threshold=threshold)
-            assert_same_ridge_decisions(inv, field, cond_threshold=threshold)
+            inv = inverse_at(monkeypatch, field, threshold)
+            assert_same_ridge_decisions(inv, field, threshold=threshold)
             assert (inv.ridge.ravel() > 0).tolist() == [False, False, True] * 2
             assert not inv.singular.any()
             # diagonal matrices: the discs are the eigenvalues, so only the
@@ -249,15 +262,15 @@ class TestConditioningScreen:
         mats[2] = 0.5 * (mats[2] + np.conj(mats[2].T))
         assert all(np.linalg.det(m).real > 0 for m in mats)
         field = stack_field(mats)
-        inv = invert_spectral_matrix(field)
+        inv = partial_field(field)
         assert_same_ridge_decisions(inv, field)
         assert (inv.ridge == 0.0).all() and not inv.singular.any()
         assert not _gershgorin_certified(field.values.reshape(-1, 3, 3), 1e10).any()
-        prod = field.values @ inv.values
+        prod = field.values @ inv.inverse
         assert np.abs(prod - np.eye(3)).max() < 1e-12
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_and_empty_component(self):
+    def test_non_finite_and_empty_component(self, monkeypatch):
         base = random_hpd_field(3, n_points=7, seed=12).values.reshape(-1, 3, 3)
         mats = base.copy()
         mats[1, 0, 0] = np.nan
@@ -267,12 +280,13 @@ class TestConditioningScreen:
         mats[5, 2, :] = mats[5, :, 2] = 0.0  # an empty component
         field = stack_field(mats)
         for threshold in (COND_THRESHOLD, 1e3):
-            inv = invert_spectral_matrix(field, cond_threshold=threshold)
-            assert_same_ridge_decisions(inv, field, cond_threshold=threshold)
+            inv = inverse_at(monkeypatch, field, threshold)
+            assert_same_ridge_decisions(inv, field, threshold=threshold)
             assert inv.singular.ravel()[1:5].all()
-            assert np.isnan(inv.values[1:5]).all()
+            assert np.isnan(inv.inverse[1:5]).all()
             assert not inv.singular.ravel()[[0, 6]].any()
-        assert invert_spectral_matrix(field).ridge.ravel()[5] == RIDGE_FRACTIONS[0]
+        inv = inverse_at(monkeypatch, field, COND_THRESHOLD)
+        assert inv.ridge.ravel()[5] == RIDGE_FRACTIONS[0]
         assert not _gershgorin_certified(mats[1:6], 1e10).any()
 
     def test_asymmetry_beside_a_non_finite_ordinate_rejected(self):
@@ -286,11 +300,11 @@ class TestConditioningScreen:
             warnings.simplefilter("error")
             for bad in (mats, one_sided):
                 with pytest.raises(ValidationError, match="not Hermitian"):
-                    invert_spectral_matrix(stack_field(bad))
+                    partial_field(stack_field(bad))
             # non-finite on both sides of every pair still inverts
             mats[0, 0, 1] -= 0.5
             mats[1, 0, 2] = mats[1, 2, 0] = np.inf
-            assert invert_spectral_matrix(stack_field(mats)).singular.ravel()[1]
+            assert partial_field(stack_field(mats)).singular.ravel()[1]
 
     def test_screen_certifies_most_of_a_null_field(self):
         pat = simulate_binomial_null((1200, 1200, 1200), T=4, seed=2)
@@ -298,7 +312,7 @@ class TestConditioningScreen:
         field = smooth_spectra(raw, (2, 2, 1))
         flat = field.values.reshape(-1, 3, 3)
         assert _gershgorin_certified(flat, COND_THRESHOLD).mean() >= 0.9
-        assert_same_ridge_decisions(invert_spectral_matrix(field), field)
+        assert_same_ridge_decisions(partial_field(field), field)
 
 
 class TestDualRoutes:
@@ -308,8 +322,9 @@ class TestDualRoutes:
             pf = partial_field(field)
             for i in range(1, d + 1):
                 for j in range(i + 1, d + 1):
+                    rest = rest_of(d, i, j)
                     direct = np.abs(
-                        partial_cross_spectrum_direct(field, i, j).coherency
+                        partial_cross_spectrum_direct(field, i, j, rest).coherency
                     )
                     via_inverse = pf.pair_abs_d(i, j)
                     assert np.abs(direct - via_inverse).max() < 1e-8
@@ -325,7 +340,7 @@ class TestDualRoutes:
     def test_direct_route_on_estimates(self, smoothed):
         pf = partial_field(smoothed)
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            pc = partial_cross_spectrum_direct(smoothed, i, j)
+            pc = partial_cross_spectrum_direct(smoothed, i, j, rest_of(3, i, j))
             direct_d = np.abs(pc.cross) / np.sqrt(pc.auto_i * pc.auto_j)
             assert np.abs(direct_d - pf.pair_abs_d(i, j)).max() < 1e-8
 
@@ -352,20 +367,20 @@ class TestPartialField:
             pf.pair_abs_d(2, 2)
 
     def test_rescaled_inverse_density_definition(self, smoothed):
-        inv = invert_spectral_matrix(smoothed)
+        inv = partial_field(smoothed)
         pf = partial_field(smoothed)
         for i, j in ((1, 2), (1, 3), (3, 2)):
-            manual = np.abs(inv.values[..., i - 1, j - 1]) / np.sqrt(
-                inv.values[..., i - 1, i - 1].real * inv.values[..., j - 1, j - 1].real
+            manual = np.abs(inv.inverse[..., i - 1, j - 1]) / np.sqrt(
+                inv.inverse[..., i - 1, i - 1].real * inv.inverse[..., j - 1, j - 1].real
             )
             assert np.allclose(pf.pair_abs_d(i, j), manual, atol=1e-13)
 
     def test_partial_coherency_sign(self, smoothed):
-        inv = invert_spectral_matrix(smoothed)
+        inv = partial_field(smoothed)
         pf = partial_field(smoothed)
         for i, j in ((1, 2), (2, 3), (3, 1)):
-            manual = -inv.values[..., i - 1, j - 1] / np.sqrt(
-                inv.values[..., i - 1, i - 1].real * inv.values[..., j - 1, j - 1].real
+            manual = -inv.inverse[..., i - 1, j - 1] / np.sqrt(
+                inv.inverse[..., i - 1, i - 1].real * inv.inverse[..., j - 1, j - 1].real
             )
             assert np.allclose(pf.pair_coherency(i, j), manual, atol=1e-13)
 
@@ -380,7 +395,7 @@ class TestPartialField:
         with pytest.raises(ValidationError):
             pf.pair_abs_d(0, 2)
         with pytest.raises(ValidationError):
-            partial_cross_spectrum_direct(smoothed, 1, 4)
+            partial_cross_spectrum_direct(smoothed, 1, 4, (2,))
 
     def test_singular_points_propagate_nan(self):
         field = random_hpd_field(3, n_points=3, seed=31)
@@ -398,12 +413,12 @@ class TestPairConditional:
         field = random_hpd_field(5, n_points=30, seed=12)
         pf = partial_field(field)
         for i, j in ((1, 2), (2, 5), (3, 4)):
-            pc = partial_cross_spectrum_direct(field, i, j)
+            pc = partial_cross_spectrum_direct(field, i, j, rest_of(5, i, j))
             assert np.abs(pc.coherency - pf.pair_coherency(i, j)).max() < 1e-8
 
     def test_conditional_autos_are_positive(self):
         field = random_hpd_field(4, n_points=20, seed=16)
-        pc = partial_cross_spectrum_direct(field, 1, 2)
+        pc = partial_cross_spectrum_direct(field, 1, 2, (3, 4))
         assert (pc.auto_i > 0).all()
         assert (pc.auto_j > 0).all()
         assert pc.conditioning == (3, 4)
@@ -421,18 +436,13 @@ class TestPairConditional:
         with pytest.raises(ValidationError):
             partial_cross_spectrum_direct(field, 1, 2, conditioning=(3, 3))
         with pytest.raises(ValidationError):
-            partial_cross_spectrum_direct(field, 2, 2)
+            partial_cross_spectrum_direct(field, 2, 2, (3,))
 
     def test_three_formula_equals_pair_conditioned(self):
         field = random_hpd_field(3, n_points=50, seed=15)
         simp = partial_coherence_three(field, 1, 2, 3)
         pc = partial_cross_spectrum_direct(field, 1, 2, conditioning=(3,))
         assert np.abs(simp - pc.coherency).max() < 1e-8
-
-    def test_three_formula_validates_distinct(self):
-        field = random_hpd_field(3, n_points=3, seed=17)
-        with pytest.raises(ValidationError):
-            partial_coherence_three(field, 1, 2, 2)
 
 
 class TestPartialDot:
@@ -476,8 +486,8 @@ class TestSchurSubsets:
     @pytest.mark.parametrize(
         "query",
         [
-            lambda f: partial_cross_spectrum_direct(f, 1, 2),
-            lambda f: partial_cross_spectrum_direct(f, 1, 2, conditioning=(3,)),
+            lambda f: partial_cross_spectrum_direct(f, 1, 2, (3,)),
+            lambda f: partial_cross_spectrum_direct(f, 1, 3, conditioning=(2,)),
             lambda f: partial_dot_spectrum(f, 1, K=(2,), J=(3,)),
             lambda f: multiple_coherence(f, 1, [2, 3]),
         ],
@@ -490,3 +500,25 @@ class TestSchurSubsets:
         with pytest.raises(SingularMatrixError) as err:
             query(replace_values(field, vals))
         assert err.value.grid_point == (2, 0, 0)
+
+
+class TestRawFieldRefused:
+    """The raw periodogram is rank 1 at every ordinate, so every conditional
+    statistic on it is degenerate; each route refuses it, as partial_field
+    and dot_spectrum do."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda f: partial_cross_spectrum_direct(f, 1, 2, (3,)),
+            lambda f: multiple_coherence(f, 1, [2]),
+            lambda f: partial_dot_spectrum(f, 1, (2,), (3,)),
+            lambda f: partial_lag_characteristics(f, 1, 2, (3,)),
+        ],
+        ids=["direct", "multiple-coherence", "dot", "lags"],
+    )
+    def test_raw_field_rejected(self, query, trio_pattern):
+        grid = FrequencyGrid.default(trio_pattern.T)
+        raw = periodogram_matrix(dft(trio_pattern, grid))
+        with pytest.raises(ValidationError, match="smoothed field"):
+            query(raw)

@@ -127,6 +127,50 @@ class TestSpecValidation:
             SimSpec.from_dict(doc)
         assert named in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("rates", 0), "40", "entry 1 of 'rates' must be a finite number, got \"40\""),
+            (("rates", 0), True, "entry 1 of 'rates' must be a finite number, got true"),
+            (("rates", 0), float("nan"), "entry 1 of 'rates' must be a finite number, got NaN"),
+            (
+                ("link_pairs", 0, "dispersion"),
+                float("inf"),
+                "'dispersion' of link pair 1 must be a finite number, got Infinity",
+            ),
+            (
+                ("link_pairs", 0, "offspring_rate"),
+                "20",
+                "'offspring_rate' of link pair 1 must be a finite number, got \"20\"",
+            ),
+            (("rates",), "40,40,40", "'rates' must be a list, got \"40,40,40\""),
+        ],
+        ids=[
+            "string", "bool", "nan", "infinite-dispersion", "string-offspring-rate",
+            "rates-not-a-list",
+        ],
+    )
+    def test_dict_reals_must_be_finite_numbers(self, path, value, named):
+        doc = json.loads(json.dumps(linked_spec().to_dict()))
+        entry = doc
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        doc = json.loads(json.dumps(doc))  # NaN and Infinity as JSON reads them
+        with pytest.raises(ValidationError) as exc:
+            SimSpec.from_dict(doc)
+        assert named in str(exc.value)
+
+    def test_non_finite_values_refused_on_construction(self):
+        # built only, never simulated: an infinite dispersion could never
+        # place an offspring inside the window
+        with pytest.raises(ValidationError, match="'dispersion' of link pair 1"):
+            linked_spec(dispersion=float("inf"))
+        with pytest.raises(ValidationError, match="'offspring_rate' of link pair 1"):
+            linked_spec(offspring=float("nan"))
+        with pytest.raises(ValidationError, match="entry 2 of 'rates'"):
+            poisson_spec(rates=(50.0, float("-inf")))
+
     def test_rng_is_philox(self):
         assert RNG_ALGORITHM == "philox4x64"
 
