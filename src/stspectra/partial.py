@@ -5,11 +5,11 @@ conditioning question has one route.  Conditioning on all remaining
 components goes through :func:`partial_field`, the one inversion entry
 point: it inverts the matrix at every ordinate (ridged where the matrix is
 ill conditioned) and turns the inverse into the rescaled inverse densities
-|d_ij| (the dependence-graph statistic), the partial coherencies and the
-pair-conditioned cross- and auto-spectra, which the partial table, the
-graph and the lag outputs all read; its :class:`PartialField` also keeps
-the ridged inverse.  Conditioning on an explicit subset goes through the
-Schur complement on the conditioning block
+|d_ij| (the dependence-graph statistic) and the partial coherencies, which
+the partial table and the graph read.  Its :class:`PartialField` keeps the
+ridged inverse and builds from it, when first asked, the pair-conditioned
+cross- and auto-spectra that the lag outputs read.  Conditioning on an
+explicit subset goes through the Schur complement on the conditioning block
 (:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`, and
 ``spectra.multiple_coherence``).  The two routes agree analytically where
 both apply; tests pin the agreement numerically.  The marked variants are
@@ -19,6 +19,7 @@ the identical machinery applied to a marked spectral field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,13 +57,12 @@ class PartialField:
     (the sup of which drives the dependence graph); coherency is the signed
     complex partial coherency -b_ij/sqrt(b_ii*b_jj); cross and auto are the
     pair-conditioned spectra f_ij|rest and f_ii|rest with rest = all except
-    {i,j}.  Diagonals are excluded by contract and stored as zero.
+    {i,j}, built from ``inverse`` on first read.  Diagonals are excluded by
+    contract and stored as zero.
     """
 
     coherency: np.ndarray
     abs_d: np.ndarray
-    cross: np.ndarray
-    auto: np.ndarray
     inverse: np.ndarray
     ridge: np.ndarray
     singular: np.ndarray
@@ -72,6 +72,32 @@ class PartialField:
     @property
     def d(self) -> int:
         return self.abs_d.shape[-1]
+
+    @cached_property
+    def _pair_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cross, auto) from the 2x2 block identity: with det =
+        b_ii*b_jj - |b_ij|^2, f_ij|rest = -b_ij/det and f_ii|rest = b_jj/det."""
+        b = self.inverse
+        diag = np.arange(self.d)
+        bii = b[..., diag, diag].real  # (P,Q,U,d)
+        det = bii[..., :, None] * bii[..., None, :] - (b * np.conj(b)).real
+        with np.errstate(all="ignore"):
+            cross = np.where(det != 0, -b / np.where(det != 0, det, 1.0), np.nan)
+            auto = np.where(
+                det != 0, bii[..., None, :] / np.where(det != 0, det, 1.0), np.nan
+            )
+        for arr in (cross, auto):
+            arr[..., diag, diag] = 0
+            arr[self.singular] = np.nan
+        return cross, auto
+
+    @property
+    def cross(self) -> np.ndarray:
+        return self._pair_spectra[0]
+
+    @property
+    def auto(self) -> np.ndarray:
+        return self._pair_spectra[1]
 
     def pair_abs_d(self, i: int, j: int) -> np.ndarray:
         a, b = _component_indices(self.d, (i, j))[0]
@@ -187,44 +213,66 @@ def _ridged_inverse(
         bad[idx[ok]] = False
     singular = bad
 
-    inv = np.full_like(flat, np.nan)
-    good = ~singular
-    if good.any():
-        inv[good] = np.linalg.inv(work[good])
+    if singular.any():
+        inv = np.full_like(flat, np.nan)
+        inv[~singular] = _hpd_inverse(work[~singular])
+    else:
+        inv = _hpd_inverse(work)
     return inv.reshape(values.shape), ridge.reshape(shape), singular.reshape(shape)
+
+
+def _hpd_inverse(mats: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix of a (n, d, d) stack of Hermitian matrices.
+
+    Gauss-Jordan elimination without pivoting, run over the stack in a
+    (d, d, n) layout with element-wise operations only: no BLAS or LAPACK,
+    so the result does not depend on a BLAS thread count.  Without pivoting
+    the elimination is exact to rounding and stable for positive-definite
+    matrices, whose pivots are the positive ratios of consecutive leading
+    principal minors.  A matrix with a pivot whose real part is not
+    positive is not positive definite; those matrices alone are inverted
+    again by ``np.linalg.inv``, which pivots.  The result is a (n, d, d)
+    view of the one work array.
+    """
+    n, d = mats.shape[:2]
+    a = mats.transpose(1, 2, 0).copy()
+    scratch = np.empty((d, n), dtype=a.dtype)
+    definite = np.ones(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            pivot = a[k, k].copy()
+            definite &= pivot.real > 0
+            a[k, k] = 1.0
+            a[k] *= 1.0 / pivot
+            for i in range(d):
+                if i != k:
+                    factor = a[i, k].copy()
+                    a[i, k] = 0.0
+                    a[i] -= np.multiply(factor, a[k], out=scratch)
+    inv = a.transpose(2, 0, 1)
+    if not definite.all():
+        inv[~definite] = np.linalg.inv(mats[~definite])
+    return inv
 
 
 def partial_field(field: SpectralField) -> PartialField:
     """All-pairs partial statistics through the ridged per-ordinate inverse
-    (see :func:`_ridged_inverse`).
-
-    The pair-conditioned spectra come from the 2x2 block identity: with
-    B the inverse matrix and det = b_ii*b_jj - |b_ij|^2,
-    f_ij|rest = -b_ij/det,  f_ii|rest = b_jj/det.
-    """
+    (see :func:`_ridged_inverse`); the pair-conditioned spectra are built
+    from the inverse when first read."""
     _require_smoothed(field)
     b, ridge, singular = _ridged_inverse(field)
-    d = field.d
-    diag = np.arange(d)
+    diag = np.arange(field.d)
     bii = b[..., diag, diag].real  # (P,Q,U,d)
-    bij2 = b * np.conj(b)
-    det = bii[..., :, None] * bii[..., None, :] - bij2.real
     with np.errstate(all="ignore"):
         den = np.sqrt(bii[..., :, None] * bii[..., None, :])
         coherency = np.where(den > 0, -b / np.where(den > 0, den, 1.0), np.nan)
         abs_d = np.abs(coherency)
-        cross = np.where(det != 0, -b / np.where(det != 0, det, 1.0), np.nan)
-        auto = np.where(
-            det != 0, bii[..., None, :] / np.where(det != 0, det, 1.0), np.nan
-        )
-    for arr, fill in ((coherency, 0), (abs_d, 0.0), (cross, 0), (auto, 0)):
+    for arr, fill in ((coherency, 0), (abs_d, 0.0)):
         arr[..., diag, diag] = fill
         arr[singular] = np.nan
     return PartialField(
         coherency=coherency,
         abs_d=abs_d,
-        cross=cross,
-        auto=auto,
         inverse=b,
         ridge=ridge,
         singular=singular,

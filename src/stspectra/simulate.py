@@ -35,6 +35,14 @@ RNG_ALGORITHM = "philox4x64"
 
 KINDS = ("homogeneous_poisson", "linked_cluster")
 
+# Rates and offspring rates are expected events per step on the unit window;
+# above this ceiling one step's coordinates alone would take gigabytes (and
+# numpy's Poisson sampler refuses rates near 1e19 with its own error).
+MAX_RATE = 1e6
+# Offspring are redrawn until they land inside the unit window, so a
+# displacement much wider than its side of 1 makes the redraws run long.
+MAX_DISPERSION = 1.0
+
 
 def _spec_integer(value, name: str) -> int:
     """A simulation document's whole-number entry, which must be a JSON
@@ -72,6 +80,15 @@ def _spec_real(value, name: str) -> float:
     return float(value)
 
 
+def _spec_ceiling(value: float, ceiling: float, name: str) -> None:
+    """Refuse a simulation spec's entry above its ceiling."""
+    if value > ceiling:
+        raise ValidationError(
+            f"simulation spec value out of range: {name} must be at most "
+            f"{ceiling:g}, got {value:g}"
+        )
+
+
 def _parse_mark_dist(text: str) -> tuple[float, float]:
     try:
         name, params = text.split(":", 1)
@@ -95,7 +112,8 @@ class LinkSpec:
     Per time step, parents are Poisson(offspring_rate) uniform on the window;
     each parent contributes exactly one offspring to each side, displaced by
     an isotropic Gaussian of scale ``dispersion`` (redrawn until inside the
-    unit square).  Parents are latent and never emitted.
+    unit square, so at most ``MAX_DISPERSION``, the square's side).  Parents
+    are latent and never emitted.
     """
 
     i: int
@@ -106,6 +124,10 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class SimSpec:
+    """What to simulate.  Every rate and offspring rate (expected events per
+    step on the unit window) is at most ``MAX_RATE``, and every dispersion
+    at most ``MAX_DISPERSION``."""
+
     kind: str
     rates: tuple[float, ...]
     T: int
@@ -136,6 +158,8 @@ class SimSpec:
             raise ValidationError("need rates for at least 2 components")
         if any(r <= 0 for r in self.rates):
             raise ValidationError("all component rates must be > 0")
+        for k, r in enumerate(self.rates, 1):
+            _spec_ceiling(r, MAX_RATE, f"entry {k} of 'rates'")
         if self.T < 1:
             raise ValidationError("T must be >= 1")
         if self.seed < 0:
@@ -143,13 +167,16 @@ class SimSpec:
         if self.kind == "homogeneous_poisson" and self.link_pairs:
             raise ValidationError("homogeneous_poisson takes no link pairs")
         d = len(self.rates)
-        for lp in self.link_pairs:
+        for k, lp in enumerate(self.link_pairs, 1):
             if not (1 <= lp.i <= d and 1 <= lp.j <= d) or lp.i == lp.j:
                 raise ValidationError(f"link pair ({lp.i},{lp.j}) outside 1..{d}")
             if lp.offspring_rate < 0:
                 raise ValidationError("offspring rate must be >= 0")
             if lp.dispersion <= 0:
                 raise ValidationError("dispersion must be > 0")
+            name = f"of link pair {k}"
+            _spec_ceiling(lp.offspring_rate, MAX_RATE, f"'offspring_rate' {name}")
+            _spec_ceiling(lp.dispersion, MAX_DISPERSION, f"'dispersion' {name}")
         if self.mark_dist is not None:
             _parse_mark_dist(self.mark_dist)
 

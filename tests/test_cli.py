@@ -137,8 +137,10 @@ class TestSimulate:
         [
             ("nan,40", "1,2,5,0.05", "entry 1 of 'rates'"),
             ("40,40", "1,2,nan,0.05", "'offspring_rate' of link pair 1"),
+            ("1e20,40", "1,2,5,0.05", "entry 1 of 'rates' must be at most"),
+            ("40,40", "1,2,5,30", "'dispersion' of link pair 1 must be at most"),
         ],
-        ids=["nan-rate", "nan-offspring-rate"],
+        ids=["nan-rate", "nan-offspring-rate", "huge-rate", "wide-dispersion"],
     )
     def test_non_finite_value_reports_json(self, tmp_path, capsys, rates, link, named):
         argv = ["simulate", "--kind", "linked_cluster", "--rates", rates, "--T", "2"]
@@ -148,6 +150,17 @@ class TestSimulate:
         report = json.loads(err[0])
         assert report["error"] == "validation"
         assert named in report["message"]
+
+    def test_huge_rate_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def draw(spec):
+            raise AssertionError("simulate() reached")
+
+        monkeypatch.setattr("stspectra.cli.simulate", draw)
+        argv = ["simulate", "--rates", "1e9,40", "--T", "2", "--out", tmp_path / "out"]
+        assert run(argv) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert "entry 1 of 'rates' must be at most 1e+06, got 1e+09" in report["message"]
+        assert not (tmp_path / "out" / "events.csv").exists()
 
     def test_rates_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

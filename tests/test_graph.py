@@ -56,8 +56,6 @@ def hand_field(singular_at=None, labels=("a", "b", "c")):
     return PartialField(
         coherency=zeros,
         abs_d=abs_d,
-        cross=zeros,
-        auto=zeros,
         inverse=zeros,
         ridge=np.zeros(grid.shape),
         singular=singular,
@@ -95,8 +93,6 @@ class TestEdgeStatistics:
         pf = PartialField(
             coherency=zeros.astype(complex),
             abs_d=zeros,
-            cross=zeros.astype(complex),
-            auto=zeros.astype(complex),
             inverse=zeros.astype(complex),
             ridge=np.zeros(grid.shape),
             singular=np.zeros(grid.shape, dtype=bool),

@@ -21,7 +21,12 @@ from stspectra import (
 )
 from stspectra import partial
 from stspectra.errors import SingularMatrixError, ValidationError
-from stspectra.partial import COND_THRESHOLD, RIDGE_FRACTIONS, _gershgorin_certified
+from stspectra.partial import (
+    COND_THRESHOLD,
+    RIDGE_FRACTIONS,
+    _gershgorin_certified,
+    _hpd_inverse,
+)
 
 
 def random_hpd_field(d, n_points=40, seed=0, jitter=1.0):
@@ -224,6 +229,58 @@ class TestInversion:
             partial_field(raw)
 
 
+def random_hpd_stack(d, n, seed):
+    return random_hpd_field(d, n_points=n, seed=seed).values.reshape(-1, d, d)
+
+
+class TestHpdInverse:
+    """The elimination without pivoting against LAPACK's pivoted inverse."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_lapack_on_hpd_stacks(self, d, monkeypatch):
+        mats = random_hpd_stack(d, 200, seed=d)
+        oracle = np.linalg.inv(mats)
+        before = mats.copy()
+        # positive-definite matrices never reach LAPACK
+        monkeypatch.setattr(np.linalg, "inv", None)
+        inv = _hpd_inverse(mats)
+        monkeypatch.undo()
+        scale = np.abs(oracle).max(axis=(-2, -1))
+        err = np.abs(inv - oracle).max(axis=(-2, -1)) / scale
+        assert err.max() < 1e-12
+        assert np.array_equal(mats, before)
+
+    def test_indefinite_matrices_go_through_the_guard(self):
+        # a zero leading pivot, and a tiny positive one followed by a large
+        # negative one: neither is positive definite
+        swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+        near = np.array([[1e-9, 1], [1, 1e-9]], dtype=complex)
+        for bad, d in ((swap, 3), (near, 2)):
+            mats = random_hpd_stack(d, 5, seed=7)
+            mats[2] = bad
+            inv = _hpd_inverse(mats)
+            assert np.abs(mats @ inv - np.eye(d)).max() < 1e-12
+            assert np.abs(inv - np.linalg.inv(mats)).max() < 1e-12
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_mixed_field_keeps_ridge_and_singular_decisions(self):
+        mats = random_hpd_stack(3, 8, seed=9)
+        mats[1] = np.diag([2.0, -1.0, -1.0])  # indefinite, well conditioned
+        mats[2] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]  # zero leading pivot
+        mats[3, 0, 0] = np.nan  # non-finite
+        mats[4] = 0.0  # singular: no ridge step rescues it
+        mats[5, 2, :] = mats[5, :, 2] = 0.0  # an empty component: ridged
+        field = stack_field(mats)
+        inv = partial_field(field)
+        assert_same_ridge_decisions(inv, field)
+        assert inv.ridge.ravel().tolist() == [0, 0, 0, 0, 0, RIDGE_FRACTIONS[0], 0, 0]
+        assert inv.singular.ravel().tolist() == [False] * 3 + [True] * 2 + [False] * 3
+        assert np.isnan(inv.inverse[3:5]).all()
+        clean = [0, 1, 2, 6, 7]
+        prod = mats[clean] @ inv.inverse.reshape(-1, 3, 3)[clean]
+        assert np.abs(prod - np.eye(3)).max() < 1e-12
+
+
 class TestConditioningScreen:
     """Gershgorin discs certify well-conditioned ordinates without an
     eigensolve; every decision must equal the SVD route's."""
@@ -405,6 +462,30 @@ class TestPartialField:
         assert pf.singular[2, 0, 0]
         assert np.isnan(pf.abs_d[2]).all()
         assert np.isfinite(pf.abs_d[0][..., 0, 1]).all()
+
+    def test_pair_spectra_built_from_inverse_when_read(self):
+        field = random_hpd_field(4, n_points=6, seed=33)
+        vals = field.values.copy()
+        vals[3] = 0.0
+        pf = partial_field(replace_values(field, vals))
+        assert "_pair_spectra" not in vars(pf)
+        # the 2x2 block identity on the inverse
+        b = pf.inverse
+        kk = np.arange(4)
+        bii = b[..., kk, kk].real
+        det = bii[..., :, None] * bii[..., None, :] - (b * np.conj(b)).real
+        with np.errstate(all="ignore"):  # det is 0 on the diagonal
+            cross = -b / det
+            auto = np.broadcast_to(bii[..., None, :], det.shape) / det
+        for arr in (cross, auto):
+            arr[..., kk, kk] = 0
+            arr[pf.singular] = np.nan
+        assert np.array_equal(pf.cross, cross, equal_nan=True)
+        assert np.array_equal(pf.auto, auto, equal_nan=True)
+        assert np.isnan(pf.cross[3]).all() and np.isnan(pf.auto[3]).all()
+        assert (pf.cross[:3][..., kk, kk] == 0).all()
+        assert (pf.auto[:3][..., kk, kk] == 0).all()
+        assert pf.cross is pf.cross
 
 
 class TestPairConditional:

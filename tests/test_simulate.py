@@ -13,7 +13,7 @@ from stspectra import (
     write_sidecar,
 )
 from stspectra.errors import ValidationError
-from stspectra.simulate import LinkSpec
+from stspectra.simulate import MAX_DISPERSION, MAX_RATE, LinkSpec
 
 
 def poisson_spec(seed=0, rates=(50.0, 60.0), T=4, **kw):
@@ -170,6 +170,22 @@ class TestSpecValidation:
             linked_spec(offspring=float("nan"))
         with pytest.raises(ValidationError, match="entry 2 of 'rates'"):
             poisson_spec(rates=(50.0, float("-inf")))
+
+    def test_rates_above_the_ceiling_refused(self):
+        assert MAX_RATE == 1e6
+        with pytest.raises(ValidationError, match="entry 1 of 'rates'"):
+            poisson_spec(rates=(1e9, 40.0))
+        with pytest.raises(ValidationError, match="'offspring_rate' of link pair 1"):
+            linked_spec(offspring=2 * MAX_RATE)
+        assert poisson_spec(rates=(MAX_RATE, 40.0)).rates[0] == MAX_RATE
+
+    def test_dispersion_above_the_window_side_refused(self):
+        assert MAX_DISPERSION == 1.0
+        with pytest.raises(ValidationError, match="'dispersion' of link pair 1"):
+            linked_spec(dispersion=1.5)
+        res = simulate(linked_spec(dispersion=MAX_DISPERSION))
+        pts = np.column_stack([res.pattern.x, res.pattern.y])
+        assert ((pts >= 0) & (pts <= 1)).all()
 
     def test_rng_is_philox(self):
         assert RNG_ALGORITHM == "philox4x64"
