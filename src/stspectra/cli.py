@@ -695,8 +695,7 @@ PARTIAL_HEADER = ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"]
 
 def _grid_columns(grid) -> list[list[str]]:
     """The p, q and u label strings of every ordinate, in grid (C) order."""
-    axes = np.meshgrid(grid.p_values, grid.q_values, grid.u_values, indexing="ij")
-    return [list(map(str, a.ravel().tolist())) for a in axes]
+    return [list(map(str, column.tolist())) for column in grid.points().T]
 
 
 def _spectral_blocks(fields):

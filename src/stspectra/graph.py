@@ -186,32 +186,20 @@ def edge_statistics(pf: PartialField) -> EdgeStatistics:
     if not mask.any():
         raise ValidationError("no frequency ordinates left after DC exclusion")
     d = len(pf.labels)
-    p = pf.grid.p_values
-    q = pf.grid.q_values
-    u = pf.grid.u_values
-    flat_idx = np.nonzero(mask.ravel())[0]
-    sel = pf.abs_d.reshape(-1, d, d)[flat_idx]
+    sel = pf.abs_d[mask]  # (ordinates, d, d) in flat grid order
+    finite = np.isfinite(sel)
+    k = np.where(finite, sel, -np.inf).argmax(axis=0)  # first maximum
+    found = finite.any(axis=0) & ~np.eye(d, dtype=bool)
 
     stats = np.full((d, d), np.nan)
+    stats[found] = np.take_along_axis(sel, k[None], axis=0)[0][found]
     argmax = np.zeros((d, d, 3), dtype=np.int64)
-    reliable = np.ones((d, d), dtype=bool)
-    any_singular = bool(pf.singular[mask].any()) if pf.singular is not None else False
-    shape = pf.grid.shape
-    for a in range(d):
-        for b in range(d):
-            if a == b:
-                continue
-            col = sel[:, a, b]
-            finite = np.isfinite(col)
-            if not finite.any():
-                reliable[a, b] = False
-                continue
-            k = int(np.nanargmax(np.where(finite, col, -np.inf)))
-            stats[a, b] = col[k]
-            ip, iq, iu = np.unravel_index(flat_idx[k], shape)
-            argmax[a, b] = (p[ip], q[iq], u[iu])
-            if any_singular:
-                reliable[a, b] = False
+    argmax[found] = pf.grid.points()[mask.ravel()][k[found]]
+    # a pair is unreliable when it has no finite ordinate or when singular
+    # ordinates were skipped anywhere in the sup
+    reliable = np.eye(d, dtype=bool)
+    if not pf.singular[mask].any():
+        reliable |= found
     return EdgeStatistics(
         stats=stats,
         argmax=argmax,

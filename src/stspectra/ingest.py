@@ -63,8 +63,6 @@ class Window:
     y_min: float
     y_max: float
     T: int
-    bin_origin: datetime | None = None
-    bin_width: timedelta | None = None
     source_extent: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
@@ -317,7 +315,15 @@ def parse_duration(text: str) -> timedelta:
     value = float(m.group(1)) * _DURATION_UNITS[m.group(2)]
     if value <= 0:
         raise ValidationError("bin width must be positive")
-    return timedelta(seconds=value)
+    try:
+        return timedelta(seconds=value)
+    except OverflowError:
+        raise ValidationError(
+            f"duration {text!r} is too long; at most {timedelta.max.days} days"
+        ) from None
+
+
+_MIXED_TIMEZONES = "mixed timezone-aware and naive timestamps"
 
 
 def bin_times(
@@ -333,7 +339,10 @@ def bin_times(
     if not timestamps:
         raise EmptyInputError("no timestamps to bin")
     if origin is None:
-        origin = min(timestamps)
+        try:
+            origin = min(timestamps)
+        except TypeError:
+            raise ValidationError(_MIXED_TIMEZONES) from None
     width_us = round(bin_width.total_seconds() * 1e6)
     if width_us <= 0:
         raise ValidationError("bin width must be positive")
@@ -342,9 +351,7 @@ def bin_times(
         try:
             delta = ts - origin
         except TypeError as exc:
-            raise ValidationError(
-                "mixed timezone-aware and naive timestamps"
-            ) from exc
+            raise ValidationError(_MIXED_TIMEZONES) from exc
         delta_us = round(delta.total_seconds() * 1e6)
         if delta_us < 0:
             raise ValidationError(
@@ -577,8 +584,10 @@ def load_events(
     if parsed is None:
         _raise_row_error(path, colmap, has_marks)
 
-    # Time handling: pre-binned integers or ISO-8601 timestamps, each
-    # distinct text parsed once, in order of first appearance.
+    # Time handling: pre-binned integers or ISO-8601 timestamps.  Each
+    # distinct text is parsed and binned once, in order of first appearance,
+    # and every event looks its step up by time id; each text is some kept
+    # event's, so the steps' range is the events'.
     texts = parsed["times"]
     if time_is_index:
         try:
@@ -592,13 +601,11 @@ def load_events(
                         f"time value {text!r} is not an integer index; "
                         "drop --time-is-index to parse timestamps"
                     ) from None
-        t = steps[parsed["t"]]
-        if t.min() < 1:
+        if steps.min() < 1:
             raise ValidationError(
-                f"pre-binned time indices must be >= 1 (got {t.min()}); "
+                f"pre-binned time indices must be >= 1 (got {steps.min()}); "
                 "shift the index column"
             )
-        T = int(t.max())
         origin = width = None
         time_mode = "index"
     else:
@@ -616,11 +623,12 @@ def load_events(
                     f"time value {text!r} is not ISO-8601; "
                     "use --time-is-index for pre-binned integers"
                 )
-        stamps = np.array(distinct, dtype=object)[parsed["t"]].tolist()
-        t, T = bin_times(stamps, bin_width, bin_origin)
-        origin = bin_origin if bin_origin is not None else min(stamps)
+        steps, _ = bin_times(distinct, bin_width, bin_origin)
+        origin = bin_origin if bin_origin is not None else min(distinct)
         width = bin_width
         time_mode = "binned"
+    t = steps[parsed["t"]]
+    T = int(steps.max())
 
     x_arr = parsed["x"]
     y_arr = parsed["y"]
@@ -640,8 +648,6 @@ def load_events(
         y_min=extent[2],
         y_max=extent[3],
         T=T,
-        bin_origin=origin,
-        bin_width=width,
     )
     pattern = MultiPattern(
         x=x_arr,
@@ -683,8 +689,6 @@ def rescale_to_unit_square(pattern: MultiPattern) -> MultiPattern:
         y_min=0.0,
         y_max=1.0,
         T=w.T,
-        bin_origin=w.bin_origin,
-        bin_width=w.bin_width,
         source_extent=source,
     )
     return MultiPattern(

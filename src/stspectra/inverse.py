@@ -3,10 +3,11 @@
 Fields are estimated on the half-grid p >= 0; the transform first
 mirror-extends them by conjugate symmetry f(-w) = conj(f(w)), then applies
 the discrete inverse sum with the exp(+i...) kernel and 1/|grid|
-normalisation on the conjugate lag lattice (spatial lags on multiples of
-1/(2*p_max+1), integer time lags).  On that lattice the forward and inverse
-sums are an exact transform pair, which the round-trip tests pin down
-against a forward-sum oracle.
+normalisation, as one inverse FFT, on the conjugate lag lattice (spatial
+lags on multiples of 1/(2*p_max+1), integer time lags).  On that lattice
+the forward and inverse sums are an exact transform pair, which the
+round-trip tests pin down against a forward-sum oracle, and the inverse
+sum written out with complex exponentials is the test oracle of the FFT.
 
 The zero-lag ordinate carries the point-mass (Dirac) part of the covariance
 and is reported separately from the continuous part.
@@ -20,7 +21,14 @@ import numpy as np
 
 from .errors import SingularMatrixError, SymmetryError, ValidationError
 from .partial import PartialField, partial_cross_spectrum_direct, partial_field
-from .spectra import FrequencyGrid, SpectralField, _component_indices, _grid_point
+from .spectra import (
+    FrequencyGrid,
+    SpectralField,
+    _component_indices,
+    _grid_point,
+    _mirror_planes,
+    _mirror_refusal,
+)
 
 __all__ = [
     "LagField",
@@ -85,43 +93,23 @@ def symmetrise_scalar(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mirror-extend a half-grid scalar field to the full symmetric cube.
 
-    Returns (full, p_full, q_full, u_full) with p and q symmetric about 0
-    and u kept as the T consecutive temporal ordinates (mirroring wraps u
-    modulo T, which the transform kernel cannot distinguish).  Points that
-    can be filled both directly and by mirroring use the direct value; a
-    point available neither way means the input grid is asymmetric and
-    raises a symmetry error.
+    Returns (full, p_full, q_full, u_full) with p in -p_max..p_max, q the
+    grid's q range and u the T consecutive temporal ordinates.  The planes
+    p < 0 are the conjugate mirrors of the planes p > 0, under the rule the
+    smoothing applies too (mirroring wraps u modulo T, which the transform
+    kernel cannot distinguish).  A grid the rule refuses, with a q range not
+    symmetric about 0 or a u range short of all T temporal ordinates, raises
+    a symmetry error.
     """
     if values.shape != grid.shape:
         raise ValidationError("field shape disagrees with grid")
-    U = grid.shape[2]
-    if U != T:
-        raise SymmetryError(
-            f"lag transform needs all {T} temporal ordinates, got {U}; "
-            "use the default u range"
-        )
-    q_half = max(grid.q_max, -grid.q_min)
+    refusal = _mirror_refusal(grid, T)
+    if refusal is not None:
+        raise SymmetryError(f"cannot symmetrise: {refusal}")
+    mirrored = _mirror_planes(values, grid, np.arange(grid.p_max, 0, -1))
+    full = np.concatenate([mirrored, values]).astype(np.complex128)
     p_full = np.arange(-grid.p_max, grid.p_max + 1)
-    q_full = np.arange(-q_half, q_half + 1)
-    u_full = grid.u_values
-
-    # p >= 0 with q in range is stored; any other point is the conjugate of
-    # its mirror (-p, -q, um), which must then be stored
-    direct = (p_full >= 0)[:, None] & (q_full >= grid.q_min) & (q_full <= grid.q_max)
-    src_q = np.where(direct, q_full, -q_full)
-    missing = (p_full > 0)[:, None] & ~direct
-    missing |= (src_q < grid.q_min) | (src_q > grid.q_max)
-    if missing.any():
-        a, b = np.unravel_index(int(np.argmax(missing)), missing.shape)
-        raise SymmetryError(
-            f"cannot symmetrise: ordinate (p={p_full[a]}, q={q_full[b]}) has no "
-            "source on the half-grid; use a q range symmetric about 0"
-        )
-    src = values[np.abs(p_full)[:, None], src_q - grid.q_min]
-    um = (-2 * grid.u_min - np.arange(U)) % U
-    full = src.astype(np.complex128)
-    full[~direct] = np.conj(src[~direct][:, um])
-    return full, p_full, q_full, u_full
+    return full, p_full, grid.q_values, grid.u_values
 
 
 def inverse_transform(
@@ -134,21 +122,16 @@ def inverse_transform(
     """Discrete inverse transform of a Hermitian-symmetric scalar field.
 
     kappa(c, h) = (1/|grid|) * sum_w f(w) exp(+2*pi*i*(p*c_x + q*c_y + u*h/T))
-    over the symmetrised grid.  The imaginary residue must stay below
-    1e-9 of the field scale (it measures symmetry violation) and is then
-    discarded; the result is real.
+    over the symmetrised grid, as one inverse FFT: the cube is rolled so
+    that ordinate 0 comes first on every axis, and the result is rolled
+    back so that lag 0 sits where ordinate 0 sat.  The imaginary residue
+    must stay below 1e-9 of the field scale (it measures symmetry
+    violation) and is then discarded; the result is real.
     """
     full, p_full, q_full, u_full = symmetrise_scalar(values, grid, T)
-    Ps, Qs, U = full.shape
-    c_x = p_full / float(Ps)
-    c_y = q_full / float(Qs)
-    h = u_full.copy()
-
-    ep = np.exp((2j * np.pi) * np.multiply.outer(c_x, p_full.astype(float)))
-    eq = np.exp((2j * np.pi) * np.multiply.outer(c_y, q_full.astype(float)))
-    eu = np.exp((2j * np.pi / T) * np.multiply.outer(h.astype(float), u_full.astype(float)))
-    out = np.einsum("ap,bq,cu,pqu->abc", ep, eq, eu, full, optimize=True)
-    out /= Ps * Qs * U
+    origin = (grid.p_max, grid.q_max, -grid.u_min)
+    out = np.fft.ifftn(np.roll(full, [-o for o in origin], axis=(0, 1, 2)))
+    out = np.roll(out, origin, axis=(0, 1, 2))
 
     scale = max(float(np.abs(out).max()), 1e-300)
     residue = float(np.abs(out.imag).max())
@@ -158,9 +141,9 @@ def inverse_transform(
             "of the field scale; upstream grid or field is asymmetric"
         )
     return LagField(
-        c_x=c_x,
-        c_y=c_y,
-        h=h,
+        c_x=p_full / float(full.shape[0]),
+        c_y=q_full / float(full.shape[1]),
+        h=u_full,
         values=out.real.copy(),
         kind=kind,
         pair=pair,

@@ -45,8 +45,9 @@ MAX_DISPERSION = 1.0
 
 
 def _spec_integer(value, name: str) -> int:
-    """A simulation document's whole-number entry, which must be a JSON
-    integer: a float, a bool or a numeric string is refused, not rounded."""
+    """A simulation spec's whole-number entry, which must be an integer (in
+    a document, a JSON integer): a float, a bool or a numeric string is
+    refused, not rounded."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(
             f"simulation spec has an unreadable value: {name} must be an "
@@ -144,14 +145,16 @@ class SimSpec:
             lp = lp if isinstance(lp, LinkSpec) else LinkSpec(*lp)
             links.append(
                 LinkSpec(
-                    lp.i,
-                    lp.j,
+                    _spec_integer(lp.i, f"'i' of link pair {k}"),
+                    _spec_integer(lp.j, f"'j' of link pair {k}"),
                     _spec_real(lp.offspring_rate, f"'offspring_rate' of link pair {k}"),
                     _spec_real(lp.dispersion, f"'dispersion' of link pair {k}"),
                 )
             )
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "link_pairs", tuple(links))
+        object.__setattr__(self, "T", _spec_integer(self.T, "'T'"))
+        object.__setattr__(self, "seed", _spec_integer(self.seed, "'seed'"))
         if self.kind not in KINDS:
             raise ValidationError(f"unknown simulation kind {self.kind!r}")
         if len(self.rates) < 2:
@@ -218,20 +221,15 @@ class SimSpec:
         try:
             pairs = _spec_list(doc.get("link_pairs", []), "'link_pairs'")
             links = tuple(
-                LinkSpec(
-                    i=_spec_integer(lp["i"], f"'i' of link pair {k}"),
-                    j=_spec_integer(lp["j"], f"'j' of link pair {k}"),
-                    offspring_rate=lp["offspring_rate"],
-                    dispersion=lp["dispersion"],
-                )
-                for k, lp in enumerate(pairs, 1)
+                LinkSpec(lp["i"], lp["j"], lp["offspring_rate"], lp["dispersion"])
+                for lp in pairs
             )
             return cls(
                 kind=doc["kind"],
                 rates=_spec_list(doc["rates"], "'rates'"),
-                T=_spec_integer(doc["T"], "'T'"),
+                T=doc["T"],
                 link_pairs=links,
-                seed=_spec_integer(doc.get("seed", 0), "'seed'"),
+                seed=doc.get("seed", 0),
                 mark_dist=doc.get("mark_dist"),
             )
         except KeyError as exc:

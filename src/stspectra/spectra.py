@@ -106,6 +106,11 @@ class FrequencyGrid:
         P, Q, U = self.shape
         return P * Q * U
 
+    def points(self) -> np.ndarray:
+        """The (p, q, u) of every ordinate in flat (C) order, shape
+        (size, 3): row k is the ordinate at ``np.unravel_index(k, shape)``."""
+        return np.indices(self.shape).reshape(3, -1).T + (0, self.q_min, self.u_min)
+
     @property
     def dc_index(self) -> tuple[int, int, int]:
         return (0, -self.q_min, -self.u_min)
@@ -398,6 +403,37 @@ def _box_sum(a: np.ndarray, h: int, axis: int) -> np.ndarray:
     return out
 
 
+def _mirror_refusal(grid: FrequencyGrid, T: int) -> str | None:
+    """Why the conjugate mirror f(-w) = conj(f(w)) cannot extend a field on
+    ``grid`` below p = 0, or None when it can.  The mirror of every stored
+    ordinate must be stored: the q range has to be symmetric about 0, and
+    the u range has to hold all T temporal ordinates, since u wraps modulo
+    T."""
+    U = grid.shape[2]
+    if U != T:
+        return (
+            f"the conjugate mirror needs all {T} temporal ordinates, got {U}; "
+            "use the default u range"
+        )
+    if grid.q_min != -grid.q_max:
+        return (
+            f"the conjugate mirror needs a q range symmetric about 0, got "
+            f"{grid.q_min}..{grid.q_max}"
+        )
+    return None
+
+
+def _mirror_planes(values: np.ndarray, grid: FrequencyGrid, k: np.ndarray) -> np.ndarray:
+    """The planes p = -k of the conjugate-symmetric extension of a half-grid
+    field, in the order of ``k`` (entries in 1..p_max): plane p = k with q
+    reversed, u mirrored modulo U and every entry conjugated.  Only valid
+    where :func:`_mirror_refusal` finds nothing.  ``values`` has shape
+    (P, Q, U) + trailing; the trailing axes ride along."""
+    U = grid.shape[2]
+    um = (-2 * grid.u_min - np.arange(U)) % U
+    return np.conj(values[k, ::-1][:, :, um])
+
+
 def _box_average(
     values: np.ndarray, grid: FrequencyGrid, T: int, hw: tuple[int, int, int]
 ) -> np.ndarray:
@@ -407,18 +443,19 @@ def _box_average(
     The field is periodic in u with period T (integer time steps), so when
     the stored u axis covers all T ordinates the temporal neighbours wrap
     cyclically.  Fields of real-data transforms obey f(-w) = conj(f(w)), so
-    neighbours with p < 0 are fetched as conjugates of their stored mirror
-    whenever the q range is symmetric; both rules keep the box average of
-    the virtual full grid exact, which the lag-domain inverse relies on.
-    Neighbours beyond p_max or the q edges are genuinely unavailable and
-    the average renormalises over the in-range count there.
+    neighbours with p < 0 are the conjugate mirrors of stored planes
+    (:func:`_mirror_planes`) wherever :func:`_mirror_refusal` allows it,
+    the rule the lag-domain inverse applies too; both rules keep the box
+    average of the virtual full grid exact.  Neighbours beyond p_max or the
+    q edges are genuinely unavailable and the average renormalises over
+    the in-range count there.
 
-    The rules are applied once, by building an extended array: hp
-    conjugate-mirrored planes below p=0 (flipped q, mirrored u; zero when
-    no mirror applies), hp zero planes past p_max, hq zero planes past each
-    q edge, and hu planes each side in u, cyclic when U == T and zero
-    otherwise.  Three 1-D box sums over it give the neighbourhood sums, and
-    the in-range counts are the outer product of the three 1-D counts.
+    The rules are applied by building an extended array: hp mirrored planes
+    below p=0 (zero when no mirror applies), hp zero planes past p_max, hq
+    zero planes past each q edge, and hu planes each side in u, cyclic when
+    U == T and zero otherwise.  Three 1-D box sums over it give the
+    neighbourhood sums, and the same sums over the same extension of an
+    all-ones field give the in-range counts.
 
     ``values`` has shape (P, Q, U) + trailing; the trailing axes ride along.
     """
@@ -428,37 +465,24 @@ def _box_average(
     P, Q, U = grid.shape
     if values.shape[:3] != (P, Q, U):
         raise ValidationError("field shape disagrees with grid")
-    wrap_u = U == T
-    mirror_p = wrap_u and grid.q_min == -grid.q_max
+    mirrored = hp if _mirror_refusal(grid, T) is None else 0
+    k = np.arange(1, min(mirrored, P - 1) + 1)  # plane p = -k mirrors p = k
 
-    ext = np.zeros((P + 2 * hp, Q + 2 * hq, U) + values.shape[3:], values.dtype)
-    ext[hp : hp + P, hq : hq + Q] = values
-    p_in = np.zeros(P + 2 * hp)
-    p_in[hp : hp + P] = 1.0
-    if mirror_p:
-        k = np.arange(1, min(hp, P - 1) + 1)  # plane p = -k mirrors p = k
-        um = (-2 * grid.u_min - np.arange(U)) % U
-        ext[hp - k, hq : hq + Q] = np.conj(values[k, ::-1][:, :, um])
-        p_in[hp - k] = 1.0
-    q_in = np.zeros(Q + 2 * hq)
-    q_in[hq : hq + Q] = 1.0
-    if wrap_u:
-        ext = ext[:, :, np.arange(-hu, U + hu) % U]
-        u_in = np.ones(U + 2 * hu)
-    else:
-        pad = [(0, 0)] * ext.ndim
-        pad[2] = (hu, hu)
-        ext = np.pad(ext, pad)
-        u_in = np.zeros(U + 2 * hu)
-        u_in[hu : hu + U] = 1.0
+    def box_sums(a: np.ndarray) -> np.ndarray:
+        ext = np.zeros((P + 2 * hp, Q + 2 * hq, U) + a.shape[3:], a.dtype)
+        ext[hp : hp + P, hq : hq + Q] = a
+        ext[hp - k, hq : hq + Q] = _mirror_planes(a, grid, k)
+        if U == T:
+            ext = ext[:, :, np.arange(-hu, U + hu) % U]
+        else:
+            pad = [(0, 0)] * ext.ndim
+            pad[2] = (hu, hu)
+            ext = np.pad(ext, pad)
+        return _box_sum(_box_sum(_box_sum(ext, hp, 0), hq, 1), hu, 2)
 
-    acc = _box_sum(_box_sum(_box_sum(ext, hp, 0), hq, 1), hu, 2)
-    cnt = np.multiply.outer(
-        np.multiply.outer(_box_sum(p_in, hp, 0), _box_sum(q_in, hq, 0)),
-        _box_sum(u_in, hu, 0),
-    )
+    cnt = box_sums(np.ones(grid.shape))
     trail = (np.newaxis,) * (values.ndim - 3)
-    return acc / cnt[(...,) + trail]
+    return box_sums(values) / cnt[(...,) + trail]
 
 
 def smooth_spectra(
@@ -522,8 +546,7 @@ def coherence(field: SpectralField, i: int, j: int) -> np.ndarray:
 
 def _grid_point(grid: FrequencyGrid, flat: int) -> tuple[int, int, int]:
     """(p, q, u) of the ordinate at a flat (C-order) index of the grid."""
-    a, b, c = np.unravel_index(int(flat), grid.shape)
-    return (int(grid.p_values[a]), int(grid.q_values[b]), int(grid.u_values[c]))
+    return tuple(int(v) for v in grid.points()[int(flat)])
 
 
 def _component_indices(d: int, *sets) -> list[list[int]]:
@@ -721,58 +744,45 @@ def _polar_coords(grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rho, theta, (pp == 0) & (qq == 0)
 
 
-def r_spectrum(values: np.ndarray, grid: FrequencyGrid) -> PolarSpectrum:
-    """Average the real field over annuli r-1 < sqrt(p^2+q^2) <= r for
-    r = 1, 2, ...; the spatial DC ordinate (p,q)=(0,0) falls in no annulus."""
+def _bin_average(
+    values: np.ndarray, grid: FrequencyGrid, kind: str, bins: np.ndarray, bin_of: np.ndarray
+) -> PolarSpectrum:
+    """Average the real field, per temporal frequency, over the spatial
+    ordinates whose entry of the (P, Q) array ``bin_of`` is k, for each
+    bin k in 0..len(bins)-1; ordinates in no bin hold -1."""
     if values.shape != grid.shape:
         raise ValidationError("field shape disagrees with grid")
-    rho, _, _ = _polar_coords(grid)
-    r_max = int(np.ceil(rho.max())) if rho.max() > 0 else 1
-    radii = np.arange(1, r_max + 1)
-    # bin index: smallest r with rho <= r, i.e. ceil(rho); rho=0 excluded
-    bin_of = np.ceil(rho).astype(int)
-    U = grid.shape[2]
-    out = np.zeros((radii.size, U))
-    counts = np.zeros(radii.size, dtype=int)
-    for k, r in enumerate(radii):
-        sel = (bin_of == r) & (rho > 0)
+    out = np.zeros((bins.size, grid.shape[2]))
+    counts = np.zeros(bins.size, dtype=int)
+    for k in range(bins.size):
+        sel = bin_of == k
         counts[k] = int(sel.sum())
         if counts[k]:
             out[k] = values[sel, :].mean(axis=0)
     return PolarSpectrum(
-        kind="radius",
-        bins=radii,
-        u_values=grid.u_values,
-        values=out,
-        counts=counts,
+        kind=kind, bins=bins, u_values=grid.u_values, values=out, counts=counts
     )
+
+
+def r_spectrum(values: np.ndarray, grid: FrequencyGrid) -> PolarSpectrum:
+    """Average the real field over annuli r-1 < sqrt(p^2+q^2) <= r for
+    r = 1, 2, ...; the spatial DC ordinate (p,q)=(0,0) falls in no annulus."""
+    rho, _, _ = _polar_coords(grid)
+    r_max = int(np.ceil(rho.max())) if rho.max() > 0 else 1
+    # annulus r holds the ordinates with ceil(rho) = r; rho = 0 lands in none
+    bin_of = np.ceil(rho).astype(int) - 1
+    return _bin_average(values, grid, "radius", np.arange(1, r_max + 1), bin_of)
 
 
 def theta_spectrum(values: np.ndarray, grid: FrequencyGrid) -> PolarSpectrum:
     """Average the real field over direction bands theta +/- 5 degrees for
     theta = 0, 10, ..., 170, with the direction of (p,q) taken as
     atan2(p, q) in degrees modulo 180; (0,0) has no direction."""
-    if values.shape != grid.shape:
-        raise ValidationError("field shape disagrees with grid")
     _, theta, is_origin = _polar_coords(grid)
     wrapped = np.where(theta > 175.0, theta - 180.0, theta)
     band = np.ceil((wrapped - 5.0) / 10.0).astype(int)
-    angles = np.arange(0, 180, 10)
-    U = grid.shape[2]
-    out = np.zeros((angles.size, U))
-    counts = np.zeros(angles.size, dtype=int)
-    for k in range(angles.size):
-        sel = (band == k) & ~is_origin
-        counts[k] = int(sel.sum())
-        if counts[k]:
-            out[k] = values[sel, :].mean(axis=0)
-    return PolarSpectrum(
-        kind="angle",
-        bins=angles,
-        u_values=grid.u_values,
-        values=out,
-        counts=counts,
-    )
+    band[is_origin] = -1
+    return _bin_average(values, grid, "angle", np.arange(0, 180, 10), band)
 
 
 def dot_multiple_gap(field: SpectralField, i: int) -> float:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from stspectra import DftVector
+from stspectra import DftVector, symmetrise_scalar
 from stspectra.spectra import _box_average
 
 
@@ -116,6 +116,24 @@ def partial_coherence_three(field, i, j, k):
     return (r_ij - r_ik * r_kj) / np.sqrt(
         (1.0 - np.abs(r_ik) ** 2) * (1.0 - np.abs(r_kj) ** 2)
     )
+
+
+def inverse_sum(values, grid, T):
+    """The lag-domain inverse of ``inverse_transform`` by its definition:
+    kappa(c, h) = (1/|grid|) * sum_w f(w) exp(+2*pi*i*(p*c_x + q*c_y + u*h/T))
+    over the symmetrised cube, with one table of complex exponentials per
+    axis and one contraction.  Returns the complex lag cube."""
+    full, p_full, q_full, u_full = symmetrise_scalar(values, grid, T)
+    Ps, Qs, U = full.shape
+    c_x = p_full / float(Ps)
+    c_y = q_full / float(Qs)
+    ep = np.exp((2j * np.pi) * np.multiply.outer(c_x, p_full.astype(float)))
+    eq = np.exp((2j * np.pi) * np.multiply.outer(c_y, q_full.astype(float)))
+    eu = np.exp(
+        (2j * np.pi / T) * np.multiply.outer(u_full.astype(float), u_full.astype(float))
+    )
+    out = np.einsum("ap,bq,cu,pqu->abc", ep, eq, eu, full, optimize=True)
+    return out / (Ps * Qs * U)
 
 
 def forward_from_lags(lag):

@@ -235,6 +235,28 @@ class TestIngest:
         if error == "row":
             assert report["message"].startswith("line 3: ")
 
+    @pytest.mark.parametrize(
+        "width, message",
+        [
+            ("1d", "mixed timezone-aware and naive timestamps"),
+            ("99999999999999999999w", "'99999999999999999999w' is too long"),
+        ],
+        ids=["mixed-timezones", "huge-bin-width"],
+    )
+    def test_unbinnable_timestamps_report_json(self, tmp_path, capsys, width, message):
+        src = tmp_path / "raw.csv"
+        src.write_text(
+            "x,y,time,type\n"
+            "0.1,0.2,2021-01-01T00:00:00,a\n"
+            "0.3,0.4,2021-01-02T00:00:00+00:00,b\n"
+        )
+        assert run(["ingest", src, "--bin-width", width, "--out", tmp_path / "out"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "validation"
+        assert message in report["message"]
+
     def test_bad_schema_reports_json(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("lon,lat\n1,2\n")

@@ -37,6 +37,7 @@ REMOVED_FIELDS = {
     "LagField": ("p_full", "q_full", "u_full", "T"),
     "DftVector": ("marked", "mark_means"),
     "SpectralField": ("marked",),
+    "Window": ("bin_origin", "bin_width"),
 }
 
 

@@ -1,11 +1,12 @@
 """Loading, binning, validation, and round-trip export."""
 
 import dataclasses
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
+from stspectra import ingest
 from stspectra.errors import (
     DomainError,
     EmptyInputError,
@@ -147,6 +148,39 @@ class TestLoad:
         assert rep.time_mode == "binned"
         assert rep.bin_width == timedelta(days=2)
 
+    def test_each_distinct_timestamp_binned_once(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_bin_times(timestamps, *args):
+            seen.append(list(timestamps))
+            return bin_times(timestamps, *args)
+
+        monkeypatch.setattr(ingest, "bin_times", recording_bin_times)
+        p = write_csv(
+            tmp_path / "e.csv",
+            "x,y,time,type\n"
+            "0.1,0.2,2021-03-03T00:00:00,a\n"
+            "0.3,0.4,2021-03-01T00:00:00,b\n"
+            "0.5,0.6,2021-03-03T00:00:00,b\n"
+            "0.7,0.8,2021-03-01T00:00:00,a\n"
+            "0.7,0.8,2021-03-01T00:00:00,a\n",  # duplicate
+        )
+        pat, rep = load_events(p, bin_width="1d")
+        assert seen == [[datetime(2021, 3, 3), datetime(2021, 3, 1)]]
+        assert pat.t.tolist() == [3, 1, 3, 1]
+        assert pat.T == 3
+        assert rep.bin_origin == datetime(2021, 3, 1)
+
+    def test_mixed_timezones_rejected(self, tmp_path):
+        p = write_csv(
+            tmp_path / "e.csv",
+            "x,y,time,type\n"
+            "0.1,0.2,2021-01-01T00:00:00,a\n"
+            "0.3,0.4,2021-01-02T00:00:00+00:00,b\n",
+        )
+        with pytest.raises(ValidationError, match="mixed timezone-aware and naive"):
+            load_events(p, bin_width="1d")
+
     def test_explicit_window_honoured(self, tmp_path):
         p = write_csv(
             tmp_path / "e.csv", "x,y,time,type\n0.2,0.2,1,a\n0.4,0.4,1,b\n"
@@ -237,6 +271,13 @@ class TestBinTimes:
         idx, _ = bin_times([origin, origin + timedelta(days=2)], timedelta(days=1))
         assert idx.tolist() == [1, 3]
 
+    def test_mixed_timezones_rejected(self):
+        naive = datetime(2021, 1, 1)
+        aware = datetime(2021, 1, 2, tzinfo=timezone.utc)
+        for origin in (None, naive):
+            with pytest.raises(ValidationError, match="mixed timezone-aware and naive"):
+                bin_times([naive, aware], timedelta(days=1), origin=origin)
+
     def test_stamp_before_origin_rejected(self):
         origin = datetime(2021, 1, 2)
         with pytest.raises(ValidationError):
@@ -250,6 +291,13 @@ class TestBinTimes:
         assert parse_duration("2w") == timedelta(weeks=2)
         with pytest.raises(ValidationError):
             parse_duration("1month")
+
+    def test_parse_duration_too_long_rejected(self):
+        assert parse_duration("142857w") == timedelta(weeks=142857)
+        for text in ("99999999999999999999w", "1" + "0" * 400 + "s"):
+            with pytest.raises(ValidationError, match="too long") as err:
+                parse_duration(text)
+            assert repr(text) in str(err.value)
 
 
 class TestPatternInvariants:

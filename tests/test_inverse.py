@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import forward_from_lags
+from oracles import forward_from_lags, inverse_sum
 from stspectra import (
     FrequencyGrid,
+    SimSpec,
     dft,
     inverse_transform,
     partial_cross_lags,
@@ -15,6 +16,7 @@ from stspectra import (
     partial_lag_characteristics,
     periodogram_matrix,
     scaled_covariance,
+    simulate,
     smooth_spectra,
     symmetrise_scalar,
 )
@@ -76,6 +78,16 @@ class TestSymmetrise:
         with pytest.raises(SymmetryError):
             symmetrise_scalar(vals, grid, T=1)
 
+    def test_asymmetric_q_range_rejected_without_mirror_planes(self):
+        # p_max = 0 leaves no plane to mirror, but the smoothing did not
+        # mirror this grid either, so its p = 0 plane is not symmetric
+        grid = FrequencyGrid(p_max=0, q_min=-1, q_max=2, u_min=0, u_max=0)
+        vals = np.ones(grid.shape, dtype=complex)
+        with pytest.raises(SymmetryError, match="symmetric about 0"):
+            symmetrise_scalar(vals, grid, T=1)
+        with pytest.raises(SymmetryError, match="symmetric about 0"):
+            inverse_transform(vals, grid, T=1)
+
     def test_shape_mismatch_rejected(self, small_grid):
         with pytest.raises(ValidationError):
             symmetrise_scalar(np.ones((2, 2, 2), dtype=complex), small_grid, T=4)
@@ -113,6 +125,41 @@ class TestAnalyticDeltas:
         assert np.allclose(lag.c_y, np.arange(-4, 5) / 9.0)
         assert lag.h.tolist() == [-1, 0, 1, 2]
         assert lag.origin_index == (4, 4, 1)
+
+
+def t8_partial_cross():
+    """The partial cross-spectrum of components 1 and 2 given 3, at T=8 on
+    a grid whose u range holds the 8 temporal ordinates -3..4."""
+    spec = SimSpec(kind="homogeneous_poisson", rates=(30.0, 40.0, 50.0), T=8, seed=3)
+    grid = FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=-3, u_max=4)
+    raw = periodogram_matrix(dft(simulate(spec).pattern, grid))
+    pf = partial_field(smooth_spectra(raw, (1, 1, 1)))
+    return pf.cross[..., 0, 1], grid, 8
+
+
+class TestDefinitionalSum:
+    """The FFT against the inverse sum written out with complex
+    exponentials, to 1e-12 of the field scale."""
+
+    def check(self, vals, grid, T):
+        lag = inverse_transform(vals, grid, T)
+        expected = inverse_sum(vals, grid, T)
+        scale = np.abs(expected).max()
+        assert np.abs(lag.values - expected.real).max() < 1e-12 * scale
+        assert np.abs(expected.imag).max() < 1e-12 * scale
+
+    def test_smoothed_entries(self, smoothed):
+        for i, j in ((1, 1), (1, 2), (2, 3)):
+            self.check(smoothed.entry(i, j), smoothed.grid, smoothed.T)
+
+    def test_analytic_fields(self):
+        grid = FrequencyGrid(p_max=3, q_min=-2, q_max=2, u_min=-1, u_max=1)
+        self.check(np.full(grid.shape, 2.5, dtype=complex), grid, 3)
+        grid = FrequencyGrid(p_max=3, q_min=-3, q_max=3, u_min=-1, u_max=2)
+        self.check(phase_field(grid, 4, 2, -3, -1), grid, 4)
+
+    def test_t8_partial_cross_field(self):
+        self.check(*t8_partial_cross())
 
 
 class TestRoundTrip:

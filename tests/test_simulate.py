@@ -128,6 +128,44 @@ class TestSpecValidation:
         assert named in str(exc.value)
 
     @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: poisson_spec(T=2.5), "'T' must be an integer, got 2.5"),
+            (lambda: poisson_spec(T=True), "'T' must be an integer, got true"),
+            (lambda: poisson_spec(seed=1.5), "'seed' must be an integer, got 1.5"),
+            (
+                lambda: SimSpec(
+                    kind="linked_cluster",
+                    rates=(40.0, 40.0),
+                    T=2,
+                    link_pairs=(LinkSpec(1.0, 2, 20.0, 0.05),),
+                ),
+                "'i' of link pair 1 must be an integer, got 1.0",
+            ),
+            (
+                lambda: SimSpec(
+                    kind="linked_cluster",
+                    rates=(40.0, 40.0),
+                    T=2,
+                    link_pairs=((1, 2, 20.0, 0.05), (2, "1", 20.0, 0.05)),
+                ),
+                "'j' of link pair 2 must be an integer, got \"1\"",
+            ),
+        ],
+        ids=["float-T", "bool-T", "float-seed", "float-link-index", "string-link-index"],
+    )
+    def test_library_integers_are_not_coerced(self, build, named):
+        # the check of from_dict, applied on construction
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert named in str(exc.value)
+
+    def test_numpy_integers_accepted(self):
+        spec = poisson_spec(T=np.int64(3), seed=np.int64(5))
+        assert (spec.T, spec.seed) == (3, 5)
+        assert type(spec.T) is int and type(spec.seed) is int
+
+    @pytest.mark.parametrize(
         "path, value, named",
         [
             (("rates", 0), "40", "entry 1 of 'rates' must be a finite number, got \"40\""),

@@ -114,6 +114,15 @@ class TestGrid:
         assert not mask[small_grid.dc_index]
         assert mask.sum() == np.prod(small_grid.shape) - 1
 
+    def test_points_follow_unravel_order(self):
+        # q range asymmetric about 0, u range short of any full period
+        grid = FrequencyGrid(p_max=2, q_min=-1, q_max=3, u_min=-1, u_max=0)
+        points = grid.points()
+        assert points.shape == (grid.size, 3)
+        for k, point in enumerate(points.tolist()):
+            a, b, c = np.unravel_index(k, grid.shape)
+            assert point == [grid.p_values[a], grid.q_values[b], grid.u_values[c]]
+
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValidationError):
             FrequencyGrid(p_max=-1, q_min=0, q_max=0, u_min=0, u_max=0)
