@@ -50,7 +50,12 @@ from .ingest import (
     load_events,
     rescale_to_unit_square,
 )
-from .inverse import partial_cross_lags, partial_lag_characteristics, scaled_covariance
+from .inverse import (
+    _require_mirror,
+    partial_cross_lags,
+    partial_lag_characteristics,
+    scaled_covariance,
+)
 from .partial import partial_field
 from .simulate import SimSpec, simulate, write_sidecar
 from .spectra import AnalysisSpec, FrequencyGrid, r_spectrum, theta_spectrum
@@ -981,6 +986,8 @@ def cmd_pipeline(args) -> int:
     _require_partial_dims(pattern)
 
     spec = _analysis_spec(args, pattern.T)
+    if args.lags:
+        _require_mirror(spec.grid, pattern.T)
     xi, cal = _resolve_xi(args, pattern, spec)
     cfg = _config_dict(
         args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}

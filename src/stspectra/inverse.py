@@ -88,6 +88,14 @@ class PartialLagSet:
     conditioning: tuple[int, ...]
 
 
+def _require_mirror(grid: FrequencyGrid, T: int) -> None:
+    """Raise the symmetry error for a grid whose fields have no lag
+    transform, because the conjugate mirror refuses it."""
+    refusal = _mirror_refusal(grid, T)
+    if refusal is not None:
+        raise SymmetryError(f"cannot symmetrise: {refusal}")
+
+
 def symmetrise_scalar(
     values: np.ndarray, grid: FrequencyGrid, T: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -103,9 +111,7 @@ def symmetrise_scalar(
     """
     if values.shape != grid.shape:
         raise ValidationError("field shape disagrees with grid")
-    refusal = _mirror_refusal(grid, T)
-    if refusal is not None:
-        raise SymmetryError(f"cannot symmetrise: {refusal}")
+    _require_mirror(grid, T)
     mirrored = _mirror_planes(values, grid, np.arange(grid.p_max, 0, -1))
     full = np.concatenate([mirrored, values]).astype(np.complex128)
     p_full = np.arange(-grid.p_max, grid.p_max + 1)

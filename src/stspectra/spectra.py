@@ -48,9 +48,14 @@ __all__ = [
 
 NORMALISATIONS = ("sqrt_counts", "none")
 
-# events per transform chunk.  Fixed, so the summation order never changes;
-# a chunk's 4096 x (P*U) product block is 5.6 MB on the default T=5 grid
+# events per transform chunk, whose axis phases are built at once.  Fixed, so
+# the summation order never changes; a chunk's phases are (P + Q) x 4096
+# complex values, 3.3 MB on the default grid
 EVENT_CHUNK = 4096
+# events per (P x k) by (k x Q) product inside one time step.  Products this
+# short gave the same bytes at 1, 2 and 4 OpenBLAS threads (0.3.31) over every
+# size tried, while 256-event products did not; a test checks it
+STEP_PRODUCT = 128
 
 
 @dataclass(frozen=True)
@@ -194,15 +199,18 @@ class DftVector:
         return self.values[i - 1]
 
 
-def _axis_phases(coord: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
+def _axis_phases(
+    coord: np.ndarray, k_min: int, k_max: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """exp(-2*pi*i * k * coord) for k in k_min..k_max (k_min <= 0 <= k_max),
     shape (k_max - k_min + 1, n).
 
     Integer frequencies make these powers of one unit complex number
     z = exp(-2*pi*i * coord): one exponential per event, then the powers on
     the longer side of k = 0 by repeated multiplication; the shorter side
-    holds their conjugates."""
-    out = np.empty((k_max - k_min + 1, coord.size), dtype=np.complex128)
+    holds their conjugates.  Written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty((k_max - k_min + 1, coord.size), dtype=np.complex128)
     pos, neg = out[-k_min:], out[-k_min::-1]  # pos[k] is k, neg[k] is -k
     long, short = (pos, neg) if k_max >= -k_min else (neg, pos)
     long[0] = 1.0
@@ -231,33 +239,46 @@ def _dft_single(
     grid: FrequencyGrid,
     weights: np.ndarray | None,
 ) -> np.ndarray:
-    """Direct-summation transform of one component as a chunked complex GEMM.
+    """Direct-summation transform of one component, summed by time step.
 
     The per-event phase factor exp(-2*pi*i*(p*x + q*y + u*t/T)) factorises
-    into three axis factors, so with A = px * ut (P*U rows, one column per
-    event) the transform is A @ qy, a (P*U x n) by (n x Q) product.  The
-    spatial factors come from :func:`_axis_phases`; time steps are the
-    integers 1..T, so the temporal factor of an event is a column of the
-    :func:`_step_phases` table.  Weights multiply the indexed copy, never the
-    table.  Events are taken in fixed chunks of ``EVENT_CHUNK``, summed in
-    event order, with A refilled in one buffer per call, so memory is bounded
-    by the chunk and the summation order is fixed.
+    into three axis factors.  Events of one step t share the temporal
+    factor, a column of the :func:`_step_phases` table, so the transform is
+    sum_t S_t(p, q) * table[u, t] with S_t = px @ qy.T over the step's events.
+    Events are stably sorted by step (weights with them) and taken in fixed
+    chunks of ``EVENT_CHUNK``, whose spatial factors :func:`_axis_phases`
+    writes once per chunk into one work buffer per call; weights multiply
+    that copy of the p factors, never the table.  Inside a step, S_t adds
+    (P x k) by (k x Q) products of at most ``STEP_PRODUCT`` events in event
+    order, and when the step ends S_t is added into the result element-wise,
+    steps in order.  Memory is bounded by the chunk, and the summation order
+    is fixed by the sorted events alone.
     """
-    P, Q, U = grid.shape
-    acc = np.zeros((P * U, Q), dtype=np.complex128)
+    P, Q, _ = grid.shape
+    order = np.argsort(t, kind="stable")
+    x, y, t = x[order], y[order], t[order]
+    if weights is not None:
+        weights = weights[order]
+    ends = np.flatnonzero(t[1:] != t[:-1]) + 1  # where a run of one step ends
     table = _step_phases(T, grid.u_values)
-    block = np.empty(P * U * min(x.size, EVENT_CHUNK), dtype=np.complex128)
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    step_sum = np.zeros((P, Q), dtype=np.complex128)
+    phases = np.empty((P + Q, min(x.size, EVENT_CHUNK)), dtype=np.complex128)
     for lo in range(0, x.size, EVENT_CHUNK):
-        hi = lo + EVENT_CHUNK
-        ut = table[:, t[lo:hi] - 1]
+        hi = min(lo + EVENT_CHUNK, x.size)
+        px = _axis_phases(x[lo:hi], 0, grid.p_max, phases[:P, : hi - lo])
         if weights is not None:
-            ut *= weights[lo:hi]
-        px = _axis_phases(x[lo:hi], 0, grid.p_max)
-        a = block[: px.size * U].reshape(P, U, -1)
-        np.multiply(px[:, None, :], ut[None, :, :], out=a)
-        qy = _axis_phases(y[lo:hi], grid.q_min, grid.q_max)
-        acc += a.reshape(P * U, -1) @ qy.T
-    return acc.reshape(P, U, Q).transpose(0, 2, 1)
+            px *= weights[lo:hi]
+        qy = _axis_phases(y[lo:hi], grid.q_min, grid.q_max, phases[P:, : hi - lo])
+        cuts = (ends[(ends > lo) & (ends < hi)] - lo).tolist()
+        for a, b in zip([0, *cuts], [*cuts, hi - lo]):
+            for k in range(a, b, STEP_PRODUCT):
+                k_hi = min(k + STEP_PRODUCT, b)
+                step_sum += px[:, k:k_hi] @ qy[:, k:k_hi].T
+            if lo + b == x.size or t[lo + b] != t[lo + b - 1]:
+                acc += step_sum[:, :, None] * table[:, t[lo + b - 1] - 1]
+                step_sum[:] = 0.0
+    return acc
 
 
 def _check_unit(pattern: MultiPattern) -> None:
@@ -269,7 +290,8 @@ def _check_unit(pattern: MultiPattern) -> None:
 
 def _transform(pattern: MultiPattern, grid: FrequencyGrid, marked: bool) -> DftVector:
     """Transform every component in turn.  The only parallel work is the
-    BLAS inside each chunk's GEMM, whose thread count leaves the bytes alone."""
+    BLAS inside the short per-step products, which gave the same bytes at
+    every thread count tried (see ``STEP_PRODUCT``)."""
     _check_unit(pattern)
     if marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")

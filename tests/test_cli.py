@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stspectra
 from stspectra import (
     FrequencyGrid,
     dft,
@@ -631,6 +636,69 @@ class TestPipeline:
         ) == 0
         assert (out / "lags.csv").exists()
         assert (out / "graph.json").exists()
+
+    def test_readme_run_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # the README case, calibrated, with slices and lags: every artifact
+        # must have the same bytes whatever the BLAS thread count
+        # paths are relative to each child's own directory, since the
+        # provenance quotes them
+        script = (
+            "from stspectra.cli import main\n"
+            "assert main(['simulate', '--kind', 'linked_cluster', '--rates',\n"
+            "    '75,75,300', '--T', '4', '--link', '1,2,225,0.005', '--seed', '7',\n"
+            "    '--out', 'sim']) == 0\n"
+            "assert main(['pipeline', 'sim/events.csv', '--time-is-index',\n"
+            "    '--half-widths', '2,2,1', '--xi', 'null:q95', '--replicates', '20',\n"
+            "    '--per-slice', '--lags', '--out', 'run']) == 0\n"
+        )
+        src = str(Path(stspectra.__file__).resolve().parents[1])
+        snapshots = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"threads{blas_threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=out,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            snapshots.append(
+                {
+                    str(f.relative_to(out)): f.read_bytes()
+                    for f in sorted(out.rglob("*"))
+                    if f.is_file()
+                }
+            )
+        assert {"run/lags.csv", "run/run.json", "run/spectra.csv"} <= set(snapshots[0])
+        assert set(snapshots[0]) == set(snapshots[1])
+        moved = [name for name in snapshots[0] if snapshots[0][name] != snapshots[1][name]]
+        assert moved == []
+
+    @pytest.mark.parametrize("xi", ["0.5", "null:q95"])
+    def test_refused_lags_stop_before_any_work(self, tmp_path, capsys, monkeypatch, xi):
+        # a q range not symmetric about 0 has no lag transform: the run must
+        # stop before it calibrates or writes anything
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before refusing --lags")
+
+        monkeypatch.setattr("stspectra.cli.calibrate_null_threshold", no_calibration)
+        events = simulate_events(tmp_path, "sim", T=4)
+        out = tmp_path / "pipe"
+        assert run(
+            ["pipeline", events, "--time-is-index", "--p-max", "0", "--q-min", "-1",
+             "--q-max", "2", "--half-widths", "0,1,0", "--xi", xi, "--lags",
+             "--out", out]
+        ) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert report["error"] == "symmetry"
+        assert "symmetric about 0" in report["message"]
+        assert not out.exists() or not any(out.iterdir())
 
     def test_input_and_simulate_conflict(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")

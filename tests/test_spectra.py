@@ -6,6 +6,7 @@ conftest.  They pin the transform sign and normalisation conventions.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -88,6 +89,31 @@ PERIODOGRAM_ORACLE = {
     (1, 0, 0): complex(-0.02900891062263286, -0.1758817565288711),
     (2, 3, 1): complex(1.353391003627402, -0.021657824895460642),
 }
+
+
+# hashes dft and marked_dft at five (d, T) pairs, each at eight sizes (events
+# per component) on the default grid, and at the same sizes on one wide grid
+THREAD_HASH_SCRIPT = """
+import hashlib, json
+import numpy as np
+from stspectra import FrequencyGrid, dft, marked_dft, simulate_binomial_null
+SIZES = (150, 700, 1100, 1500, 2100, 3100, 5000, 9000)
+cases = [
+    (d, T, FrequencyGrid.default(T))
+    for d, T in ((3, 4), (4, 8), (5, 5), (3, 1), (6, 12))
+]
+cases.append((3, 4, FrequencyGrid(p_max=32, q_min=-32, q_max=32, u_min=-1, u_max=2)))
+digests = {}
+for d, T, grid in cases:
+    for n in SIZES:
+        pat = simulate_binomial_null((n,) * d, T=T, seed=3)
+        pat = pat.with_marks(np.random.default_rng(3).normal(5.0, 1.0, pat.n))
+        for transform in (dft, marked_dft):
+            key = f"{transform.__name__} d={d} T={T} n={n} grid={grid.shape}"
+            values = transform(pat, grid).values
+            digests[key] = hashlib.sha256(values.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
 
 
 def grid_index(grid, p, q, u):
@@ -182,6 +208,27 @@ class TestDft:
             digests.append(proc.stdout.strip())
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+    def test_transform_bytes_equal_at_one_two_and_four_blas_threads(self):
+        # OpenBLAS 0.3.31 gave the short per-step products the same bytes at
+        # every thread count tried; a size that moves is a kernel defect
+        src = str(Path(stspectra.__file__).resolve().parents[1])
+        digests = {}
+        for blas_threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", THREAD_HASH_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests[blas_threads] = json.loads(proc.stdout)
+        assert len(digests["1"]) == 2 * 6 * 8
+        for blas_threads in ("2", "4"):
+            moved = [k for k, v in digests["1"].items() if digests[blas_threads][k] != v]
+            assert moved == [], f"bytes differ at {blas_threads} BLAS threads"
 
     def test_conjugate_symmetry_on_p0_plane(self, tiny_pattern):
         grid = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=-1, u_max=1)
@@ -638,15 +685,26 @@ class TestPhaseRecurrence:
             want = exp_phases(steps.astype(float) / T, u.astype(float))
             assert _step_phases(T, u).tobytes() == want.T.copy().tobytes()
 
-    def test_marked_transform_leaves_table_intact(self):
-        # two chunks of events: a weight multiplied into the table itself
-        # would corrupt every later chunk and every later call
+    def test_marked_transform_leaves_table_intact(self, monkeypatch):
+        # two chunks of events: the weights multiply each chunk's own copy
+        # of the p phases; a weight multiplied into the step table, which
+        # every step reads, would corrupt later steps, chunks and calls
+        tables = []
+
+        def keep_table(T, u):
+            table = _step_phases(T, u)
+            tables.append((table, table.copy()))
+            return table
+
+        monkeypatch.setattr("stspectra.spectra._step_phases", keep_table)
         grid = FrequencyGrid(p_max=4, q_min=-3, q_max=5, u_min=-1, u_max=2)
         pat = simulate_binomial_null((EVENT_CHUNK + 300, 40), T=4, seed=8)
         marks = np.random.default_rng(8).normal(5.0, 1.0, pat.n)
         pat = pat.with_marks(marks)
         first = marked_dft(pat, grid)
         second = marked_dft(pat, grid)
+        assert len(tables) == 2 * pat.d
+        assert all(kept.tobytes() == copy.tobytes() for kept, copy in tables)
         assert first.values.tobytes() == second.values.tobytes()
         want = dft_exp(pat, grid, marked=True)
         assert np.abs(first.values - want).max() < 1e-10 * pat.n
@@ -660,6 +718,67 @@ class TestPhaseRecurrence:
             b = dft_separable(pat, grid)
             assert np.abs(a.values - b.values).max() < 1e-10 * pat.n
             assert np.abs(a.values - dft_exp(pat, grid)).max() < 1e-10 * pat.n
+
+
+class TestStepSums:
+    """Each component is summed by time step: events are sorted by step,
+    their weights with them, and each step's spatial sum meets its temporal
+    phases once.  The exp-per-cell route is the oracle, at criterion 2's
+    1e-10 * n, marked and unmarked."""
+
+    GRID = FrequencyGrid(p_max=4, q_min=-3, q_max=5, u_min=-2, u_max=2)
+
+    @staticmethod
+    def pattern(steps, T, seed, marks=None):
+        """Uniform positions for the given time steps, one array of steps
+        per component in event order; N(5, 1) marks unless given."""
+        rng = np.random.default_rng(seed)
+        t = np.concatenate(steps)
+        type_id = np.concatenate([np.full(len(s), k + 1) for k, s in enumerate(steps)])
+        if marks is None:
+            marks = rng.normal(5.0, 1.0, t.size)
+        labels = [f"c{k + 1}" for k in range(len(steps))]
+        return build_pattern(
+            rng.random(t.size), rng.random(t.size), t, type_id, labels, T=T, marks=marks
+        )
+
+    def check(self, pat, grid=GRID):
+        for marked in (False, True):
+            got = (marked_dft if marked else dft)(pat, grid).values
+            want = dft_exp(pat, grid, marked=marked)
+            assert np.abs(got - want).max() < 1e-10 * pat.n
+
+    def test_events_out_of_step_order(self):
+        descending = np.repeat([5, 4, 3, 2, 1], 80)
+        interleaved = np.tile([3, 1, 5, 2, 4], 60)
+        self.check(self.pattern([descending, interleaved], T=5, seed=40))
+
+    def test_steps_without_events(self):
+        rng = np.random.default_rng(41)
+        self.check(
+            self.pattern(
+                [rng.choice([1, 2, 4, 5], 300), rng.choice([1, 5], 200)], T=5, seed=41
+            )
+        )
+
+    def test_step_runs_across_chunk_boundaries(self):
+        # a run that starts before a chunk ends, and one longer than a chunk
+        crossing = np.repeat([1, 2, 3], [EVENT_CHUNK - 100, 400, 50])
+        long = np.repeat([4, 2], [EVENT_CHUNK + 500, 10])
+        grid = dataclasses.replace(self.GRID, p_max=2, q_min=-2, q_max=2)
+        self.check(self.pattern([crossing, long], T=5, seed=42), grid)
+
+    def test_all_events_in_one_step(self):
+        self.check(self.pattern([np.full(300, 3), np.full(200, 3)], T=5, seed=43))
+
+    def test_marks_follow_their_events_into_step_order(self):
+        # marks rise with the step, so a weight left in input order would
+        # weight events with the marks of other steps
+        rng = np.random.default_rng(44)
+        steps = [rng.integers(1, 6, 400), rng.integers(1, 6, 300)]
+        t = np.concatenate(steps)
+        marks = 10.0 * t + rng.normal(0.0, 0.1, t.size)
+        self.check(self.pattern(steps, T=5, seed=44, marks=marks))
 
 
 class TestSeparableAgreement:
