@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .ingest import Component, MultiPattern
+from .ingest import Component, MultiPattern, _require_unit_square
 
 __all__ = [
     "CurveEstimate",
@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_CELLS = 64
+DEFAULT_T_GRID = (1.0, 2.0)
 _PAIR_BLOCK = 2048
 
 
@@ -75,8 +76,7 @@ _PAIR_BLOCK = 2048
 def _source_arrays(source) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, int]:
     """Pooled coordinate arrays (x, y, t, marks, T) of a pattern or component."""
     if isinstance(source, (MultiPattern, Component)):
-        if not source.window.is_unit_square:
-            raise ValidationError("estimators expect the unit square; rescale first")
+        _require_unit_square(source)
         return source.x, source.y, source.t, source.marks, source.T
     raise ValidationError("source must be a MultiPattern or a Component")
 
@@ -378,21 +378,21 @@ def _last_lag(table: np.ndarray) -> int:
     return int(np.nonzero(table)[0].max()) if table.any() else 0
 
 
-def _eroded_t_grid(t_grid, T: int, delta: float | None = None) -> tuple[float, ...]:
-    """The entries of ``t_grid`` that leave an eroded temporal domain in 1..T
-    under their lag weights: the ring kernel of bandwidth ``delta`` (pair
-    correlation) or, with ``delta`` None, the bin overlap (K, mark K)."""
-    if delta is not None:
-        delta = _check_bandwidth(delta, "temporal")
-    keep = []
-    for t in t_grid:
-        table = _overlap_table(t, T) if delta is None else _ring_lag_table(t, delta, T)
-        if 2 * _last_lag(table) < T:  # the margin _eroded_structure needs
-            keep.append(t)
-    return tuple(keep)
+def _cells(r, t_grid, T: int, eps: float | None = None, delta: float | None = None) -> _Cells:
+    """The (r, t) cells; lags weigh by the ring kernel of bandwidth ``delta``
+    (pair correlation) or, with ``delta`` None, by the bin overlap (K, mark K).
+    A None ``t_grid`` takes the entries of DEFAULT_T_GRID that leave an eroded
+    temporal domain in 1..T, or all of them when none does, so that the fault
+    is reported."""
 
+    def table(tv):
+        return _overlap_table(tv, T) if delta is None else _ring_lag_table(tv, delta, T)
 
-def _cells(r, t, tables: list[np.ndarray], T: int, eps: float | None = None) -> _Cells:
+    if t_grid is None:  # 2L < T is the margin _eroded_structure needs
+        fits = [tv for tv in DEFAULT_T_GRID if 2 * _last_lag(table(tv)) < T]
+        t_grid = fits or DEFAULT_T_GRID
+    t = _check_t_grid(t_grid)
+    tables = [table(tv) for tv in t]
     supports = r if eps is None else r + eps
     dmaxes = np.array([_last_lag(tab) for tab in tables])
     measure = np.empty((r.size, t.size))
@@ -528,6 +528,8 @@ def _check_r_grid(r_grid: np.ndarray, eps: float | None) -> np.ndarray:
         raise DomainError("r grid entries must be positive")
     if eps is not None and np.any(r <= eps):
         raise DomainError("r grid entries must exceed the ring bandwidth")
+    if not np.isfinite(r).all():
+        raise ValidationError("r grid entries must be finite")
     return r
 
 
@@ -537,13 +539,15 @@ def _check_t_grid(t_grid: np.ndarray) -> np.ndarray:
         raise ValidationError("t grid must be a non-empty 1-d array")
     if np.any(t < 0):
         raise DomainError("t grid entries must be non-negative")
+    if not np.isfinite(t).all():
+        raise ValidationError("t grid entries must be finite")
     return t
 
 
 def estimate_pair_correlation(
     source,
     r_grid: Sequence[float],
-    t_grid: Sequence[float],
+    t_grid: Sequence[float] | None = None,
     eps: float | None = None,
     delta: float | None = None,
     intensity: Callable | None = None,
@@ -553,7 +557,7 @@ def estimate_pair_correlation(
     Homogeneous Poisson inputs give values near 1; clustering shows up
     as an excess at small ranges.  The default plug-in intensity is the
     homogeneous one; pass a callable (x, y, t) -> rate for the
-    inhomogeneous version."""
+    inhomogeneous version.  ``t_grid`` None takes the default lags."""
     x, y, t, _, T = _source_arrays(source)
     if x.size < 2:
         raise ValidationError("need at least two events")
@@ -563,9 +567,7 @@ def estimate_pair_correlation(
         _, delta = scott_bandwidths(source)
     eps = _check_bandwidth(eps, "spatial")
     delta = _check_bandwidth(delta, "temporal")
-    r = _check_r_grid(r_grid, eps)
-    tg = _check_t_grid(t_grid)
-    cells = _cells(r, tg, [_ring_lag_table(tv, delta, T) for tv in tg], T, eps)
+    cells = _cells(_check_r_grid(r_grid, eps), t_grid, T, eps, delta)
 
     inv_lam = _event_inv_intensity(x, y, t, None, None, T, intensity)
     coords = (x, y, t, np.arange(x.size))
@@ -573,9 +575,9 @@ def estimate_pair_correlation(
     for pairs in _close_pairs(coords, coords, cells):
         sums += _cell_sums(cells, pairs, inv_lam[pairs.i] * inv_lam[pairs.j])
     return CurveEstimate(
-        r_grid=r,
-        t_grid=tg,
-        values=sums / (4.0 * np.pi * r[:, None] * cells.measure),
+        r_grid=cells.r,
+        t_grid=cells.t,
+        values=sums / (4.0 * np.pi * cells.r[:, None] * cells.measure),
         kind="pair_correlation",
         meta={"eps": eps, "delta": delta, "border": "first-member"},
     )
@@ -607,7 +609,7 @@ def _resolve_types(pattern: MultiPattern, spec) -> tuple[int, ...]:
 def estimate_k(
     pattern: MultiPattern,
     r_grid: Sequence[float],
-    t_grid: Sequence[float],
+    t_grid: Sequence[float] | None = None,
     C: Sequence | None = None,
     D: Sequence | None = None,
     intensity: Callable | None = None,
@@ -618,15 +620,14 @@ def estimate_k(
     each border-eligible C-type event, weighted by reciprocal plug-in
     intensities and bin-overlap temporal weights, normalised by the set
     sizes and the eroded window measure.  Independent homogeneous
-    components give values near 2*pi*r^2*t."""
+    components give values near 2*pi*r^2*t.  ``t_grid`` None takes the
+    default lags."""
     Cs = _resolve_types(pattern, C)
     Ds = _resolve_types(pattern, D)
     r = _check_r_grid(r_grid, None)
-    tg = _check_t_grid(t_grid)
+    _require_unit_square(pattern)
     T = pattern.T
-    if not pattern.window.is_unit_square:
-        raise ValidationError("estimators expect the unit square; rescale first")
-    cells = _cells(r, tg, [_overlap_table(tv, T) for tv in tg], T)
+    cells = _cells(r, t_grid, T)
 
     inv_lam = _event_inv_intensity(
         pattern.x,
@@ -648,8 +649,8 @@ def estimate_k(
         sums += _cell_sums(cells, pairs, wi[pairs.i] * wj[pairs.j])
     labels = pattern.labels
     return CurveEstimate(
-        r_grid=r,
-        t_grid=tg,
+        r_grid=cells.r,
+        t_grid=cells.t,
         values=sums / (len(Cs) * len(Ds) * cells.measure),
         kind="k_function",
         meta={
@@ -664,7 +665,7 @@ def estimate_k(
 # marked second order
 
 
-def _marked_pairs(source, r_grid: Sequence[float], t_grid: Sequence[float]):
+def _marked_pairs(source, r_grid: Sequence[float], t_grid: Sequence[float] | None):
     """(cells, pairs, marks) of one marked source.
 
     The pair list is kept whole, as every mark permutation reuses it."""
@@ -675,9 +676,7 @@ def _marked_pairs(source, r_grid: Sequence[float], t_grid: Sequence[float]):
         raise ValidationError("need at least two events")
     if float(marks.mean()) == 0.0:
         raise ValidationError("mean mark is zero; the mark normalisation is undefined")
-    r = _check_r_grid(r_grid, None)
-    tg = _check_t_grid(t_grid)
-    cells = _cells(r, tg, [_overlap_table(tv, T) for tv in tg], T)
+    cells = _cells(_check_r_grid(r_grid, None), t_grid, T)
     coords = (x, y, t, np.arange(x.size))
     blocks = zip(*_close_pairs(coords, coords, cells))
     return cells, _Pairs(*(np.concatenate(parts) for parts in blocks)), marks
@@ -695,13 +694,14 @@ def _centred_mark_k(
 def mark_weighted_k(
     source,
     r_grid: Sequence[float],
-    t_grid: Sequence[float],
+    t_grid: Sequence[float] | None = None,
 ) -> CurveEstimate:
     """Centred mark-weighted K of one marked component.
 
     Pairs are weighted by m_i*m_j over the squared mean mark and the
     unweighted estimator is subtracted, so independent marks give values
-    near zero and constant marks give exactly zero."""
+    near zero and constant marks give exactly zero.  ``t_grid`` None takes
+    the default lags."""
     cells, pairs, marks = _marked_pairs(source, r_grid, t_grid)
     values = _centred_mark_k(cells, pairs, marks, float(marks.mean()))
     return CurveEstimate(
@@ -716,7 +716,7 @@ def mark_weighted_k(
 def mark_permutation_envelope(
     source,
     r_grid: Sequence[float],
-    t_grid: Sequence[float],
+    t_grid: Sequence[float] | None = None,
     permutations: int = 100,
     seed: int = 0,
 ) -> tuple[CurveEstimate, np.ndarray, np.ndarray]:

@@ -23,17 +23,17 @@ import numpy as np
 from . import __version__
 from .classical import (
     _component_number,
-    _eroded_t_grid,
     estimate_intensity,
     estimate_k,
     estimate_pair_correlation,
     estimate_spatial_intensity,
     estimate_temporal_intensity,
     mark_weighted_k,
-    scott_bandwidths,
 )
 from .errors import StspectraError, ValidationError
 from .graph import (
+    _check_xi,
+    _fmt,
     build_dependence_graph,
     calibrate_null_threshold,
     graph_to_dot,
@@ -67,11 +67,6 @@ from .partial import partial_cross_spectrum_direct  # noqa: F401
 from .spectra import dft, marked_dft, periodogram_matrix, smooth_spectra  # noqa: F401
 
 CALIBRATION_SEED_OFFSET = 7654321
-DEFAULT_T_GRID = (1.0, 2.0)
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +184,14 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_threshold(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--xi", help="threshold value, or null:q95 for count-matched calibration")
+    parser.add_argument("--per-slice", action="store_true", help="also graph each time step")
+    parser.add_argument("--replicates", type=int, default=200, help="null replicates")
+    parser.add_argument("--calibration-seed", type=int, default=CALIBRATION_SEED_OFFSET,
+                        help="base seed for null replicates")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="stspectra",
@@ -240,7 +243,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--r-grid", type=_parse_float_list, default=(0.02, 0.04, 0.06, 0.08, 0.1)
     )
     p.add_argument("--t-grid", type=_parse_float_list, default=None,
-                   help="time lags (default: those of 1,2 that T leaves room for)")
+                   help="time lags (default: the estimator's, those of 1,2 that "
+                   "T leaves room for)")
     p.add_argument("--eps", type=float, default=None, help="spatial bandwidth")
     p.add_argument("--delta", type=float, default=None, help="temporal bandwidth")
     p.add_argument("--cells", type=int, default=64)
@@ -275,19 +279,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p)
     _add_pattern_input(p)
     _add_grid(p)
-    p.add_argument(
-        "--xi",
-        help="threshold value, or null:q95 for count-matched calibration",
-    )
-    p.add_argument("--per-slice", action="store_true")
+    _add_threshold(p)
     p.add_argument("--format", choices=["dot", "json", "both"], default="dot")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument(
-        "--calibration-seed",
-        type=int,
-        default=CALIBRATION_SEED_OFFSET,
-        help="base seed for null replicates",
-    )
     registry["graph"] = p
 
     p = subs.add_parser("invert", help="lag-domain partial characteristics")
@@ -319,11 +312,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         metavar="JSON",
         help="simulation spec (JSON file or inline) instead of an input CSV",
     )
-    p.add_argument("--xi", help="threshold value or null:q95")
-    p.add_argument("--per-slice", action="store_true")
+    _add_threshold(p)
     p.add_argument("--lags", action="store_true", help="also write lag-domain CSV")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--calibration-seed", type=int, default=CALIBRATION_SEED_OFFSET)
     registry["pipeline"] = p
 
     return parser, registry
@@ -465,7 +455,7 @@ def _config_dict(args, extra: dict | None = None) -> dict:
     skip = {"config", "out", "subcommand", "threads"}
     out = {}
     for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
+        if key in skip:
             continue
         if isinstance(value, tuple):
             value = list(value)
@@ -496,8 +486,6 @@ def _provenance_comments(
             f"# normalisation={spec.normalisation}",
             f"# smoothing={hw[0]},{hw[1]},{hw[2]}",
         ]
-    if "seed" in cfg and cfg["seed"] is not None:
-        lines.append(f"# seed={cfg['seed']}")
     return lines
 
 
@@ -593,34 +581,12 @@ def _separable_plugin(pattern: MultiPattern, args):
     return typed
 
 
-def _default_t_grid(pattern: MultiPattern, args) -> tuple[float, ...]:
-    """The entries of DEFAULT_T_GRID that leave the estimator an eroded
-    temporal domain at the pattern's T; all of them when none does or the
-    input is unusable, so that the estimator reports the fault."""
-    try:
-        delta = None
-        if args.estimator == "pair-correlation":
-            delta = args.delta
-            if delta is None:
-                source, _ = _component_source(pattern, args.component)
-                _, delta = scott_bandwidths(source)
-        kept = _eroded_t_grid(DEFAULT_T_GRID, pattern.T, delta)
-    except ValidationError:
-        kept = ()
-    return kept or DEFAULT_T_GRID
-
-
 def cmd_classical(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
-    t_grid, extra = args.t_grid, None
-    if t_grid is None and args.estimator != "intensity":
-        t_grid = _default_t_grid(pattern, args)
-        extra = {"resolved_t_grid": list(t_grid)}
-    cfg = _config_dict(args, extra)
-    comments = _provenance_comments("classical", cfg)
 
     if args.estimator == "intensity":
+        comments = _provenance_comments("classical", _config_dict(args))
         source, label = _component_source(pattern, args.component)
         surf = estimate_spatial_intensity(source, bandwidth=args.eps, cells=args.cells)
         xc, yc = surf.x_centers, surf.y_centers
@@ -651,7 +617,7 @@ def cmd_classical(args) -> int:
         curve = estimate_pair_correlation(
             source,
             args.r_grid,
-            t_grid,
+            args.t_grid,
             eps=args.eps,
             delta=args.delta,
             intensity=intensity,
@@ -664,7 +630,7 @@ def cmd_classical(args) -> int:
         curve = estimate_k(
             pattern,
             args.r_grid,
-            t_grid,
+            args.t_grid,
             C=args.C,
             D=args.D,
             intensity=intensity,
@@ -672,8 +638,12 @@ def cmd_classical(args) -> int:
         cd = None
     else:  # mark-k
         source, label = _component_source(pattern, args.component)
-        curve = mark_weighted_k(source, args.r_grid, t_grid)
+        curve = mark_weighted_k(source, args.r_grid, args.t_grid)
         cd = label
+
+    # without --t-grid the config records the lags the estimator chose
+    extra = {} if args.t_grid else {"resolved_t_grid": curve.t_grid.tolist()}
+    comments = _provenance_comments("classical", _config_dict(args, extra))
 
     if cd is None:
         c_str = "+".join(curve.meta.get("C", ()))
@@ -805,9 +775,10 @@ def _resolve_xi(args, pattern, spec):
         )
         return cal.xi, cal
     try:
-        return float(text), None
+        xi = float(text)
     except ValueError:
         raise ValidationError(f"threshold {text!r} is neither a number nor null:q95")
+    return _check_xi(xi), None
 
 
 def _graph_provenance(cfg, spec, xi, cal):

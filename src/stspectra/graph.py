@@ -208,6 +208,13 @@ def edge_statistics(pf: PartialField) -> EdgeStatistics:
     )
 
 
+def _check_xi(xi: float) -> float:
+    """The threshold as a float, refused unless finite and non-negative."""
+    if not np.isfinite(xi) or xi < 0:
+        raise ValidationError("threshold xi must be a finite non-negative number")
+    return float(xi)
+
+
 def build_dependence_graph(
     pf: PartialField,
     xi: float,
@@ -218,8 +225,7 @@ def build_dependence_graph(
     Pairs whose statistic could not be computed anywhere produce no edge
     and a warning; unreliable pairs keep their edge decision but are
     flagged."""
-    if not np.isfinite(xi) or xi < 0:
-        raise ValidationError("threshold xi must be a finite non-negative number")
+    xi = _check_xi(xi)
     es = edge_statistics(pf)
     d = es.d
     edges = []
@@ -242,7 +248,7 @@ def build_dependence_graph(
                 edges.append((a + 1, b + 1))
     return DependenceGraph(
         labels=es.labels,
-        xi=float(xi),
+        xi=xi,
         edges=tuple(sorted(edges)),
         stats=es.stats,
         argmax=es.argmax,

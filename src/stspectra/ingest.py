@@ -66,6 +66,12 @@ class Window:
     source_extent: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValidationError(
+                f"window bounds must be finite (x: {self.x_min}..{self.x_max}, "
+                f"y: {self.y_min}..{self.y_max})"
+            )
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValidationError(
                 "degenerate window: zero spatial extent "
@@ -701,6 +707,12 @@ def rescale_to_unit_square(pattern: MultiPattern) -> MultiPattern:
         marks=pattern.marks,
         _allow_missing_types=pattern._allow_missing_types,
     )
+
+
+def _require_unit_square(source) -> None:
+    """Refuse a pattern or component whose window is not the unit square."""
+    if not source.window.is_unit_square:
+        raise ValidationError("analyses expect the unit square; rescale first")
 
 
 def _csv_fields(texts, newline: str = "\n") -> tuple[str, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .ingest import MultiPattern
+from .ingest import MultiPattern, _require_unit_square
 
 __all__ = [
     "AnalysisSpec",
@@ -281,18 +281,11 @@ def _dft_single(
     return acc
 
 
-def _check_unit(pattern: MultiPattern) -> None:
-    if not pattern.window.is_unit_square:
-        raise ValidationError(
-            "pattern must be rescaled to the unit square before transforming"
-        )
-
-
 def _transform(pattern: MultiPattern, grid: FrequencyGrid, marked: bool) -> DftVector:
     """Transform every component in turn.  The only parallel work is the
     BLAS inside the short per-step products, which gave the same bytes at
     every thread count tried (see ``STEP_PRODUCT``)."""
-    _check_unit(pattern)
+    _require_unit_square(pattern)
     if marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
     values = np.empty((pattern.d,) + grid.shape, dtype=np.complex128)

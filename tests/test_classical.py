@@ -13,6 +13,8 @@ import pytest
 import stspectra
 from stspectra import classical
 from stspectra import (
+    FrequencyGrid,
+    dft,
     estimate_intensity,
     estimate_k,
     estimate_pair_correlation,
@@ -20,6 +22,7 @@ from stspectra import (
     estimate_temporal_intensity,
     mark_permutation_envelope,
     mark_weighted_k,
+    marked_dft,
     poisson_k,
     scott_bandwidths,
     stoyan_bandwidth,
@@ -486,6 +489,28 @@ class TestIntensity:
         with pytest.raises(ValidationError):
             estimate_spatial_intensity(pat, bandwidth=0.1)
 
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            lambda pat: dft(pat, FrequencyGrid.default(1)),
+            lambda pat: marked_dft(pat, FrequencyGrid.default(1)),
+            lambda pat: estimate_k(pat, (0.1,), (0.0,)),
+        ],
+        ids=["dft", "marked_dft", "estimate_k"],
+    )
+    def test_unit_square_required_by_every_analysis(self, analysis):
+        pat = MultiPattern(
+            x=np.array([0.5, 1.5]),
+            y=np.array([0.5, 0.5]),
+            t=np.array([1, 1], dtype=np.int64),
+            type_id=np.array([1, 2], dtype=np.int64),
+            labels=("a", "b"),
+            window=Window(0.0, 2.0, 0.0, 1.0, T=1),
+            marks=np.array([1.0, 2.0]),
+        )
+        with pytest.raises(ValidationError, match="unit square"):
+            analysis(pat)
+
     def test_bandwidth_rules(self, oracle_pattern):
         eps, delta = scott_bandwidths(oracle_pattern)
         n = oracle_pattern.n
@@ -493,6 +518,59 @@ class TestIntensity:
         assert eps == pytest.approx(0.5 * (sx + sy) * n ** (-1 / 6))
         assert delta == pytest.approx(np.std(oracle_pattern.t) * n ** (-1 / 5))
         assert stoyan_bandwidth(oracle_pattern) == pytest.approx(0.15 / math.sqrt(n))
+
+
+def _envelope_curve(source, r_grid, t_grid=None):
+    return mark_permutation_envelope(source, r_grid, t_grid, permutations=3)[0]
+
+
+CURVES = {
+    "pair_correlation": estimate_pair_correlation,
+    "k": estimate_k,
+    "mark_k": mark_weighted_k,
+    "envelope": _envelope_curve,
+}
+
+
+def _curve_source(pattern, name):
+    return pattern if name == "k" else pattern.component(1)
+
+
+class TestCurveGrids:
+    @pytest.mark.parametrize("name", CURVES)
+    @pytest.mark.parametrize("T, kept", [(4, (1.0,)), (5, (1.0, 2.0))])
+    def test_default_lags_are_those_that_fit(self, oracle_pattern, name, T, kept):
+        # t=2 reaches lag 2, which leaves no eroded step at T=4
+        pat = dataclasses.replace(oracle_pattern, window=Window(0.0, 1.0, 0.0, 1.0, T=T))
+        source = _curve_source(pat, name)
+        default = CURVES[name](source, (0.1, 0.2))
+        explicit = CURVES[name](source, (0.1, 0.2), kept)
+        assert default.t_grid.tolist() == list(kept)
+        assert np.array_equal(default.values, explicit.values)
+
+    @pytest.mark.parametrize("name", ["k", "mark_k", "envelope"])
+    def test_default_lags_report_the_fault_when_none_fits(self, tiny_pattern, name):
+        source = _curve_source(tiny_pattern, name)
+        with pytest.raises(DomainError) as default:
+            CURVES[name](source, (0.1,))
+        with pytest.raises(DomainError) as explicit:
+            CURVES[name](source, (0.1,), (1.0, 2.0))
+        assert str(default.value) == str(explicit.value)
+
+    @pytest.mark.parametrize("name", CURVES)
+    @pytest.mark.parametrize(
+        "r_grid, t_grid, axis",
+        [
+            ((np.nan,), (1.0,), "r"),
+            ((0.1, np.inf), (1.0,), "r"),
+            ((0.1,), (np.nan,), "t"),
+            ((0.1,), (1.0, np.inf), "t"),
+        ],
+        ids=["r-nan", "r-inf", "t-nan", "t-inf"],
+    )
+    def test_non_finite_grid_entries_refused(self, oracle_pattern, name, r_grid, t_grid, axis):
+        with pytest.raises(ValidationError, match=f"{axis} grid entries must be finite"):
+            CURVES[name](_curve_source(oracle_pattern, name), r_grid, t_grid)
 
 
 class TestMarkedK:

@@ -262,6 +262,54 @@ class TestIngest:
         assert report["error"] == "validation"
         assert message in report["message"]
 
+    @pytest.mark.parametrize("window", ["0,inf,0,1", "-inf,inf,0,1", "0,1,0,nan"])
+    def test_non_finite_window_reports_json(self, tmp_path, capsys, window):
+        src = tmp_path / "raw.csv"
+        src.write_text("x,y,time,type\n0.1,0.2,1,a\n0.8,0.9,2,b\n")
+        out = tmp_path / "ing"
+        assert run(["ingest", src, "--time-is-index", f"--window={window}", "--out", out]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "validation"
+        assert report["message"].startswith("window bounds must be finite")
+        assert not (out / "events.csv").exists()
+
+    @pytest.mark.parametrize(
+        "origin, message",
+        [
+            ("2021-01-01T00:00:00", None),
+            ("01/01/2021", "bin origin '01/01/2021' is not ISO-8601"),
+            ("2021-01-02T12:00:00", "precedes the bin origin"),
+        ],
+        ids=["valid", "not-iso", "after-first-stamp"],
+    )
+    def test_column_remap_with_binned_timestamps(self, tmp_path, capsys, origin, message):
+        src = tmp_path / "raw.csv"
+        src.write_text(
+            "lon,lat,when,kind\n"
+            "0.1,0.2,2021-01-01T06:00:00,a\n"
+            "0.3,0.4,2021-01-02T00:00:00,b\n"
+            "0.5,0.6,2021-01-03T18:00:00,a\n"
+        )
+        out = tmp_path / "ing"
+        code = run(
+            ["ingest", src, "--col", "x=lon,y=lat,time=when,type=kind", "--bin-width", "1d",
+             "--bin-origin", origin, "--out", out]
+        )
+        if message is None:
+            assert code == 0
+            report = json.loads((out / "ingest_report.json").read_text())
+            assert report["T"] == 3
+            assert report["counts"] == {"a": 2, "b": 1}
+            rows = [r.split(",")[2:] for r in data_rows(out / "events.csv")[1:]]
+            assert rows == [["1", "a"], ["2", "b"], ["3", "a"]]
+        else:
+            assert code == 1
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "validation"
+            assert message in report["message"]
+
     def test_bad_schema_reports_json(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("lon,lat\n1,2\n")
@@ -365,6 +413,34 @@ class TestPartialAndGraph:
             ["graph", events, "--time-is-index", "--xi", "abc", "--out", tmp_path / "bad", *GRID_ARGS]
         ) == 1
         assert "null:q95" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_graph_unknown_calibration_spec(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        assert run(
+            ["graph", events, "--time-is-index", "--xi", "null:q90", "--out", tmp_path / "bad",
+             *GRID_ARGS]
+        ) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation",
+            "message": "unknown calibration spec 'null:q90'; use null:q95",
+        }
+
+    @pytest.mark.parametrize("sub", ["graph", "pipeline"])
+    @pytest.mark.parametrize("xi", ["nan", "inf", "-1"])
+    def test_bad_threshold_refused_before_any_artifact(self, tmp_path, capsys, sub, xi):
+        events = simulate_events(tmp_path, "sim")
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run(
+            [sub, events, "--time-is-index", f"--xi={xi}", "--out", out, *GRID_ARGS]
+        ) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "validation",
+            "message": "threshold xi must be a finite non-negative number",
+        }
+        assert not out.exists() or not any(out.iterdir())
 
     def test_per_slice_artifacts(self, tmp_path):
         events = simulate_events(tmp_path, "sim", rates="50,50,50", T=3)
@@ -591,6 +667,41 @@ class TestClassicalCli:
         text = (tmp_path / "default" / "curves.csv").read_text()
         assert f"# config_hash={_config_hash(cfg)}" in text.splitlines()
 
+    def test_range_form_of_r_grid(self, tmp_path):
+        events = simulate_events(tmp_path, "sim", T=5)
+        argv = ["classical", events, "--time-is-index", "--estimator", "k"]
+        assert run([*argv, "--r-grid", "0.05:0.1:2", "--out", tmp_path / "range"]) == 0
+        assert run([*argv, "--r-grid", "0.05,0.1", "--out", tmp_path / "list"]) == 0
+        range_bytes = (tmp_path / "range" / "curves.csv").read_bytes()
+        assert range_bytes == (tmp_path / "list" / "curves.csv").read_bytes()
+
+    @pytest.mark.parametrize("estimator", ["pair-correlation", "k", "mark-k"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--r-grid", "nan"),
+            ("--r-grid", "0.05:nan:2"),
+            ("--t-grid", "nan"),
+            ("--t-grid", "inf"),
+            ("--t-grid", "1:nan:2"),
+        ],
+    )
+    def test_non_finite_grid_reports_json(self, tmp_path, capsys, estimator, flag, value):
+        events = simulate_events(tmp_path, "sim", marks="normal:2,0.5", T=5)
+        capsys.readouterr()
+        out = tmp_path / "cl"
+        assert run(
+            ["classical", events, "--time-is-index", "--estimator", estimator,
+             "--component", "1", f"{flag}={value}", "--out", out]
+        ) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "validation",
+            "message": f"{flag[2]} grid entries must be finite",
+        }
+        assert not (out / "curves.csv").exists()
+
     def test_default_t_grid_keeps_both_lags_on_long_patterns(self, tmp_path):
         events = simulate_events(tmp_path, "sim", T=5)
         out = tmp_path / "cl"
@@ -760,6 +871,15 @@ class TestPipeline:
         assert str(spec) in report["message"]
         assert "invalid start byte" in report["message"]
 
+    def test_simulate_accepts_a_truth_sidecar(self, tmp_path):
+        events = simulate_events(tmp_path, "sim", rates="40,40,40", T=2, seed=3)
+        out = tmp_path / "pipe"
+        assert run(
+            ["pipeline", "--simulate", tmp_path / "sim" / "truth.json", "--xi", "0.5",
+             "--out", out, *GRID_ARGS]
+        ) == 0
+        assert (out / "events.csv").read_bytes() == events.read_bytes()
+
     def test_xi_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["pipeline", "--simulate", self.SPEC, "--out", tmp_path / "x"])
@@ -864,6 +984,36 @@ class TestConfigMerge:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "validation"
         assert "'r_grid'" in report["message"]
+
+    def test_boolean_keys(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("marked = no\n")
+        argv = ["spectra", events, "--time-is-index", "--no-polar", *GRID_ARGS]
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "cfg"]) == 0
+        assert run([*argv, "--out", tmp_path / "flags"]) == 0
+        spectra = (tmp_path / "cfg" / "spectra.csv").read_bytes()
+        assert spectra == (tmp_path / "flags" / "spectra.csv").read_bytes()
+        capsys.readouterr()
+        cfg.write_text("marked = maybe\n")
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "bad"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation",
+            "message": "config key 'marked' expects a boolean",
+        }
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nmarked\n")
+        capsys.readouterr()
+        assert run(
+            ["spectra", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "x"]
+        ) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation",
+            "message": "config line without '=': 'marked'",
+        }
 
     def test_threads_do_not_touch_config_hash(self, tmp_path):
         events = simulate_events(tmp_path, "sim")

@@ -351,6 +351,16 @@ class TestPatternInvariants:
         with pytest.raises(ValidationError):
             Window(0.0, 0.0, 0.0, 1.0, T=1)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.0, np.inf, 0.0, 1.0), (-np.inf, np.inf, 0.0, 1.0), (0.0, 1.0, 0.0, np.nan)],
+        ids=["inf", "both-inf", "nan"],
+    )
+    def test_non_finite_window_rejected(self, bounds):
+        # an infinite extent rescales every coordinate to 0; NaN compares false
+        with pytest.raises(ValidationError, match="window bounds must be finite"):
+            Window(*bounds, T=1)
+
     def test_counts_by_component(self, tiny_pattern):
         assert tiny_pattern.counts.tolist() == [4, 4]
         assert tiny_pattern.n == 8
