@@ -324,13 +324,18 @@ def _overlap_table(t: float, T: int) -> np.ndarray:
 def _ring_lag_table(t: float, delta: float, T: int) -> np.ndarray:
     """Discretely renormalised lag kernel for the pair correlation.
 
-    kappa_t(L) = 2 * k_delta(|L| - t) / sum_{L' in Z} k_delta(|L'| - t);
-    the signed-lag total is 2 whenever any integer lag is in support."""
+    kappa_t(L) = 2 * k_delta(|L| - t) / sum_{L' in Z} k_delta(|L'| - t),
+    whose signed-lag total is 2.  A lag t with no integer lag 0..T-1
+    within delta has no kernel to renormalise and is refused."""
     lags = np.arange(T, dtype=float)
     raw = _epanechnikov(lags - t, delta)
     total = raw[0] + 2.0 * raw[1:].sum()
     if total <= 0:
-        return np.zeros(T)
+        raise DomainError(
+            f"time lag t={t:g} has no integer lag in 0..{T - 1} within the "
+            f"temporal bandwidth delta={delta:g}; choose t nearer an integer "
+            "lag or widen delta"
+        )
     return 2.0 * raw / total
 
 
@@ -381,16 +386,21 @@ def _last_lag(table: np.ndarray) -> int:
 def _cells(r, t_grid, T: int, eps: float | None = None, delta: float | None = None) -> _Cells:
     """The (r, t) cells; lags weigh by the ring kernel of bandwidth ``delta``
     (pair correlation) or, with ``delta`` None, by the bin overlap (K, mark K).
-    A None ``t_grid`` takes the entries of DEFAULT_T_GRID that leave an eroded
-    temporal domain in 1..T, or all of them when none does, so that the fault
-    is reported."""
+    A None ``t_grid`` takes the entries of DEFAULT_T_GRID whose weights reach
+    an integer lag and leave an eroded temporal domain in 1..T, or all of
+    them when none does, so that the fault is reported."""
 
     def table(tv):
         return _overlap_table(tv, T) if delta is None else _ring_lag_table(tv, delta, T)
 
-    if t_grid is None:  # 2L < T is the margin _eroded_structure needs
-        fits = [tv for tv in DEFAULT_T_GRID if 2 * _last_lag(table(tv)) < T]
-        t_grid = fits or DEFAULT_T_GRID
+    def fits(tv):  # 2L < T is the margin _eroded_structure needs
+        try:
+            return 2 * _last_lag(table(tv)) < T
+        except DomainError:  # the ring kernel reaches no integer lag
+            return False
+
+    if t_grid is None:
+        t_grid = [tv for tv in DEFAULT_T_GRID if fits(tv)] or DEFAULT_T_GRID
     t = _check_t_grid(t_grid)
     tables = [table(tv) for tv in t]
     supports = r if eps is None else r + eps

@@ -56,7 +56,7 @@ from .inverse import (
     partial_lag_characteristics,
     scaled_covariance,
 )
-from .partial import partial_field
+from .partial import _require_full_rank_box, partial_field
 from .simulate import SimSpec, simulate, write_sidecar
 from .spectra import AnalysisSpec, FrequencyGrid, r_spectrum, theta_spectrum
 
@@ -93,7 +93,10 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
 def _parse_float_list(text: str) -> tuple[float, ...]:
     if ":" in text:
         a, b, n = text.split(":")
-        return tuple(np.linspace(float(a), float(b), int(n)).tolist())
+        ends, count = (float(a), float(b)), int(n)
+        if not np.isfinite(ends).all():  # left to the list's own finite rule
+            return ends
+        return tuple(np.linspace(*ends, count).tolist())
     return tuple(float(v) for v in text.split(","))
 
 
@@ -747,6 +750,7 @@ def cmd_partial(args) -> int:
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
+    _require_full_rank_box(spec.half_widths, pattern.d)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
     pf = partial_pipeline(pattern, spec)
     n_rows = _write_table(
@@ -865,6 +869,7 @@ def cmd_graph(args) -> int:
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
+    _require_full_rank_box(spec.half_widths, pattern.d)
     xi, cal = _resolve_xi(args, pattern, spec)
     cfg = _config_dict(
         args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
@@ -920,6 +925,7 @@ def cmd_invert(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
     spec = _analysis_spec(args, pattern.T)
+    _require_full_rank_box(spec.half_widths, pattern.d)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
     _, smoothed = spectral_fields(pattern, spec)
     if args.pair is not None:
@@ -957,6 +963,7 @@ def cmd_pipeline(args) -> int:
     _require_partial_dims(pattern)
 
     spec = _analysis_spec(args, pattern.T)
+    _require_full_rank_box(spec.half_widths, pattern.d)
     if args.lags:
         _require_mirror(spec.grid, pattern.T)
     xi, cal = _resolve_xi(args, pattern, spec)

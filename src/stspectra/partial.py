@@ -108,18 +108,24 @@ class PartialField:
         return self.coherency[..., a, b]
 
 
+def _require_full_rank_box(half_widths: tuple[int, int, int], d: int) -> None:
+    """Refuse a smoothing box of fewer than d ordinates, over which the
+    smoothed d x d matrices cannot reach full rank."""
+    hp, hq, hu = half_widths
+    size = (2 * hp + 1) * (2 * hq + 1) * (2 * hu + 1)
+    if size < d:
+        raise ValidationError(
+            f"smoothing neighbourhood {size} < d={d}: smoothed matrices "
+            "cannot reach full rank; enlarge the half-widths"
+        )
+
+
 def _as_matrix_field(field: SpectralField) -> np.ndarray:
     d = field.d
     if d < 2:
         raise ValidationError("need d >= 2 components")
     if field.half_widths is not None:
-        hp, hq, hu = field.half_widths
-        size = (2 * hp + 1) * (2 * hq + 1) * (2 * hu + 1)
-        if size < d:
-            raise ValidationError(
-                f"smoothing neighbourhood {size} < d={d}: smoothed matrices "
-                "cannot reach full rank; enlarge the half-widths"
-            )
+        _require_full_rank_box(field.half_widths, d)
     if field.is_zero():
         raise DegenerateFieldError(
             "spectral field is identically zero (constant marks give a "
@@ -156,68 +162,50 @@ def _gershgorin_certified(mats: np.ndarray, threshold: float) -> np.ndarray:
         return (lo > 0) & (hi <= 0.5 * threshold * lo)
 
 
-def _well_conditioned(mats: np.ndarray, threshold: float) -> np.ndarray:
-    """Whether each matrix of a stack of Hermitian matrices has a finite
-    2-norm condition number max|lambda| / min|lambda| of at most
-    ``threshold``.
-
-    Matrices :func:`_gershgorin_certified` passes need no eigensolve; the
-    rest get their eigenvalues from eigvalsh.  Matrices with non-finite
-    entries, on which eigvalsh returns arbitrary values without an error,
-    are never well conditioned.
-    """
-    ok = _gershgorin_certified(mats, threshold)
-    rest = np.nonzero(~ok)[0]
-    rest = rest[np.isfinite(mats[rest]).all(axis=(-2, -1))]
-    if rest.size:
-        with np.errstate(all="ignore"):
-            lam = np.abs(np.linalg.eigvalsh(mats[rest]))
-            cond = lam.max(axis=-1) / lam.min(axis=-1)
-        ok[rest] = np.isfinite(cond) & (cond <= threshold)
-    return ok
-
-
 def _ridged_inverse(
     field: SpectralField,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert the d x d matrix at every ordinate, with ridge escalation;
-    returns (inverse, ridge, singular) over the grid.
+    """Invert the d x d matrix at every ordinate, ridged where it is ill
+    conditioned; returns (inverse, ridge, singular) over the grid.
 
-    Ordinates whose condition number (from the eigenvalues, the matrices
-    being Hermitian; see :func:`_well_conditioned`) exceeds
-    ``COND_THRESHOLD``, read at call time, get diagonal loading
-    eps*(trace/d)*I with eps escalating through ``RIDGE_FRACTIONS`` until
-    the condition number passes; the applied eps is recorded.  If no step
-    passes, the ordinate is flagged singular (NaN inverse) rather than
-    aborting the run.
+    The ridge at an ordinate is the first loading fraction eps of 0 and
+    ``RIDGE_FRACTIONS`` for which A + eps*(trace/d)*I has a 2-norm condition
+    number of at most ``COND_THRESHOLD``, read at call time.  Ordinates that
+    :func:`_gershgorin_certified` passes take eps = 0 without an eigensolve;
+    every other finite ordinate gets one eigvalsh, and since loading a
+    Hermitian matrix by c*I shifts each of its eigenvalues by exactly c, the
+    condition number at every fraction is max|lambda+c| / min|lambda+c|.
+    An ordinate that no fraction passes, and every non-finite one, is
+    singular: it is inverted as the identity with the rest of the stack and
+    its inverse set to NaN.
     """
     values = _as_matrix_field(field)
     d = field.d
-    shape = values.shape[:3]
     flat = values.reshape(-1, d, d)
-    n = flat.shape[0]
-
     work = flat.copy()
-    ridge = np.zeros(n)
-    bad = ~_well_conditioned(work, COND_THRESHOLD)
-    eye = np.eye(d)
-    for eps in RIDGE_FRACTIONS:
-        if not bad.any():
-            break
-        idx = np.nonzero(bad)[0]
-        tr = np.einsum("kii->k", flat[idx]).real / d
-        candidate = flat[idx] + (eps * tr)[:, None, None] * eye
-        ok = _well_conditioned(candidate, COND_THRESHOLD)
-        work[idx[ok]] = candidate[ok]
-        ridge[idx[ok]] = eps
-        bad[idx[ok]] = False
-    singular = bad
-
-    if singular.any():
-        inv = np.full_like(flat, np.nan)
-        inv[~singular] = _hpd_inverse(work[~singular])
-    else:
-        inv = _hpd_inverse(work)
+    ridge = np.zeros(flat.shape[0])
+    singular = ~_gershgorin_certified(flat, COND_THRESHOLD)
+    rest = np.nonzero(singular & np.isfinite(flat).all(axis=(-2, -1)))[0]
+    if rest.size:
+        mats = flat[rest]
+        fractions = np.array((0.0, *RIDGE_FRACTIONS))
+        loads = np.multiply.outer(fractions, np.einsum("kii->k", mats).real / d)
+        with np.errstate(all="ignore"):
+            shifted = np.abs(np.linalg.eigvalsh(mats) + loads[..., None])
+            cond = shifted.max(axis=-1) / shifted.min(axis=-1)
+        passes = np.isfinite(cond) & (cond <= COND_THRESHOLD)
+        rung = passes.argmax(axis=0)
+        ok = passes.any(axis=0)
+        singular[rest[ok]] = False
+        ridge[rest[ok]] = fractions[rung[ok]]
+        # only loaded matrices change: adding a zero load would turn -0 to +0
+        up = ok & (rung > 0)
+        load = loads[rung[up], np.nonzero(up)[0]]
+        work[rest[up]] = mats[up] + load[:, None, None] * np.eye(d)
+    work[singular] = np.eye(d)
+    inv = _hpd_inverse(work)
+    inv[singular] = np.nan
+    shape = values.shape[:3]
     return inv.reshape(values.shape), ridge.reshape(shape), singular.reshape(shape)
 
 

@@ -243,8 +243,8 @@ class TestPairCorrelationOracle:
     def test_matches_naive_loops(self, oracle_pattern):
         eps, delta = 0.05, 0.5
         # unsorted radii (the cutoff is the largest support, not the last),
-        # and t = 0.5, whose ring lag kernel weights no integer lag
-        for r_grid, t_grid in (((0.1, 0.2), (1.0, 1.3)), ((0.2, 0.1), (0.5, 1.3))):
+        # and t = 0.7, whose ring lag kernel weights lag 1 alone
+        for r_grid, t_grid in (((0.1, 0.2), (1.0, 1.3)), ((0.2, 0.1), (0.7, 1.3))):
             est = estimate_pair_correlation(
                 oracle_pattern, r_grid, t_grid, eps=eps, delta=delta
             )
@@ -259,6 +259,15 @@ class TestPairCorrelationOracle:
         assert est.meta["delta"] == pytest.approx(
             scott_bandwidths(oracle_pattern)[1]
         )
+
+    def test_lag_beyond_every_integer_lag_refused(self, oracle_pattern):
+        # t = 0.5 with delta = 0.5 weights no integer lag, and at T = 4 the
+        # ring of t = 4.2 lies past lag 3: neither has a kernel to renormalise
+        for t in (0.5, 4.2):
+            with pytest.raises(DomainError, match=rf"t={t:g} .* delta=0\.5\b"):
+                estimate_pair_correlation(
+                    oracle_pattern, (0.1,), (1.0, t), eps=0.05, delta=0.5
+                )
 
     def test_r_must_exceed_ring_bandwidth(self, oracle_pattern):
         with pytest.raises(DomainError):
@@ -548,8 +557,10 @@ class TestCurveGrids:
         assert default.t_grid.tolist() == list(kept)
         assert np.array_equal(default.values, explicit.values)
 
-    @pytest.mark.parametrize("name", ["k", "mark_k", "envelope"])
+    @pytest.mark.parametrize("name", CURVES)
     def test_default_lags_report_the_fault_when_none_fits(self, tiny_pattern, name):
+        # T=2: t=1 leaves no eroded step; the pair correlation's ring
+        # (delta about 0.38) of t=2 also reaches no lag in 0..1
         source = _curve_source(tiny_pattern, name)
         with pytest.raises(DomainError) as default:
             CURVES[name](source, (0.1,))

@@ -3,9 +3,11 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,16 @@ GRID_ARGS = ["--p-max", "3", "--q-min", "-3", "--q-max", "3"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_without_warnings(argv):
+    """``run(argv)``, asserting that it raised no Python warning (which the
+    interpreter would print to stderr before the JSON report)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
 
 
 def simulate_events(tmp_path, name, rates="40,50,60", T=3, seed=5, marks=None):
@@ -144,12 +156,16 @@ class TestSimulate:
             ("40,40", "1,2,nan,0.05", "'offspring_rate' of link pair 1"),
             ("1e20,40", "1,2,5,0.05", "entry 1 of 'rates' must be at most"),
             ("40,40", "1,2,5,30", "'dispersion' of link pair 1 must be at most"),
+            # a range's endpoints reach the rule as given, not smeared by linspace
+            ("1:inf:3", "1,2,5,0.05", "entry 2 of 'rates' must be a finite number, got Infinity"),
+            ("1:inf:1", "1,2,5,0.05", "entry 2 of 'rates' must be a finite number, got Infinity"),
         ],
-        ids=["nan-rate", "nan-offspring-rate", "huge-rate", "wide-dispersion"],
+        ids=["nan-rate", "nan-offspring-rate", "huge-rate", "wide-dispersion",
+             "inf-range-rate", "inf-range-rate-one"],
     )
     def test_non_finite_value_reports_json(self, tmp_path, capsys, rates, link, named):
         argv = ["simulate", "--kind", "linked_cluster", "--rates", rates, "--T", "2"]
-        assert run(argv + ["--link", link, "--out", tmp_path / "out"]) == 1
+        assert run_without_warnings(argv + ["--link", link, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         report = json.loads(err[0])
@@ -366,6 +382,39 @@ class TestSpectra:
 
 
 class TestPartialAndGraph:
+    @pytest.mark.parametrize(
+        "sub, extra",
+        [
+            ("partial", []),
+            ("graph", ["--xi", "null:q95", "--replicates", "2"]),
+            ("pipeline", ["--xi", "0.5"]),
+            ("invert", []),
+            ("invert", ["--pair", "1,2"]),
+        ],
+        ids=["partial", "graph-null", "pipeline", "invert", "invert-pair"],
+    )
+    def test_small_smoothing_box_refused_before_any_work(self, tmp_path, capsys, sub, extra):
+        events = simulate_events(tmp_path, "sim")
+        capsys.readouterr()
+        out = tmp_path / "x"
+        argv = [sub, events, "--time-is-index", "--half-widths", "0,0,0", *extra]
+        assert run_without_warnings([*argv, "--out", out, *GRID_ARGS]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "validation",
+            "message": "smoothing neighbourhood 1 < d=3: smoothed matrices cannot "
+            "reach full rank; enlarge the half-widths",
+        }
+        assert not any(out.iterdir())
+
+    def test_spectra_keeps_the_rank_warning(self, tmp_path):
+        events = simulate_events(tmp_path, "sim")
+        argv = ["spectra", events, "--time-is-index", "--half-widths", "0,0,0"]
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            assert run([*argv, "--out", tmp_path / "s", *GRID_ARGS]) == 0
+        assert (tmp_path / "s" / "spectra.csv").exists()
+
     def test_partial_needs_three_components(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "two", rates="40,50", T=2)
         assert run(["partial", events, "--time-is-index", "--out", tmp_path / "p", *GRID_ARGS]) == 1
@@ -681,6 +730,8 @@ class TestClassicalCli:
         [
             ("--r-grid", "nan"),
             ("--r-grid", "0.05:nan:2"),
+            ("--r-grid", "0.05:inf:3"),
+            ("--r-grid", "0.05:inf:1"),
             ("--t-grid", "nan"),
             ("--t-grid", "inf"),
             ("--t-grid", "1:nan:2"),
@@ -690,7 +741,7 @@ class TestClassicalCli:
         events = simulate_events(tmp_path, "sim", marks="normal:2,0.5", T=5)
         capsys.readouterr()
         out = tmp_path / "cl"
-        assert run(
+        assert run_without_warnings(
             ["classical", events, "--time-is-index", "--estimator", estimator,
              "--component", "1", f"{flag}={value}", "--out", out]
         ) == 1
@@ -700,6 +751,27 @@ class TestClassicalCli:
             "error": "validation",
             "message": f"{flag[2]} grid entries must be finite",
         }
+        assert not (out / "curves.csv").exists()
+
+    def test_pair_correlation_refuses_a_lag_no_integer_lag_supports(self, tmp_path, capsys):
+        # T=2: t=1 leaves no eroded step, and the ring kernel of t=2 reaches
+        # no lag in 0..1, so no default lag fits and t=2 is reported
+        events = simulate_events(tmp_path, "sim", rates="40,50", T=2)
+        capsys.readouterr()
+        out = tmp_path / "cl"
+        assert run(
+            ["classical", events, "--time-is-index", "--estimator", "pair-correlation",
+             "--component", "2", "--out", out]
+        ) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "domain"
+        assert re.match(
+            r"time lag t=2 has no integer lag in 0\.\.1 within the temporal "
+            r"bandwidth delta=0\.\d+;",
+            report["message"],
+        )
         assert not (out / "curves.csv").exists()
 
     def test_default_t_grid_keeps_both_lags_on_long_patterns(self, tmp_path):

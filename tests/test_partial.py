@@ -372,6 +372,87 @@ class TestConditioningScreen:
         assert_same_ridge_decisions(partial_field(field), field)
 
 
+PSD_KINDS = ("conditioned", "zero_eigenvalue", "near_1e5")
+CAMPAIGN_KINDS = PSD_KINDS + (
+    "negated_smallest", "negated_middle", "cancel_first_loading",
+    "cancel_two_loadings", "zero_matrix", "nan_entry",
+)
+
+
+def campaign_stack(d, n, seed):
+    """Random Hermitian matrices U diag(lambda) U^H for the ridge-decision
+    campaign, and the kind of each (an index into CAMPAIGN_KINDS).
+
+    "conditioned" matrices have condition numbers log-uniform in 1e4..1e16;
+    "zero_eigenvalue" ones are exactly rank deficient; "near_1e5" ones lie
+    just above a 1e5 threshold, where the first or second loading fraction
+    decides.  The indefinite kinds negate an eigenvalue, or place
+    eigenvalues at 0 and -eps*trace/d for the first (and, at d > 3, the
+    second) loading fraction eps, so that loading cancels them and only a
+    later fraction passes.  The last two kinds are all-zero matrices and
+    matrices with a NaN entry.
+    """
+    rng = np.random.default_rng(seed)
+    k = dict(zip(CAMPAIGN_KINDS, range(len(CAMPAIGN_KINDS))))
+    # two cancelled eigenvalues and a zero one leave no positive one at d=3
+    kind = rng.choice([v for name, v in k.items() if d > 3 or name != "cancel_two_loadings"], n)
+    lam = rng.uniform(0.1, 1.0, size=(n, d))
+    cond = 10.0 ** rng.uniform(4, 16, size=n)
+    near = kind == k["near_1e5"]
+    cond[near] = 1e5 * (1 + 10.0 ** rng.uniform(-7, -2, size=near.sum()))
+    lam[:, -1] = lam[:, :-1].max(axis=1) / cond
+    lam[kind == k["zero_eigenvalue"], -1] = 0.0
+    lam[kind == k["negated_smallest"], -1] *= -1
+    lam[kind == k["negated_middle"], 1] *= -1
+    e1, e2 = RIDGE_FRACTIONS[:2]
+    # with tau = trace/d and S the sum of the positive eigenvalues,
+    # tau = S / (d + e1 [+ e2]) puts -e * tau exactly on the cancelled ones
+    one = kind == k["cancel_first_loading"]
+    tau = lam[one, :-2].sum(axis=1) / (d + e1)
+    lam[one, -2:] = np.stack([np.zeros_like(tau), -e1 * tau], axis=1)
+    two = kind == k["cancel_two_loadings"]
+    tau = lam[two, :-3].sum(axis=1) / (d + e1 + e2)
+    lam[two, -3:] = np.stack([np.zeros_like(tau), -e1 * tau, -e2 * tau], axis=1)
+    u = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+    mats = u @ (lam[..., None] * np.conj(np.swapaxes(u, -1, -2)))
+    mats = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+    mats[kind == k["zero_matrix"]] = 0.0
+    mats[kind == k["nan_entry"], 0, 0] = np.nan
+    return mats, kind
+
+
+class TestRidgeCampaign:
+    """Ridge and singular decisions from one eigensolve per ordinate against
+    the SVD oracle's rung-by-rung escalation, on random stacks."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_decisions_equal_the_oracle(self, monkeypatch):
+        rungs = (0.0, *RIDGE_FRACTIONS)
+        for threshold in (1e10, 1e5):
+            seen = set()
+            for d in (3, 4, 5, 6):
+                mats, kind = campaign_stack(d, 1000, seed=d)
+                field = stack_field(mats)
+                inv = inverse_at(monkeypatch, field, threshold)
+                assert_same_ridge_decisions(inv, field, threshold=threshold)
+                ridge, singular = inv.ridge.ravel(), inv.singular.ravel()
+                seen.update(ridge[~singular].tolist())
+                if singular.any():
+                    seen.add("singular")
+                flat = inv.inverse.reshape(-1, d, d)
+                assert np.isnan(flat[singular]).all()
+                assert np.isfinite(flat[~singular]).all()
+                assert singular[kind >= CAMPAIGN_KINDS.index("zero_matrix")].all()
+                if threshold == COND_THRESHOLD:
+                    # a PSD matrix loaded by c*I has condition number at most
+                    # 1 + d/eps, so the first fraction always suffices
+                    psd = np.isin(kind, [CAMPAIGN_KINDS.index(n) for n in PSD_KINDS])
+                    ridged = psd & (ridge > 0) & ~singular
+                    assert ridged.any()
+                    assert (ridge[ridged] == RIDGE_FRACTIONS[0]).all()
+            assert seen == {*rungs, "singular"}, threshold
+
+
 class TestDualRoutes:
     def test_inversion_vs_direct_on_random_hpd(self):
         for d in (3, 4, 5):
