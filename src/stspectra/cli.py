@@ -34,6 +34,7 @@ from .errors import StspectraError, ValidationError
 from .graph import (
     _check_xi,
     _fmt,
+    _require_slice_box,
     build_dependence_graph,
     calibrate_null_threshold,
     graph_to_dot,
@@ -826,12 +827,11 @@ SLICE_XI_WARNING = (
 )
 
 
-def _emit_slices(out, pattern, spec, xi, cal, fmt, comments):
-    """Slice graphs and persistence.csv; returns the slice warnings.
+def _emit_slices(out, slices, cal, fmt, comments):
+    """Write the slice graphs and persistence.csv; returns the slice warnings.
 
     Under a calibrated xi every slice graph and the returned warnings say
     that the threshold was not calibrated for slices."""
-    slices = per_slice_graphs(pattern, xi, spec)
     warnings = slices.warnings
     graphs = slices.graphs
     if cal is not None:
@@ -840,7 +840,7 @@ def _emit_slices(out, pattern, spec, xi, cal, fmt, comments):
             None if g is None else replace(g, warnings=g.warnings + (SLICE_XI_WARNING,))
             for g in graphs
         )
-    labels = _csv_fields(pattern.labels)
+    labels = _csv_fields(slices.labels)
     blocks = []
     for (i, j), flags in sorted(slices.persistence.items()):
         stats = [
@@ -870,6 +870,8 @@ def cmd_graph(args) -> int:
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
     _require_full_rank_box(spec.half_widths, pattern.d)
+    if args.per_slice:
+        _require_slice_box(spec, pattern.d)
     xi, cal = _resolve_xi(args, pattern, spec)
     cfg = _config_dict(
         args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
@@ -879,9 +881,11 @@ def cmd_graph(args) -> int:
     graph = build_dependence_graph(
         pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
     )
+    slices = per_slice_graphs(pattern, xi, spec) if args.per_slice else None
+
     wrote = _emit_graph(out, "graph", graph, args.format, comments)
-    if args.per_slice:
-        _emit_slices(out, pattern, spec, xi, cal, args.format, comments)
+    if slices is not None:
+        _emit_slices(out, slices, cal, args.format, comments)
     print(
         f"graph at xi={_fmt(xi)}: "
         f"{len(graph.edges)} edge{'s' if len(graph.edges) != 1 else ''} "
@@ -964,6 +968,8 @@ def cmd_pipeline(args) -> int:
 
     spec = _analysis_spec(args, pattern.T)
     _require_full_rank_box(spec.half_widths, pattern.d)
+    if args.per_slice:
+        _require_slice_box(spec, pattern.d)
     if args.lags:
         _require_mirror(spec.grid, pattern.T)
     xi, cal = _resolve_xi(args, pattern, spec)
@@ -972,29 +978,32 @@ def cmd_pipeline(args) -> int:
     )
     comments = _provenance_comments("pipeline", cfg, spec)
 
+    # the whole analysis runs before the first write, so a refusal at any
+    # stage leaves no artifact behind
+    raw, smoothed = spectral_fields(pattern, spec)
+    pf = partial_field(smoothed)
+    graph = build_dependence_graph(
+        pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
+    )
+    slices = per_slice_graphs(pattern, xi, spec) if args.per_slice else None
+    lags = partial_cross_lags(pf, smoothed.T) if args.lags else None
+
     export_events(pattern, out / "events.csv")
     if truth is not None:
         write_sidecar(truth, out / "truth.json")
-
-    raw, smoothed = spectral_fields(pattern, spec)
     _write_table(
         out / "spectra.csv",
         comments,
         SPECTRA_HEADER,
         _spectral_blocks([(raw, "raw"), (smoothed, "smoothed")]),
     )
-    pf = partial_field(smoothed)
     _write_table(out / "partial.csv", comments, PARTIAL_HEADER, _partial_blocks(pf))
-    graph = build_dependence_graph(
-        pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
-    )
     _emit_graph(out, "graph", graph, "both", comments)
-
     slice_warnings = ()
-    if args.per_slice:
-        slice_warnings = _emit_slices(out, pattern, spec, xi, cal, "both", comments)
-    if args.lags:
-        _write_lags(out, comments, partial_cross_lags(pf, smoothed.T))
+    if slices is not None:
+        slice_warnings = _emit_slices(out, slices, cal, "both", comments)
+    if lags is not None:
+        _write_lags(out, comments, lags)
 
     run = {
         "tool": "stspectra pipeline",

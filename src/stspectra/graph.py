@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyInputError, ValidationError
 from .ingest import MultiPattern
-from .partial import PartialField, partial_field
+from .partial import PartialField, _require_full_rank_box, partial_field
 from .simulate import simulate_binomial_null
 from .spectra import (
     AnalysisSpec,
@@ -75,24 +75,17 @@ class EdgeStatistics:
 
 
 @dataclass(frozen=True, eq=False)
-class DependenceGraph:
-    """An undirected graph over the component labels.
+class DependenceGraph(EdgeStatistics):
+    """An undirected graph over the component labels: the edge statistics
+    thresholded at xi.
 
     Edges are stored as 1-based index pairs (i, j) with i < j, sorted.
     """
 
-    labels: tuple[str, ...]
     xi: float
     edges: tuple[tuple[int, int], ...]
-    stats: np.ndarray
-    argmax: np.ndarray
-    reliable: np.ndarray
     warnings: tuple[str, ...] = ()
     provenance: dict = dc_field(default_factory=dict)
-
-    @property
-    def d(self) -> int:
-        return len(self.labels)
 
     @property
     def isolated(self) -> tuple[str, ...]:
@@ -129,15 +122,23 @@ class SliceGraphs:
     """Per-step graphs plus an edge persistence table.
 
     graphs[t] is the graph for step t+1, or None when that slice was
-    empty; persistence maps each pair seen in any slice to a tuple of
-    presence flags (None marks slices that could not be analysed).
+    empty; persistence maps each pair that is an edge in any slice, in
+    pair order, to a tuple of presence flags (None marks slices that could
+    not be analysed).
     """
 
     graphs: tuple[DependenceGraph | None, ...]
-    persistence: dict[tuple[int, int], tuple[bool | None, ...]]
     labels: tuple[str, ...]
     xi: float
     warnings: tuple[str, ...]
+
+    @property
+    def persistence(self) -> dict[tuple[int, int], tuple[bool | None, ...]]:
+        pairs = sorted({e for g in self.graphs if g is not None for e in g.edges})
+        return {
+            e: tuple(None if g is None else e in g.edges for g in self.graphs)
+            for e in pairs
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +184,6 @@ def partial_pipeline(
 def edge_statistics(pf: PartialField) -> EdgeStatistics:
     """Supremum of |d_ij| per pair over every ordinate of the grid but DC."""
     mask = pf.grid.sup_mask()
-    if not mask.any():
-        raise ValidationError("no frequency ordinates left after DC exclusion")
     d = len(pf.labels)
     sel = pf.abs_d[mask]  # (ordinates, d, d) in flat grid order
     finite = np.isfinite(sel)
@@ -247,12 +246,9 @@ def build_dependence_graph(
             if s >= xi:
                 edges.append((a + 1, b + 1))
     return DependenceGraph(
-        labels=es.labels,
+        **vars(es),
         xi=xi,
         edges=tuple(sorted(edges)),
-        stats=es.stats,
-        argmax=es.argmax,
-        reliable=es.reliable,
         warnings=tuple(warnings),
         provenance=dict(provenance or {}),
     )
@@ -282,7 +278,9 @@ def calibrate_null_threshold(
 
     Each replicate scatters the observed per-component counts uniformly
     over the window and steps, runs the partial pipeline of ``spec``, and
-    records max_{i<j} sup_w |d_ij|.  Under ``spec.marked`` each replicate
+    records max_{i<j} sup_w |d_ij|: the largest finite entry of its
+    ``abs_d`` over the pairs i < j and the ordinates of ``sup_mask()``, or
+    0.0 when there is none.  Under ``spec.marked`` each replicate
     also carries its component's observed marks, permuted independently of
     location (the mark-independence null of ``mark_permutation_envelope``).
     xi is the requested upper quantile of those maxima (deterministic
@@ -301,6 +299,8 @@ def calibrate_null_threshold(
         raise ValidationError("quantile must lie strictly between 0 and 1")
     if spec.marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
+    mask = spec.grid.sup_mask()
+    i, j = np.triu_indices(pattern.d, k=1)
     counts = tuple(int(c) for c in pattern.counts)
     samples = np.empty(replicates)
     for r in range(replicates):
@@ -308,9 +308,7 @@ def calibrate_null_threshold(
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
         pf = partial_pipeline(null, spec)  # kept: see partial_pipeline
-        es = edge_statistics(pf)
-        iu = np.triu_indices(es.d, k=1)
-        vals = es.stats[iu]
+        vals = pf.abs_d[mask][:, i, j]
         vals = vals[np.isfinite(vals)]
         samples[r] = vals.max() if vals.size else 0.0
     xi = float(np.quantile(samples, quantile, method="higher"))
@@ -325,6 +323,18 @@ def calibrate_null_threshold(
     )
 
 
+def _require_slice_box(spec: AnalysisSpec, d: int) -> None:
+    """Refuse slice graphs whose box, ``spec.for_slice()``'s spatial
+    half-widths alone, cannot give full-rank smoothed matrices."""
+    hp, hq, _ = spec.half_widths
+    try:
+        _require_full_rank_box(spec.for_slice().half_widths, d)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"slice graphs (T=1 slices, spatial half-widths {hp},{hq}): {exc}"
+        ) from None
+
+
 def per_slice_graphs(
     pattern: MultiPattern,
     xi: float,
@@ -333,11 +343,13 @@ def per_slice_graphs(
     """Analyse each temporal step as a T=1 pattern under ``spec.for_slice()``
     and tabulate edges.
 
-    Empty slices produce a None graph and a warning; components absent
-    from a slice contribute zero transforms there, which the singularity
-    guards downstream absorb."""
+    A slice box of fewer than d ordinates is refused before any slice is
+    analysed.  Empty slices produce a None graph and a warning; components
+    absent from a slice contribute zero transforms there, which the
+    singularity guards downstream absorb."""
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
+    _require_slice_box(spec, pattern.d)
     slice_spec = spec.for_slice()
     warnings: list[str] = []
     graphs: list[DependenceGraph | None] = []
@@ -350,18 +362,8 @@ def per_slice_graphs(
             continue
         pf = partial_pipeline(sl, slice_spec)
         graphs.append(build_dependence_graph(pf, xi))
-    d = pattern.d
-    persistence: dict[tuple[int, int], tuple[bool | None, ...]] = {}
-    for a in range(1, d + 1):
-        for b in range(a + 1, d + 1):
-            row: list[bool | None] = []
-            for g in graphs:
-                row.append(None if g is None else g.has_edge(a, b))
-            if any(v for v in row if v):
-                persistence[(a, b)] = tuple(row)
     return SliceGraphs(
         graphs=tuple(graphs),
-        persistence=persistence,
         labels=pattern.labels,
         xi=float(xi),
         warnings=tuple(warnings),

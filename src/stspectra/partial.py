@@ -28,6 +28,7 @@ from .spectra import (
     FrequencyGrid,
     SpectralField,
     _component_indices,
+    _require_half_widths,
     _require_smoothed,
     _schur_projection,
 )
@@ -109,9 +110,10 @@ class PartialField:
 
 
 def _require_full_rank_box(half_widths: tuple[int, int, int], d: int) -> None:
-    """Refuse a smoothing box of fewer than d ordinates, over which the
-    smoothed d x d matrices cannot reach full rank."""
-    hp, hq, hu = half_widths
+    """Refuse negative half-widths, then a smoothing box of fewer than d
+    ordinates, over which the smoothed d x d matrices cannot reach full
+    rank."""
+    hp, hq, hu = _require_half_widths(half_widths)
     size = (2 * hp + 1) * (2 * hq + 1) * (2 * hu + 1)
     if size < d:
         raise ValidationError(

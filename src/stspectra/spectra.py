@@ -122,7 +122,9 @@ class FrequencyGrid:
 
     def sup_mask(self) -> np.ndarray:
         """Boolean mask of ordinates admitted to sup/threshold statistics:
-        every ordinate but DC."""
+        every ordinate but DC.  Refused on a grid that holds DC alone."""
+        if self.size == 1:
+            raise ValidationError("no frequency ordinates left after DC exclusion")
         mask = np.ones(self.shape, dtype=bool)
         mask[self.dc_index] = False
         return mask
@@ -288,6 +290,14 @@ def _transform(pattern: MultiPattern, grid: FrequencyGrid, marked: bool) -> DftV
     _require_unit_square(pattern)
     if marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
+    U = grid.shape[2]
+    if U > pattern.T:
+        # integer steps make u periodic modulo T: a further ordinate repeats
+        # one already in the range (u = +-T repeats DC)
+        raise ValidationError(
+            f"u range {grid.u_min}..{grid.u_max} holds {U} temporal ordinates, "
+            f"more than T={pattern.T}; u is periodic modulo T"
+        )
     values = np.empty((pattern.d,) + grid.shape, dtype=np.complex128)
     for i in range(pattern.d):
         c = pattern.component(i + 1)
@@ -315,13 +325,10 @@ def dft(pattern: MultiPattern, grid: FrequencyGrid, threads: int = 1) -> DftVect
     return _transform(pattern, grid, marked=False)
 
 
-def marked_dft(
-    pattern: MultiPattern, grid: FrequencyGrid, threads: int = 1
-) -> DftVector:
+def marked_dft(pattern: MultiPattern, grid: FrequencyGrid) -> DftVector:
     """Mark-weighted transform: each summand is weighted by the event's mark
     minus its component's mark mean.  Constant marks therefore give the zero
-    transform; adding a constant to all marks changes nothing.  ``threads``
-    is ignored, as for :func:`dft`."""
+    transform; adding a constant to all marks changes nothing."""
     return _transform(pattern, grid, marked=True)
 
 
@@ -449,6 +456,14 @@ def _mirror_planes(values: np.ndarray, grid: FrequencyGrid, k: np.ndarray) -> np
     return np.conj(values[k, ::-1][:, :, um])
 
 
+def _require_half_widths(half_widths) -> tuple[int, int, int]:
+    """The smoothing half-widths as ints, refused when any is negative."""
+    hp, hq, hu = (int(h) for h in half_widths)
+    if min(hp, hq, hu) < 0:
+        raise ValidationError("half-widths must be >= 0")
+    return hp, hq, hu
+
+
 def _box_average(
     values: np.ndarray, grid: FrequencyGrid, T: int, hw: tuple[int, int, int]
 ) -> np.ndarray:
@@ -474,9 +489,7 @@ def _box_average(
 
     ``values`` has shape (P, Q, U) + trailing; the trailing axes ride along.
     """
-    hp, hq, hu = (int(h) for h in hw)
-    if min(hp, hq, hu) < 0:
-        raise ValidationError("half-widths must be >= 0")
+    hp, hq, hu = _require_half_widths(hw)
     P, Q, U = grid.shape
     if values.shape[:3] != (P, Q, U):
         raise ValidationError("field shape disagrees with grid")

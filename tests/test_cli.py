@@ -959,6 +959,114 @@ class TestPipeline:
         assert "--xi is required" in capsys.readouterr().err
 
 
+
+def one_report(capsys):
+    """The single JSON line a refused run printed to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def no_calibration(*args, **kwargs):
+    raise AssertionError("calibrated before refusing")
+
+
+class TestRefusalsWriteNothing:
+    @pytest.mark.parametrize("hw", ["-1,1,1", "-2,-2,0"])
+    @pytest.mark.parametrize(
+        "sub, extra",
+        [
+            ("partial", []),
+            ("graph", ["--xi", "null:q95", "--replicates", "2"]),
+            ("invert", []),
+            ("pipeline", ["--xi", "0.5"]),
+        ],
+        ids=["partial", "graph-null", "invert", "pipeline"],
+    )
+    def test_negative_half_widths(self, tmp_path, capsys, monkeypatch, sub, extra, hw):
+        # -1,1,1 counts a box of -9 ordinates and -2,-2,0 one of 9: both get
+        # the sign rule, before any calibration or artifact
+        monkeypatch.setattr("stspectra.cli.calibrate_null_threshold", no_calibration)
+        events = simulate_events(tmp_path, "sim")
+        capsys.readouterr()
+        out = tmp_path / "x"
+        argv = [sub, events, "--time-is-index", f"--half-widths={hw}", *extra]
+        assert run_without_warnings([*argv, "--out", out, *GRID_ARGS]) == 1
+        assert one_report(capsys) == {
+            "error": "validation",
+            "message": "half-widths must be >= 0",
+        }
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "sub, xi", [("graph", "null:q95"), ("pipeline", "0.5")], ids=["graph", "pipeline"]
+    )
+    def test_small_slice_box(self, tmp_path, capsys, monkeypatch, sub, xi):
+        # the full-data box 1x1x3 holds d=3 ordinates; a T=1 slice keeps 1x1
+        monkeypatch.setattr("stspectra.cli.calibrate_null_threshold", no_calibration)
+        events = simulate_events(tmp_path, "sim")
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run_without_warnings(
+            [sub, events, "--time-is-index", "--half-widths", "0,0,1", "--per-slice",
+             "--xi", xi, "--replicates", "2", "--out", out, *GRID_ARGS]
+        ) == 1
+        assert one_report(capsys) == {
+            "error": "validation",
+            "message": "slice graphs (T=1 slices, spatial half-widths 0,0): smoothing "
+            "neighbourhood 1 < d=3: smoothed matrices cannot reach full rank; "
+            "enlarge the half-widths",
+        }
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("sub", ["graph", "pipeline"])
+    def test_u_range_beyond_T(self, tmp_path, capsys, sub):
+        events = simulate_events(tmp_path, "sim", T=4)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run_without_warnings(
+            [sub, events, "--time-is-index", "--u-min", "-1", "--u-max", "4",
+             "--xi", "0.5", "--out", out, *GRID_ARGS]
+        ) == 1
+        assert one_report(capsys) == {
+            "error": "validation",
+            "message": "u range -1..4 holds 6 temporal ordinates, more than T=4; "
+            "u is periodic modulo T",
+        }
+        assert not any(out.iterdir())
+
+    def test_dc_only_grid(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run_without_warnings(
+            ["pipeline", events, "--time-is-index", "--p-max", "0", "--q-min", "0",
+             "--q-max", "0", "--u-min", "0", "--u-max", "0", "--half-widths", "1,1,1",
+             "--xi", "0.5", "--out", out]
+        ) == 1
+        assert one_report(capsys) == {
+            "error": "validation",
+            "message": "no frequency ordinates left after DC exclusion",
+        }
+        assert not any(out.iterdir())
+
+    def test_constant_marks(self, tmp_path, capsys):
+        events = simulate_events(tmp_path, "sim")
+        lines = events.read_text().splitlines()
+        marked = tmp_path / "constant.csv"
+        marked.write_text(
+            "\n".join([lines[0] + ",mark"] + [l + ",2.5" for l in lines[1:]]) + "\n"
+        )
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run_without_warnings(
+            ["pipeline", marked, "--time-is-index", "--marked", "--xi", "0.5",
+             "--out", out, *GRID_ARGS]
+        ) == 1
+        assert one_report(capsys)["error"] == "degenerate"
+        assert not any(out.iterdir())
+
+
 class TestConfigMerge:
     def test_config_supplies_required_flag(self, tmp_path):
         events = simulate_events(tmp_path, "sim")

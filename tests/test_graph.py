@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stspectra.graph
+import stspectra.partial
 from stspectra import (
     AnalysisSpec,
+    EdgeStatistics,
     FrequencyGrid,
     build_dependence_graph,
     calibrate_null_threshold,
@@ -20,6 +23,7 @@ from stspectra import (
     simulate_binomial_null,
 )
 from stspectra.errors import ValidationError
+from stspectra.graph import _permuted_marks
 from stspectra.partial import PartialField
 
 from conftest import build_pattern
@@ -183,8 +187,63 @@ class TestSerialisation:
         assert graph_to_dot(g1) == graph_to_dot(g2)
 
 
+def samples_via_edge_statistics(pattern, spec, replicates, seed):
+    """Per-replicate null maxima through the full edge statistics: the largest
+    finite sup statistic over the pairs i < j, or 0.0 when there is none."""
+    counts = tuple(int(c) for c in pattern.counts)
+    out = np.empty(replicates)
+    for r in range(replicates):
+        null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
+        if spec.marked:
+            null = _permuted_marks(null, pattern, seed + r)
+        es = edge_statistics(partial_pipeline(null, spec))
+        vals = es.stats[np.triu_indices(es.d, k=1)]
+        vals = vals[np.isfinite(vals)]
+        out[r] = vals.max() if vals.size else 0.0
+    return out
+
+
+def marked_null(counts, T, seed):
+    pattern = simulate_binomial_null(counts, T, seed=seed)
+    rng = np.random.default_rng(seed)
+    return replace(pattern, marks=rng.normal(5.0, 1.0, pattern.n))
+
+
 class TestCalibration:
     GRID = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=0, u_max=1)
+
+    @pytest.mark.parametrize("marked", [False, True], ids=["unmarked", "marked"])
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_samples_equal_edge_statistics_maxima(self, marked, seed):
+        pattern = marked_null((20, 25, 30), 2, seed=100 + seed)
+        spec = AnalysisSpec(self.GRID, (1, 1, 0), marked=marked)
+        out = calibrate_null_threshold(pattern, spec, replicates=6, seed=seed)
+        oracle = samples_via_edge_statistics(pattern, spec, 6, seed)
+        assert out.samples.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("marked", [False, True], ids=["unmarked", "marked"])
+    def test_samples_equal_oracle_with_singular_ordinates(self, monkeypatch, marked):
+        # a bound of 2 on the condition number leaves most ordinates singular
+        # (NaN): some replicates keep a few finite statistics, the others
+        # none, and those record 0.0
+        monkeypatch.setattr(stspectra.partial, "COND_THRESHOLD", 2.0)
+        pattern = marked_null((20, 20, 20), 2, seed=0)
+        spec = AnalysisSpec(self.GRID, (1, 1, 0), marked=marked)
+        out = calibrate_null_threshold(pattern, spec, replicates=8, seed=3)
+        oracle = samples_via_edge_statistics(pattern, spec, 8, 3)
+        assert out.samples.tobytes() == oracle.tobytes()
+        if not marked:
+            assert (out.samples == 0.0).any() and (out.samples > 0.0).any()
+
+    def test_dc_only_grid_refused_before_any_null(self, monkeypatch):
+        def no_null(*args, **kwargs):
+            raise AssertionError("drew a null replicate")
+
+        monkeypatch.setattr(stspectra.graph, "simulate_binomial_null", no_null)
+        grid = FrequencyGrid(p_max=0, q_min=0, q_max=0, u_min=0, u_max=0)
+        pattern = simulate_binomial_null((10, 10, 10), 2, seed=0)
+        with pytest.raises(ValidationError, match="no frequency ordinates left"):
+            calibrate_null_threshold(pattern, AnalysisSpec(grid, (1, 1, 1)), replicates=2)
 
     def test_deterministic_and_quantile_in_samples(self):
         kw = dict(
@@ -250,6 +309,20 @@ def gappy_pattern():
     )
 
 
+class TestGraphHoldsItsStatistics:
+    def test_graph_is_its_edge_statistics(self):
+        pf = hand_field(singular_at=(1, 0, 0))
+        es = edge_statistics(pf)
+        g = build_dependence_graph(pf, xi=0.5)
+        assert isinstance(g, EdgeStatistics)
+        assert g.d == es.d == 3
+        assert g.labels == es.labels
+        assert np.array_equal(g.stats, es.stats, equal_nan=True)
+        assert np.array_equal(g.argmax, es.argmax)
+        assert np.array_equal(g.reliable, es.reliable)
+        assert g.pair(1, 2) == 0.7
+
+
 class TestSliceGraphs:
     def test_empty_slice_yields_none_and_warning(self, gappy_pattern):
         out = per_slice_graphs(
@@ -279,6 +352,22 @@ class TestSliceGraphs:
         flat = per_slice_graphs(gappy_pattern, xi=0.5, spec=replace(spec, half_widths=(1, 1, 0)))
         for g, h in zip(out.graphs, flat.graphs):
             assert (g is None and h is None) or g.equals(h)
+
+    def test_small_slice_box_refused_before_any_slice(self, monkeypatch):
+        # ten components at T=8 take the default (1,1,1) box of 27 ordinates;
+        # a slice keeps only the 3x3 spatial part
+        def no_slice(*args, **kwargs):
+            raise AssertionError("analysed a slice")
+
+        monkeypatch.setattr(stspectra.graph, "partial_pipeline", no_slice)
+        pattern = simulate_binomial_null((40,) * 10, 8, seed=0)
+        with pytest.raises(ValidationError) as exc:
+            per_slice_graphs(pattern, xi=0.9, spec=AnalysisSpec.default(8))
+        assert str(exc.value) == (
+            "slice graphs (T=1 slices, spatial half-widths 1,1): smoothing "
+            "neighbourhood 9 < d=10: smoothed matrices cannot reach full rank; "
+            "enlarge the half-widths"
+        )
 
     def test_high_threshold_gives_empty_persistence(self, gappy_pattern):
         out = per_slice_graphs(

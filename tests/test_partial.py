@@ -26,6 +26,7 @@ from stspectra.partial import (
     RIDGE_FRACTIONS,
     _gershgorin_certified,
     _hpd_inverse,
+    _require_full_rank_box,
 )
 
 
@@ -684,3 +685,13 @@ class TestRawFieldRefused:
         raw = periodogram_matrix(dft(trio_pattern, grid))
         with pytest.raises(ValidationError, match="smoothed field"):
             query(raw)
+
+
+class TestBoxRule:
+    @pytest.mark.parametrize("hw", [(-1, 1, 1), (-2, -2, 0), (1, 1, -1)])
+    def test_negative_half_width_gets_the_sign_rule(self, hw):
+        # (-1,1,1) counts -9 ordinates and (-2,-2,0) counts 9: the sign
+        # is checked before the size
+        with pytest.raises(ValidationError) as exc:
+            _require_full_rank_box(hw, 3)
+        assert str(exc.value) == "half-widths must be >= 0"

@@ -140,6 +140,13 @@ class TestGrid:
         assert not mask[small_grid.dc_index]
         assert mask.sum() == np.prod(small_grid.shape) - 1
 
+    def test_sup_mask_refuses_a_dc_only_grid(self):
+        grid = FrequencyGrid(p_max=0, q_min=0, q_max=0, u_min=0, u_max=0)
+        with pytest.raises(
+            ValidationError, match="no frequency ordinates left after DC exclusion"
+        ):
+            grid.sup_mask()
+
     def test_points_follow_unravel_order(self):
         # q range asymmetric about 0, u range short of any full period
         grid = FrequencyGrid(p_max=2, q_min=-1, q_max=3, u_min=-1, u_max=0)
@@ -231,13 +238,14 @@ class TestDft:
             assert moved == [], f"bytes differ at {blas_threads} BLAS threads"
 
     def test_conjugate_symmetry_on_p0_plane(self, tiny_pattern):
-        grid = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=-1, u_max=1)
+        # T=2 holds two temporal ordinates, so -u is read modulo 2
+        grid = FrequencyGrid(p_max=2, q_min=-2, q_max=2, u_min=0, u_max=1)
         d = dft(tiny_pattern, grid)
         v = d.values
         for q in range(-2, 3):
-            for u in range(-1, 2):
+            for u in range(0, 2):
                 a = v[(slice(None),) + grid_index(grid, 0, q, u)]
-                b = v[(slice(None),) + grid_index(grid, 0, -q, -u)]
+                b = v[(slice(None),) + grid_index(grid, 0, -q, -u % 2)]
                 assert np.abs(a - np.conj(b)).max() < 1e-12
 
     def test_u_periodicity(self, tiny_pattern):
@@ -248,6 +256,26 @@ class TestDft:
         a = dft(tiny_pattern, g1).values[..., 1]
         b = dft(tiny_pattern, g2).values[..., 0]
         assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "u_min, u_max, held",
+        [(0, 2, 3), (-1, 1, 3), (-2, 0, 3), (-2, 2, 5)],
+        ids=["U=T+1", "-1..1", "holds-T", "holds+-T"],
+    )
+    @pytest.mark.parametrize("transform", [dft, marked_dft], ids=["dft", "marked"])
+    def test_u_range_beyond_T_refused(self, tiny_pattern, transform, u_min, u_max, held):
+        # at T=2 the ordinate u=+-2 is DC's temporal ordinate again
+        grid = FrequencyGrid(p_max=1, q_min=-1, q_max=1, u_min=u_min, u_max=u_max)
+        with pytest.raises(ValidationError) as exc:
+            transform(tiny_pattern, grid)
+        assert str(exc.value) == (
+            f"u range {u_min}..{u_max} holds {held} temporal ordinates, "
+            "more than T=2; u is periodic modulo T"
+        )
+
+    def test_marked_dft_takes_no_threads_keyword(self, tiny_pattern, tiny_grid):
+        with pytest.raises(TypeError):
+            marked_dft(tiny_pattern, tiny_grid, threads=1)
 
     def test_counts_and_labels_carried(self, tiny_pattern, tiny_grid):
         d = dft(tiny_pattern, tiny_grid)
