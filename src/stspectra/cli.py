@@ -366,32 +366,34 @@ def _coerce(action: argparse.Action, text: str):
     return [value] if isinstance(action, argparse._AppendAction) else value
 
 
-def _given_dests(argv: list[str] | None) -> set[str]:
-    """The destinations of the arguments given on the command line, found by
-    parsing it again with no defaults."""
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse the command line once.  Every subcommand option defaults to
+    SUPPRESS, so the parse holds exactly the given options; the key=value
+    config file fills the options not given (a given flag wins even where it
+    equals the default), then the parser defaults fill the rest."""
     parser, registry = build_parser()
-    for sub in registry.values():
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _merge_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None
-) -> None:
-    """Fill the options not given on the command line from the key=value
-    config file; a given flag wins even where it equals the default."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _read_config(args.config)
-    given = _given_dests(argv)
+    defaults = {a: a.default for sub in registry.values() for a in sub._actions}
+    for action in defaults:
+        action.default = argparse.SUPPRESS
+    args = parser.parse_args(argv)
+    sub = registry[args.subcommand]
+    given = set(vars(args))
+    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
     for key, text in cfg.items():
         dest = key.replace("-", "_")
-        action = next((a for a in parser._actions if a.dest == dest), None)
+        action = next((a for a in sub._actions if a.dest == dest), None)
         if action is None:
             raise ValidationError(f"unknown config key {key!r}")
         if dest not in given:
             setattr(args, dest, _coerce(action, text))
+    for action in sub._actions:
+        if defaults[action] is not argparse.SUPPRESS and not hasattr(args, action.dest):
+            setattr(args, action.dest, defaults[action])
+    # required options are only enforced here, so a config file can supply them
+    for dest in REQUIRED_AFTER_MERGE.get(args.subcommand, ()):
+        if getattr(args, dest) is None:
+            sub.error(f"--{dest.replace('_', '-')} is required (flag or config file)")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +753,6 @@ def cmd_partial(args) -> int:
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
-    _require_full_rank_box(spec.half_widths, pattern.d)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
     pf = partial_pipeline(pattern, spec)
     n_rows = _write_table(
@@ -765,11 +766,20 @@ def cmd_partial(args) -> int:
     return 0
 
 
-def _resolve_xi(args, pattern, spec):
+def _threshold_request(args, pattern):
+    """The spec, xi, calibration, configuration and provenance comments of a
+    graph or pipeline run.  Every refusal comes before the calibration."""
+    _require_partial_dims(pattern)
+    spec = _analysis_spec(args, pattern.T)
+    _require_full_rank_box(spec.half_widths, pattern.d)
+    if args.per_slice:
+        _require_slice_box(spec, pattern.d)
+    if getattr(args, "lags", False):
+        _require_mirror(spec.grid, pattern.T)
     text = str(args.xi)
+    cal = None
     if text.startswith("null:"):
-        tag = text.split(":", 1)[1]
-        if tag != "q95":
+        if text != "null:q95":
             raise ValidationError(f"unknown calibration spec {text!r}; use null:q95")
         cal = calibrate_null_threshold(
             pattern,
@@ -778,12 +788,16 @@ def _resolve_xi(args, pattern, spec):
             replicates=args.replicates,
             seed=args.calibration_seed,
         )
-        return cal.xi, cal
-    try:
-        xi = float(text)
-    except ValueError:
-        raise ValidationError(f"threshold {text!r} is neither a number nor null:q95")
-    return _check_xi(xi), None
+        xi = cal.xi
+    else:
+        try:
+            xi = _check_xi(float(text))
+        except ValueError:
+            raise ValidationError(f"threshold {text!r} is neither a number nor null:q95")
+    cfg = _config_dict(
+        args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
+    )
+    return spec, xi, cal, cfg, _provenance_comments(args.subcommand, cfg, spec)
 
 
 def _graph_provenance(cfg, spec, xi, cal):
@@ -867,16 +881,7 @@ def _emit_slices(out, slices, cal, fmt, comments):
 def cmd_graph(args) -> int:
     out = _out_dir(args)
     pattern, _ = _load_pattern(args)
-    _require_partial_dims(pattern)
-    spec = _analysis_spec(args, pattern.T)
-    _require_full_rank_box(spec.half_widths, pattern.d)
-    if args.per_slice:
-        _require_slice_box(spec, pattern.d)
-    xi, cal = _resolve_xi(args, pattern, spec)
-    cfg = _config_dict(
-        args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
-    )
-    comments = _provenance_comments("graph", cfg, spec)
+    spec, xi, cal, cfg, comments = _threshold_request(args, pattern)
     pf = partial_pipeline(pattern, spec)
     graph = build_dependence_graph(
         pf, xi, provenance=_graph_provenance(cfg, spec, xi, cal)
@@ -910,13 +915,7 @@ def _lag_block(lag):
     ]
 
 
-def _write_lags(out, comments, lags, lam=None):
-    """lags.csv from lag fields; with intensities ``lam`` each field is
-    scaled by sqrt(lambda_i * lambda_j) first."""
-    if lam is not None:
-        lags = [
-            scaled_covariance(lag, lam[lag.pair[0]], lam[lag.pair[1]]) for lag in lags
-        ]
+def _write_lags(out, comments, lags):
     return _write_table(
         out / "lags.csv",
         comments,
@@ -937,10 +936,13 @@ def cmd_invert(args) -> int:
         lags = [part.auto_i, part.auto_j, part.cross]
     else:
         lags = partial_cross_lags(partial_field(smoothed), smoothed.T)
-    lam = None
     if args.scaled:
-        lam = {i: float(pattern.counts[i - 1] / pattern.T) for i in range(1, pattern.d + 1)}
-    n_rows = _write_lags(out, _provenance_comments("invert", cfg, spec), lags, lam)
+        lam = pattern.counts / pattern.T
+        lags = [
+            scaled_covariance(lag, lam[lag.pair[0] - 1], lam[lag.pair[1] - 1])
+            for lag in lags
+        ]
+    n_rows = _write_lags(out, _provenance_comments("invert", cfg, spec), lags)
     print(f"wrote {n_rows} lag rows")
     return 0
 
@@ -964,19 +966,7 @@ def cmd_pipeline(args) -> int:
         pattern = truth.pattern
     else:
         pattern, _ = _load_pattern(args)
-    _require_partial_dims(pattern)
-
-    spec = _analysis_spec(args, pattern.T)
-    _require_full_rank_box(spec.half_widths, pattern.d)
-    if args.per_slice:
-        _require_slice_box(spec, pattern.d)
-    if args.lags:
-        _require_mirror(spec.grid, pattern.T)
-    xi, cal = _resolve_xi(args, pattern, spec)
-    cfg = _config_dict(
-        args, {"resolved_half_widths": list(spec.half_widths), "resolved_xi": xi}
-    )
-    comments = _provenance_comments("pipeline", cfg, spec)
+    spec, xi, cal, cfg, comments = _threshold_request(args, pattern)
 
     # the whole analysis runs before the first write, so a refusal at any
     # stage leaves no artifact behind
@@ -1038,8 +1028,6 @@ COMMANDS = {
     "pipeline": cmd_pipeline,
 }
 
-# required options are only enforced after the config merge, so a config file
-# can supply them; flags still win when both are given
 REQUIRED_AFTER_MERGE = {
     "simulate": ("rates",),
     "graph": ("xi",),
@@ -1048,15 +1036,8 @@ REQUIRED_AFTER_MERGE = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, registry = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _merge_config(args, registry[args.subcommand], argv)
-        for dest in REQUIRED_AFTER_MERGE.get(args.subcommand, ()):
-            if getattr(args, dest, None) is None:
-                registry[args.subcommand].error(
-                    f"--{dest.replace('_', '-')} is required (flag or config file)"
-                )
+        args = _parse_args(argv)
         return COMMANDS[args.subcommand](args)
     except StspectraError as exc:
         sys.stderr.write(json.dumps(exc.report(), sort_keys=True) + "\n")

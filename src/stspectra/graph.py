@@ -170,7 +170,11 @@ def spectral_fields(
 def partial_pipeline(
     pattern: MultiPattern, spec: AnalysisSpec | None = None
 ) -> PartialField:
-    """Run transform -> periodogram -> smoothing -> partial analysis."""
+    """Run transform -> periodogram -> smoothing -> partial analysis.  A
+    negative or too-small smoothing box is refused before any work."""
+    if spec is None:
+        spec = AnalysisSpec.default(pattern.T)
+    _require_full_rank_box(spec.half_widths, pattern.d)
     # raw stays referenced through the inversion, and calibration keeps the
     # previous replicate's field until the next is built: freed earlier, the
     # heap top is trimmed and re-faulted every replicate.  On the README
@@ -299,6 +303,7 @@ def calibrate_null_threshold(
         raise ValidationError("quantile must lie strictly between 0 and 1")
     if spec.marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
+    _require_full_rank_box(spec.half_widths, pattern.d)
     mask = spec.grid.sup_mask()
     i, j = np.triu_indices(pattern.d, k=1)
     counts = tuple(int(c) for c in pattern.counts)
