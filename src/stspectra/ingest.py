@@ -292,10 +292,6 @@ class Component:
     def T(self) -> int:
         return self.window.T
 
-    @property
-    def has_marks(self) -> bool:
-        return self.marks is not None
-
 
 @dataclass(frozen=True)
 class LoadReport:

@@ -197,9 +197,6 @@ class DftVector:
     def d(self) -> int:
         return int(self.counts.size)
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[i - 1]
-
 
 def _axis_phases(
     coord: np.ndarray, k_min: int, k_max: int, out: np.ndarray | None = None

@@ -1212,6 +1212,48 @@ class TestConfigMerge:
         assert hashes[0] == hashes[1]
 
 
+class TestOneParse:
+    def test_config_run_builds_the_parser_once(self, tmp_path, monkeypatch):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi = 0.5\n")
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return build_parser()
+
+        monkeypatch.setattr("stspectra.cli.build_parser", counted)
+        assert run(
+            ["graph", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "g",
+             *GRID_ARGS]
+        ) == 0
+        assert len(calls) == 1
+
+    def test_boolean_optional_key_and_its_flag(self, tmp_path):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("polar = false\n")
+        argv = ["spectra", events, "--time-is-index", "--config", cfg, *GRID_ARGS]
+        assert run([*argv, "--out", tmp_path / "cfg"]) == 0
+        assert not (tmp_path / "cfg" / "polar.csv").exists()
+        assert run([*argv, "--polar", "--out", tmp_path / "flag"]) == 0
+        assert (tmp_path / "flag" / "polar.csv").exists()
+
+    def test_config_supplies_the_optional_pipeline_input(self, tmp_path):
+        events = simulate_events(tmp_path, "sim")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {events}\ntime-is-index = true\nxi = 0.5\n")
+        assert run(["pipeline", "--config", cfg, "--out", tmp_path / "cfg", *GRID_ARGS]) == 0
+        assert run(
+            ["pipeline", events, "--time-is-index", "--xi", "0.5", "--out", tmp_path / "flags",
+             *GRID_ARGS]
+        ) == 0
+        names = ["events.csv", "spectra.csv", "partial.csv", "graph.dot", "graph.json",
+                 "run.json"]
+        assert read_all(tmp_path / "cfg", names) == read_all(tmp_path / "flags", names)
+
+
 class TestNegativeSeeds:
     @pytest.mark.parametrize(
         "argv",

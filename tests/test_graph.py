@@ -1,6 +1,7 @@
 """Edge statistics, thresholded graphs, null calibration, slice tables."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,10 @@ def samples_via_edge_statistics(pattern, spec, replicates, seed):
     return out
 
 
+def no_null(*args, **kwargs):
+    raise AssertionError("drew a null replicate")
+
+
 def marked_null(counts, T, seed):
     pattern = simulate_binomial_null(counts, T, seed=seed)
     rng = np.random.default_rng(seed)
@@ -236,14 +241,18 @@ class TestCalibration:
             assert (out.samples == 0.0).any() and (out.samples > 0.0).any()
 
     def test_dc_only_grid_refused_before_any_null(self, monkeypatch):
-        def no_null(*args, **kwargs):
-            raise AssertionError("drew a null replicate")
-
         monkeypatch.setattr(stspectra.graph, "simulate_binomial_null", no_null)
         grid = FrequencyGrid(p_max=0, q_min=0, q_max=0, u_min=0, u_max=0)
         pattern = simulate_binomial_null((10, 10, 10), 2, seed=0)
         with pytest.raises(ValidationError, match="no frequency ordinates left"):
             calibrate_null_threshold(pattern, AnalysisSpec(grid, (1, 1, 1)), replicates=2)
+
+    def test_marked_spec_on_unmarked_pattern_refused_before_any_null(self, monkeypatch):
+        monkeypatch.setattr(stspectra.graph, "simulate_binomial_null", no_null)
+        pattern = simulate_binomial_null((10, 10, 10), 2, seed=0)
+        spec = AnalysisSpec(self.GRID, (1, 1, 0), marked=True)
+        with pytest.raises(ValidationError, match="pattern has no marks"):
+            calibrate_null_threshold(pattern, spec, replicates=2)
 
     def test_deterministic_and_quantile_in_samples(self):
         kw = dict(
@@ -285,6 +294,36 @@ class TestCalibration:
             calibrate_null_threshold(
                 simulate_binomial_null((10, 10), 2, seed=0), replicates=1, seed=-1
             )
+
+
+def no_transform(*args, **kwargs):
+    raise AssertionError("transformed a pattern")
+
+
+class TestBoxRefusedBeforeAnyWork:
+    @pytest.mark.parametrize(
+        "half_widths, message",
+        [
+            ((0, 0, 0), "smoothing neighbourhood 1 < d=3: smoothed matrices cannot "
+             "reach full rank; enlarge the half-widths"),
+            ((-1, 1, 1), "half-widths must be >= 0"),
+        ],
+        ids=["small", "negative"],
+    )
+    @pytest.mark.parametrize(
+        "analyse", [partial_pipeline, calibrate_null_threshold], ids=["pipeline", "calibration"]
+    )
+    def test_one_error_and_no_warning(self, monkeypatch, analyse, half_widths, message):
+        pattern = simulate_binomial_null((20, 20, 20), 2, seed=0)
+        monkeypatch.setattr(stspectra.graph, "simulate_binomial_null", no_null)
+        monkeypatch.setattr(stspectra.graph, "spectral_fields", no_transform)
+        spec = AnalysisSpec(TestCalibration.GRID, half_widths)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError) as exc:
+                analyse(pattern, spec)
+        assert [str(w.message) for w in caught] == []
+        assert str(exc.value) == message
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +407,13 @@ class TestSliceGraphs:
             "neighbourhood 9 < d=10: smoothed matrices cannot reach full rank; "
             "enlarge the half-widths"
         )
+
+    def test_no_spec_means_the_default_spec(self, gappy_pattern):
+        bare = per_slice_graphs(gappy_pattern, xi=0.5)
+        explicit = per_slice_graphs(gappy_pattern, xi=0.5, spec=AnalysisSpec.default(3))
+        assert bare.warnings == explicit.warnings
+        for g, h in zip(bare.graphs, explicit.graphs):
+            assert (g is None and h is None) or g.equals(h)
 
     def test_high_threshold_gives_empty_persistence(self, gappy_pattern):
         out = per_slice_graphs(
