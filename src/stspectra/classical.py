@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .ingest import Component, MultiPattern, _require_unit_square
+from .spectra import _add_event_products
 
 __all__ = [
     "CurveEstimate",
@@ -54,6 +55,7 @@ __all__ = [
     "TemporalIntensity",
     "KernelIntensity",
     "scott_bandwidths",
+    "stoyan_bandwidth",
     "estimate_spatial_intensity",
     "estimate_temporal_intensity",
     "estimate_intensity",
@@ -195,11 +197,13 @@ def estimate_spatial_intensity(
     Each event's kernel is divided by its own mass over the cell grid,
     so the surface integrates to the event count on that grid."""
     bw, centers, (kx, ky), norm = _edge_kernels(source, bandwidth, cells)
+    values = np.zeros((cells, cells))
+    _add_event_products(values, (kx / norm[:, None]).T, ky.T)
     step = 1.0 / cells
     return IntensitySurface(
         x_centers=centers,
         y_centers=centers,
-        values=(kx / norm[:, None]).T @ ky,
+        values=values,
         bandwidth=bw,
         cell_area=step * step,
     )

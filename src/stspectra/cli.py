@@ -372,22 +372,29 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     config file fills the options not given (a given flag wins even where it
     equals the default), then the parser defaults fill the rest."""
     parser, registry = build_parser()
-    defaults = {a: a.default for sub in registry.values() for a in sub._actions}
+    # the actions that hold a setting; the help action's default is SUPPRESS
+    defaults = {
+        a: a.default
+        for sub in registry.values()
+        for a in sub._actions
+        if a.default is not argparse.SUPPRESS
+    }
     for action in defaults:
         action.default = argparse.SUPPRESS
     args = parser.parse_args(argv)
     sub = registry[args.subcommand]
+    settings = [a for a in sub._actions if a in defaults]
     given = set(vars(args))
     cfg = _read_config(args.config) if getattr(args, "config", None) else {}
     for key, text in cfg.items():
         dest = key.replace("-", "_")
-        action = next((a for a in sub._actions if a.dest == dest), None)
+        action = next((a for a in settings if a.dest == dest), None)
         if action is None:
             raise ValidationError(f"unknown config key {key!r}")
         if dest not in given:
             setattr(args, dest, _coerce(action, text))
-    for action in sub._actions:
-        if defaults[action] is not argparse.SUPPRESS and not hasattr(args, action.dest):
+    for action in settings:
+        if not hasattr(args, action.dest):
             setattr(args, action.dest, defaults[action])
     # required options are only enforced here, so a config file can supply them
     for dest in REQUIRED_AFTER_MERGE.get(args.subcommand, ()):

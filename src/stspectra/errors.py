@@ -6,6 +6,18 @@ emit a machine-readable report and a stable exit code.
 
 from __future__ import annotations
 
+__all__ = [
+    "StspectraError",
+    "SchemaError",
+    "RowError",
+    "EmptyInputError",
+    "ValidationError",
+    "DomainError",
+    "SingularMatrixError",
+    "DegenerateFieldError",
+    "SymmetryError",
+]
+
 
 class StspectraError(Exception):
     """Base class for all package errors."""

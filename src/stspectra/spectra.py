@@ -52,9 +52,10 @@ NORMALISATIONS = ("sqrt_counts", "none")
 # the summation order never changes; a chunk's phases are (P + Q) x 4096
 # complex values, 3.3 MB on the default grid
 EVENT_CHUNK = 4096
-# events per (P x k) by (k x Q) product inside one time step.  Products this
-# short gave the same bytes at 1, 2 and 4 OpenBLAS threads (0.3.31) over every
-# size tried, while 256-event products did not; a test checks it
+# events per (P x k) by (k x Q) product inside one time step, and per product
+# of the kernel intensity surface.  Products this short gave the same bytes at
+# 1, 2 and 4 OpenBLAS threads (0.3.31) over every size tried, while 256-event
+# products did not; tests check both
 STEP_PRODUCT = 128
 
 
@@ -230,6 +231,14 @@ def _step_phases(T: int, u: np.ndarray) -> np.ndarray:
     return np.exp((-2j * np.pi) * np.multiply.outer(u.astype(float), steps))
 
 
+def _add_event_products(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a @ b.T, where the columns of a and b are events: (. x k) by
+    (k x .) products of at most ``STEP_PRODUCT`` events are added in event
+    order, so the bytes do not depend on the BLAS thread count."""
+    for k in range(0, a.shape[1], STEP_PRODUCT):
+        out += a[:, k : k + STEP_PRODUCT] @ b[:, k : k + STEP_PRODUCT].T
+
+
 def _dft_single(
     x: np.ndarray,
     y: np.ndarray,
@@ -271,9 +280,7 @@ def _dft_single(
         qy = _axis_phases(y[lo:hi], grid.q_min, grid.q_max, phases[P:, : hi - lo])
         cuts = (ends[(ends > lo) & (ends < hi)] - lo).tolist()
         for a, b in zip([0, *cuts], [*cuts, hi - lo]):
-            for k in range(a, b, STEP_PRODUCT):
-                k_hi = min(k + STEP_PRODUCT, b)
-                step_sum += px[:, k:k_hi] @ qy[:, k:k_hi].T
+            _add_event_products(step_sum, px[:, a:b], qy[:, a:b])
             if lo + b == x.size or t[lo + b] != t[lo + b - 1]:
                 acc += step_sum[:, :, None] * table[:, t[lo + b - 1] - 1]
                 step_sum[:] = 0.0

@@ -1,6 +1,7 @@
 """First- and second-order summaries against plain-loop oracles."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -403,6 +404,48 @@ class TestIntensity:
         grid_mass *= step
         analytic = phi((1.0 - x0) / bw) - phi(-x0 / bw)
         assert grid_mass == pytest.approx(analytic, rel=5e-3)
+
+    def test_surface_bytes_equal_at_one_two_and_four_blas_threads(self, tmp_path):
+        # the sum over events runs in the transform's short products; one GEMM
+        # over all events gave other bytes at two threads on these cases
+        script = (
+            "import hashlib, json\n"
+            "from stspectra import estimate_spatial_intensity, simulate_binomial_null\n"
+            "from stspectra.cli import main\n"
+            "digests = {}\n"
+            "for seed, n in ((1, 500), (2, 3000), (3, 12000)):\n"
+            "    pat = simulate_binomial_null((n // 2, n - n // 2), T=4, seed=seed)\n"
+            "    v = estimate_spatial_intensity(pat).values\n"
+            "    digests[n] = hashlib.sha256(v.tobytes()).hexdigest()\n"
+            "assert main(['simulate', '--kind', 'linked_cluster', '--rates',\n"
+            "    '75,75,300', '--T', '4', '--link', '1,2,225,0.005', '--seed', '7',\n"
+            "    '--out', 'sim']) == 0\n"
+            "assert main(['classical', 'sim/events.csv', '--time-is-index',\n"
+            "    '--estimator', 'intensity', '--out', 'run']) == 0\n"
+            "with open('run/intensity_space.csv', 'rb') as f:\n"
+            "    digests['csv'] = hashlib.sha256(f.read()).hexdigest()\n"
+            "print(json.dumps(digests))\n"
+        )
+        src = str(Path(stspectra.__file__).resolve().parents[1])
+        digests = {}
+        for blas_threads in ("1", "2", "4"):
+            out = tmp_path / f"threads{blas_threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=out,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            # the CLI prints its own report lines first
+            digests[blas_threads] = json.loads(proc.stdout.splitlines()[-1])
+        assert len(digests["1"]) == 4
+        assert digests["2"] == digests["1"]
+        assert digests["4"] == digests["1"]
 
     def test_temporal_mass_is_event_count(self, oracle_pattern):
         curve = estimate_temporal_intensity(oracle_pattern, bandwidth=0.7)

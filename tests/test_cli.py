@@ -898,8 +898,20 @@ class TestPipeline:
             ("{}", "'kind'"),
             ('{"kind": "homogeneous_poisson", "rates": [40, 40], "T": "x"}', "unreadable"),
             ("5", "JSON object"),
+            ('{"kind": "homogeneous_poisson", "rates": [40, 40], "T": 0}', "T must be >= 1"),
+            (
+                '{"kind": "linked_cluster", "rates": [40, 40], "T": 2, "link_pairs":'
+                ' [{"i": 1, "j": 2, "offspring_rate": -5.0, "dispersion": 0.01}]}',
+                "offspring rate must be >= 0",
+            ),
+            (
+                '{"kind": "homogeneous_poisson", "rates": [40, 40], "T": 2,'
+                ' "mark_dist": "normal:0,-1"}',
+                "mark sigma must be >= 0",
+            ),
         ],
-        ids=["not-json", "no-kind", "bad-value", "not-object"],
+        ids=["not-json", "no-kind", "bad-value", "not-object", "no-steps",
+             "negative-offspring-rate", "negative-mark-sigma"],
     )
     def test_bad_simulate_spec_reports_json(self, tmp_path, capsys, spec, named):
         if not spec.startswith("{"):
@@ -951,6 +963,15 @@ class TestPipeline:
              "--out", out, *GRID_ARGS]
         ) == 0
         assert (out / "events.csv").read_bytes() == events.read_bytes()
+
+    def test_input_required(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["pipeline", "--xi", "0.7", "--out", out]) == 1
+        assert one_report(capsys) == {
+            "error": "validation",
+            "message": "an input CSV is required",
+        }
+        assert not any(out.iterdir())
 
     def test_xi_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1127,8 +1148,13 @@ class TestConfigMerge:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
         cfg = tmp_path / "run.cfg"
-        # include_dc was a setting once; DC now never enters the sup
-        for line in ("xii = 0.95", "xi = 0.95\ninclude_dc = true"):
+        # include_dc was a setting once; DC now never enters the sup; the
+        # help action holds no setting
+        for line, key in (
+            ("xii = 0.95", "xii"),
+            ("xi = 0.95\ninclude_dc = true", "include_dc"),
+            ("xi = 0.95\nhelp = true", "help"),
+        ):
             cfg.write_text(line + "\n")
             assert run(
                 ["graph", events, "--time-is-index", "--config", cfg, "--out", tmp_path / "x",
@@ -1136,7 +1162,7 @@ class TestConfigMerge:
             ) == 1
             report = json.loads(capsys.readouterr().err)
             assert report["error"] == "validation"
-            assert report["message"].startswith("unknown config key")
+            assert report["message"] == f"unknown config key {key!r}"
 
     def test_undecodable_config_reports_json(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
@@ -1210,6 +1236,41 @@ class TestConfigMerge:
             )
             hashes.append(line)
         assert hashes[0] == hashes[1]
+
+
+# (subcommand, flag, malformed value, the parser's message)
+MALFORMED_VALUES = [
+    ("ingest", "col", "x", "bad column mapping 'x'"),
+    ("ingest", "window", "0,1,0", "window needs x_min,x_max,y_min,y_max"),
+    ("spectra", "half-widths", "1,1", "need three comma-separated integers"),
+    ("invert", "pair", "1", "need i,j"),
+    ("simulate", "link", "1,2,5", "link needs i,j,offspring_rate,dispersion"),
+]
+
+
+class TestMalformedValues:
+    @staticmethod
+    def argv(sub, *extra):
+        return [sub, *(() if sub == "simulate" else ("x.csv",)), *extra]
+
+    @pytest.mark.parametrize("sub, flag, value, message", MALFORMED_VALUES)
+    def test_flag_is_a_usage_error(self, capsys, sub, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            run(self.argv(sub, f"--{flag}", value))
+        assert exc.value.code == 2
+        assert f"error: argument --{flag}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, flag, value, message", MALFORMED_VALUES)
+    def test_config_key_cannot_be_read(self, tmp_path, capsys, sub, flag, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        out = tmp_path / "x"
+        assert run(self.argv(sub, "--config", cfg, "--out", out)) == 1
+        assert one_report(capsys) == {
+            "error": "validation",
+            "message": f"config key {flag.replace('-', '_')!r}: cannot read {value!r}",
+        }
+        assert not out.exists()
 
 
 class TestOneParse:
