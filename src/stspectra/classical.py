@@ -28,13 +28,15 @@ expectation of K exactly 2*pi*r^2*t.
 K, the pair correlation and the centred mark-weighted K share one
 close-pair engine.  ``_close_pairs`` keeps, block by block of first
 members, the pairs within the largest spatial support (``reach``) and the
-largest weighted lag of the (r, t) grid.  It finds them through a cell
-index of the second members, so each first member meets only the partners
-in its 3 x 3 neighbouring cells.  ``_cell_sums`` then reduces those pairs
-to every cell's sum, applying the first member's eligibility, the spatial
-and temporal weights and the pair weight.  K and the pair correlation
-reduce each block as it comes, so memory stays bounded by the pairs within
-``reach`` of one block; the mark statistics keep the whole pair list, which
+largest weighted lag of the (r, t) grid.  It finds them through an index
+of the second members by (cell, step), so each first member meets only the
+partners in its 3 x 3 neighbouring cells whose steps lie within that lag.
+Blocks end at a fixed budget of such candidates, so a block's work arrays
+do not grow with the density of the pattern.  ``_cell_sums`` then reduces
+those pairs to every cell's sum, applying the first member's eligibility,
+the spatial and temporal weights and the pair weight.  K and the pair
+correlation reduce each block as it comes, so their memory stays bounded by
+one block's candidates; the mark statistics keep the whole pair list, which
 every mark permutation reuses.
 """
 
@@ -69,6 +71,10 @@ __all__ = [
 DEFAULT_CELLS = 64
 DEFAULT_T_GRID = (1.0, 2.0)
 _PAIR_BLOCK = 2048
+# candidates per close-pair block: a pooled pair correlation at 50 000
+# events took the same time at 2^16, 2^17 and 2^18, and its peak memory
+# grew by 9 and 32 MiB over 2^16's
+_PAIR_BUDGET = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -430,58 +436,84 @@ class _Pairs(NamedTuple):
 
 
 def _close_pairs(first, second, cells: _Cells):
-    """The close pairs, one block of ``_PAIR_BLOCK`` first members at a time.
+    """The close pairs, one block of first members at a time.
 
     first and second are (x, y, t, global index).  Each block yields the
     pairs within the largest spatial support (``reach``) and the largest
-    weighted lag of the cells, in row-major (i, j) order; self-pairs are
-    excluded by global index.
+    weighted lag ``L`` of the cells, in row-major (i, j) order; self-pairs
+    are excluded by global index.
 
-    The second members are indexed once by square cells of side 1/m, m the
-    largest whole number with m * reach * (1 + 1e-9) <= 1.  The margin keeps
-    the side above ``reach`` after rounding: with side exactly ``reach`` the
-    rounded cell index can split a kept pair over two cells (at reach 0.1
-    and m = 10, x = 0.3 and 0.19999999999999998 land in cells 3 and 1).
-    Cell keys are row-major in (x cell, y cell), so the three cells of one
-    neighbouring x row are one run of the sorted members, and each first
-    member meets only the candidates of its 3 x 3 neighbouring cells.  The
-    found pairs are put back in (i, j) order by one sort per block."""
+    The second members are indexed once by (x cell, y cell, step), in square
+    cells of side 1/m, m the largest whole number up to 2^20 with
+    m * reach * (1 + 1e-9) <= 1.  The margin keeps the side above ``reach``
+    after rounding: with side exactly ``reach`` the rounded cell index can
+    split a kept pair over two cells (at reach 0.1 and m = 10, x = 0.3 and
+    0.19999999999999998 land in cells 3 and 1).  Keys are row-major, so the
+    steps t-L..t+L of one cell are one run of the sorted members, and a
+    first member at step t meets only the candidates of those runs in its
+    3 x 3 neighbouring cells.  Each member's candidates are counted from the
+    index before any is expanded, and a block ends where its running count
+    would pass ``_PAIR_BUDGET``; it holds at least one member.  The found
+    pairs are put back in (i, j) order by one sort per block."""
     xi, yi, ti, gi = first
-    xj, yj, _, _ = second
-    border = _border_distance(xi, yi)
+    xj, yj, tj, _ = second
+    T = cells.T
     reach = cells.supports.max()
     lag_max = cells.dmaxes.max()
-    m = max(int(1.0 / (reach * (1.0 + 1e-9))), 1)
+    # a squared distance is within a few ulps (or, below the smallest normal
+    # float, a few subnormal steps) of hypot's square; the margin and the
+    # floor cover both, so the cheap screen keeps every pair within reach
+    screen = max(reach * reach * (1.0 + 1e-9), np.finfo(float).tiny)
+    m = min(max(int(1.0 / (reach * (1.0 + 1e-9))), 1), 1 << 20)
 
     def cell(v):  # a coordinate of exactly 1.0 lands in the last cell
         return np.minimum((v * m).astype(np.intp), m - 1)
 
-    key = cell(xj) * m + cell(yj)
+    key = (cell(xj) * m + cell(yj)) * T + (tj - 1)
     order = np.argsort(key, kind="stable")
-    start = np.searchsorted(key[order], np.arange(m * m + 1))
+    key = key[order]
     xs, ys, ts, gs = (a[order] for a in second)
+    row, col = cell(xi), cell(yi)
+    first_step = np.maximum(ti - lag_max, 1) - 1
+    end_step = np.minimum(ti + lag_max, T)
+    drow, dcol = np.mgrid[-1:2, -1:2].reshape(2, 9, 1)
+
+    def runs(sl):
+        """(begin, count) of the members in ``sl``, one row per neighbouring
+        cell: the sorted positions of its steps t-L..t+L."""
+        r, c = row[sl] + drow, col[sl] + dcol
+        base = (r * m + c) * T
+        begin = np.searchsorted(key, base + first_step[sl])
+        count = np.searchsorted(key, base + end_step[sl]) - begin
+        count[(r < 0) | (r >= m) | (c < 0) | (c >= m)] = 0
+        return begin, count
+
+    running = np.zeros(xi.size, dtype=np.intp)
     for lo in range(0, xi.size, _PAIR_BLOCK):
-        sl = slice(lo, lo + _PAIR_BLOCK)
-        row, col = cell(xi[sl]), cell(yi[sl])
-        found = []
-        for step in (-1, 0, 1):
-            a = np.flatnonzero((row + step >= 0) & (row + step < m))
-            base = (row[a] + step) * m
-            begin = start[base + np.maximum(col[a] - 1, 0)]
-            count = start[base + np.minimum(col[a] + 1, m - 1) + 1] - begin
-            i = np.repeat(a + lo, count)
-            # positions in the sorted members: each run from its begin on
-            s = np.repeat(begin - np.cumsum(count) + count, count) + np.arange(i.size)
-            lag = np.abs(ti[i] - ts[s])
-            keep = np.flatnonzero((lag <= lag_max) & (gi[i] != gs[s]))
-            i, s, lag = i[keep], s[keep], lag[keep]
-            d = np.hypot(xi[i] - xs[s], yi[i] - ys[s])
-            near = np.flatnonzero(d <= reach)
-            found.append((i[near], order[s[near]], d[near], lag[near]))
-        i, j, d, lag = (np.concatenate(parts) for parts in zip(*found))
+        running[lo:lo + _PAIR_BLOCK] = runs(slice(lo, lo + _PAIR_BLOCK))[1].sum(axis=0)
+    np.cumsum(running, out=running)
+    border = _border_distance(xi, yi)
+    lo = 0
+    while lo < xi.size:
+        budget = _PAIR_BUDGET + (running[lo - 1] if lo else 0)
+        hi = max(int(np.searchsorted(running, budget, side="right")), lo + 1)
+        begin, count = (a.ravel() for a in runs(slice(lo, hi)))
+        i = np.repeat(np.tile(np.arange(lo, hi), 9), count)
+        # positions in the sorted members: each run from its begin on
+        s = np.repeat(begin - np.cumsum(count) + count, count) + np.arange(i.size)
+        dx, dy = xi[i] - xs[s], yi[i] - ys[s]
+        square = dx * dx
+        square += dy * dy
+        near = np.flatnonzero(square <= screen)
+        i, s = i[near], s[near]
+        d = np.hypot(dx[near], dy[near])
+        keep = np.flatnonzero((d <= reach) & (gi[i] != gs[s]))
+        i, s, d = i[keep], s[keep], d[keep]
+        j = order[s]
         rank = np.argsort(i * xj.size + j)
-        i = i[rank]
-        yield _Pairs(i, j[rank], d[rank], lag[rank], border[i], ti[i])
+        i, s = i[rank], s[rank]
+        yield _Pairs(i, j[rank], d[rank], np.abs(ti[i] - ts[s]), border[i], ti[i])
+        lo = hi
 
 
 def _cell_sums(cells: _Cells, pairs: _Pairs, weight: np.ndarray) -> np.ndarray:

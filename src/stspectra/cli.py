@@ -84,42 +84,50 @@ def _parse_colmap(text: str) -> dict[str, str]:
     return out
 
 
+def _read_entries(text: str, kinds: tuple, rule: str) -> tuple:
+    """The comma-separated entries of ``text``, one per converter of
+    ``kinds``; a usage error that states ``rule`` when their number differs
+    or an entry does not convert."""
+    parts = text.split(",")
+    try:
+        if len(parts) == len(kinds):
+            return tuple(kind(v) for kind, v in zip(kinds, parts))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(rule)
+
+
 def _parse_window(text: str) -> tuple[float, float, float, float]:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("window needs x_min,x_max,y_min,y_max")
-    return tuple(parts)
+    return _read_entries(text, (float,) * 4, "window needs x_min,x_max,y_min,y_max")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        a, b, n = text.split(":")
-        ends, count = (float(a), float(b)), int(n)
-        if not np.isfinite(ends).all():  # left to the list's own finite rule
-            return ends
-        return tuple(np.linspace(*ends, count).tolist())
-    return tuple(float(v) for v in text.split(","))
+    try:
+        if ":" in text:
+            a, b, n = text.split(":")
+            ends, count = (float(a), float(b)), int(n)
+            if not np.isfinite(ends).all():  # left to the list's own finite rule
+                return ends
+            return tuple(np.linspace(*ends, count).tolist())
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "need comma-separated numbers or start:stop:count"
+        ) from None
 
 
 def _parse_int_triple(text: str) -> tuple[int, int, int]:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("need three comma-separated integers")
-    return tuple(parts)
+    return _read_entries(text, (int,) * 3, "need three comma-separated integers")
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("need i,j")
-    return tuple(parts)
+    return _read_entries(text, (int,) * 2, "need i,j")
 
 
 def _parse_link(text: str) -> tuple[int, int, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("link needs i,j,offspring_rate,dispersion")
-    return (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
+    return _read_entries(
+        text, (int, int, float, float), "link needs i,j,offspring_rate,dispersion"
+    )
 
 
 def _parse_label_list(text: str) -> tuple[str, ...]:
@@ -502,10 +510,16 @@ def _provenance_comments(
     return lines
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _OutDir:
+    """The ``--out`` directory, created when the first artifact path in it
+    is taken, so a run refused before it writes leaves nothing behind."""
+
+    def __init__(self, path: str):
+        self.path = Path(path)
+
+    def __truediv__(self, name: str) -> Path:
+        self.path.mkdir(parents=True, exist_ok=True)
+        return self.path / name
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +527,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     pattern, report = _load_pattern(args)
     export_events(pattern, out / "events.csv")
     counts = pattern.counts
@@ -549,7 +563,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     spec = SimSpec(
         kind=args.kind,
         rates=args.rates,
@@ -595,7 +609,7 @@ def _separable_plugin(pattern: MultiPattern, args):
 
 
 def cmd_classical(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     pattern, _ = _load_pattern(args)
 
     if args.estimator == "intensity":
@@ -717,7 +731,7 @@ def _polar_blocks(smoothed, grid):
 
 
 def cmd_spectra(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     pattern, _ = _load_pattern(args)
     spec = _analysis_spec(args, pattern.T)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
@@ -756,7 +770,7 @@ def _partial_blocks(pf):
 
 
 def cmd_partial(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     pattern, _ = _load_pattern(args)
     _require_partial_dims(pattern)
     spec = _analysis_spec(args, pattern.T)
@@ -886,7 +900,7 @@ def _emit_slices(out, slices, cal, fmt, comments):
 
 
 def cmd_graph(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     pattern, _ = _load_pattern(args)
     spec, xi, cal, cfg, comments = _threshold_request(args, pattern)
     pf = partial_pipeline(pattern, spec)
@@ -932,7 +946,7 @@ def _write_lags(out, comments, lags):
 
 
 def cmd_invert(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     pattern, _ = _load_pattern(args)
     spec = _analysis_spec(args, pattern.T)
     _require_full_rank_box(spec.half_widths, pattern.d)
@@ -955,7 +969,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     if args.simulate_spec and args.input:
         raise ValidationError("give an input CSV or --simulate, not both")
     truth = None

@@ -122,30 +122,45 @@ def _require_full_rank_box(half_widths: tuple[int, int, int], d: int) -> None:
         )
 
 
-def _as_matrix_field(field: SpectralField) -> np.ndarray:
+def _as_matrix_field(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """The checked field values and their absolute values, which the zero
+    test, the Hermitian scale and the Gershgorin discs share."""
     d = field.d
     if d < 2:
         raise ValidationError("need d >= 2 components")
     if field.half_widths is not None:
         _require_full_rank_box(field.half_widths, d)
-    if field.is_zero():
+    values = field.values
+    magnitude = np.abs(values)
+    if not magnitude.any():
         raise DegenerateFieldError(
             "spectral field is identically zero (constant marks give a "
             "degenerate marked field); partial statistics are undefined"
         )
     # over finite entries only: one NaN would make both NaN, and NaN passes
     # any comparison with the bound
-    scale = np.abs(field.values[np.isfinite(field.values)]).max(initial=0.0)
+    scale = magnitude.max(where=np.isfinite(values), initial=0.0)
     defect = field.hermitian_defect()
     if defect > 1e-10 * max(scale, 1e-300):
         raise ValidationError(
             f"field is not Hermitian (defect {defect:.3e}); internal contract "
             "violated upstream"
         )
-    return field.values
+    return values, magnitude
 
 
-def _gershgorin_certified(mats: np.ndarray, threshold: float) -> np.ndarray:
+def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the short last axis of ``a`` by one call per
+    column, in column order; numpy's reduce costs far more per row here."""
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
+
+
+def _gershgorin_certified(
+    mats: np.ndarray, threshold: float, magnitude: np.ndarray | None = None
+) -> np.ndarray:
     """Which matrices of a stack of Hermitian matrices Gershgorin discs
     prove to have a condition number of at most ``threshold``.
 
@@ -154,13 +169,16 @@ def _gershgorin_certified(mats: np.ndarray, threshold: float) -> np.ndarray:
     absolute row sum, so lo > 0 and hi / lo <= threshold / 2 bound the
     condition number; the factor 2 absorbs rounding in lo, hi and in the
     eigenvalues the exact test would use.  Non-finite matrices, near-singular
-    ones and strongly coherent ones are not certified.
+    ones and strongly coherent ones are not certified.  ``magnitude`` is
+    ``np.abs(mats)`` when the caller has it.
     """
+    if magnitude is None:
+        magnitude = np.abs(mats)
     diag = np.einsum("kii->ki", mats).real
     with np.errstate(all="ignore"):
-        radius = np.abs(mats).sum(axis=-1) - np.abs(diag)
-        lo = (diag - radius).min(axis=-1)
-        hi = (diag + radius).max(axis=-1)
+        radius = _fold(np.add, magnitude) - np.abs(diag)
+        lo = _fold(np.minimum, diag - radius)
+        hi = _fold(np.maximum, diag + radius)
         return (lo > 0) & (hi <= 0.5 * threshold * lo)
 
 
@@ -181,13 +199,14 @@ def _ridged_inverse(
     singular: it is inverted as the identity with the rest of the stack and
     its inverse set to NaN.
     """
-    values = _as_matrix_field(field)
+    values, magnitude = _as_matrix_field(field)
     d = field.d
     flat = values.reshape(-1, d, d)
     work = flat.copy()
     ridge = np.zeros(flat.shape[0])
-    singular = ~_gershgorin_certified(flat, COND_THRESHOLD)
-    rest = np.nonzero(singular & np.isfinite(flat).all(axis=(-2, -1)))[0]
+    singular = ~_gershgorin_certified(flat, COND_THRESHOLD, magnitude.reshape(flat.shape))
+    finite = _fold(np.logical_and, _fold(np.logical_and, np.isfinite(flat)))
+    rest = np.nonzero(singular & finite)[0]
     if rest.size:
         mats = flat[rest]
         fractions = np.array((0.0, *RIDGE_FRACTIONS))
@@ -255,7 +274,9 @@ def partial_field(field: SpectralField) -> PartialField:
     bii = b[..., diag, diag].real  # (P,Q,U,d)
     with np.errstate(all="ignore"):
         den = np.sqrt(bii[..., :, None] * bii[..., None, :])
-        coherency = np.where(den > 0, -b / np.where(den > 0, den, 1.0), np.nan)
+        defined = den > 0
+        coherency = -b / np.where(defined, den, 1.0)
+        coherency[~defined] = np.nan
         abs_d = np.abs(coherency)
     for arr, fill in ((coherency, 0), (abs_d, 0.0)):
         arr[..., diag, diag] = fill

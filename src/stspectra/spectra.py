@@ -14,6 +14,7 @@ Component indices in the public API are 1-based, matching event type ids.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -263,7 +264,9 @@ def _dft_single(
     is fixed by the sorted events alone.
     """
     P, Q, _ = grid.shape
-    order = np.argsort(t, kind="stable")
+    # steps lie in 1..T, so the smallest type that holds T sorts them in the
+    # same stable order, by radix sort for types of up to 16 bits
+    order = np.argsort(t.astype(np.min_scalar_type(T)), kind="stable")
     x, y, t = x[order], y[order], t[order]
     if weights is not None:
         weights = weights[order]
@@ -373,11 +376,9 @@ class SpectralField:
         finite = np.isfinite(self.values)
         if (finite != np.swapaxes(finite, -1, -2)).any():
             return float("inf")
-        swapped = np.conj(np.swapaxes(self.values, -1, -2))
-        return float(np.abs(self.values[finite] - swapped[finite]).max(initial=0.0))
-
-    def is_zero(self) -> bool:
-        return not np.abs(self.values).any()
+        with np.errstate(invalid="ignore"):  # inf - inf off the finite pairs
+            gap = np.abs(self.values - np.conj(np.swapaxes(self.values, -1, -2)))
+        return float(gap.max(where=finite, initial=0.0))
 
 
 def periodogram_matrix(
@@ -493,28 +494,41 @@ def _box_average(
 
     ``values`` has shape (P, Q, U) + trailing; the trailing axes ride along.
     """
-    hp, hq, hu = _require_half_widths(hw)
-    P, Q, U = grid.shape
-    if values.shape[:3] != (P, Q, U):
+    hw = _require_half_widths(hw)
+    if values.shape[:3] != grid.shape:
         raise ValidationError("field shape disagrees with grid")
+    trail = (np.newaxis,) * (values.ndim - 3)
+    return _box_sums(values, grid, T, hw) / _box_counts(grid, T, hw)[(...,) + trail]
+
+
+def _box_sums(
+    a: np.ndarray, grid: FrequencyGrid, T: int, hw: tuple[int, int, int]
+) -> np.ndarray:
+    """The neighbourhood sums of :func:`_box_average` over its extension of
+    ``a``.  The hu planes each side in u are copies of the planes they wrap
+    to when U == T and stay zero otherwise."""
+    hp, hq, hu = hw
+    P, Q, U = grid.shape
     mirrored = hp if _mirror_refusal(grid, T) is None else 0
     k = np.arange(1, min(mirrored, P - 1) + 1)  # plane p = -k mirrors p = k
+    ext = np.zeros((P + 2 * hp, Q + 2 * hq, U + 2 * hu) + a.shape[3:], a.dtype)
+    body = ext[:, :, hu : hu + U]
+    body[hp : hp + P, hq : hq + Q] = a
+    body[hp - k, hq : hq + Q] = _mirror_planes(a, grid, k)
+    if U == T:
+        for v in range(hu):
+            ext[:, :, v] = body[:, :, (v - hu) % U]
+            ext[:, :, hu + U + v] = body[:, :, v % U]
+    return _box_sum(_box_sum(_box_sum(ext, hp, 0), hq, 1), hu, 2)
 
-    def box_sums(a: np.ndarray) -> np.ndarray:
-        ext = np.zeros((P + 2 * hp, Q + 2 * hq, U) + a.shape[3:], a.dtype)
-        ext[hp : hp + P, hq : hq + Q] = a
-        ext[hp - k, hq : hq + Q] = _mirror_planes(a, grid, k)
-        if U == T:
-            ext = ext[:, :, np.arange(-hu, U + hu) % U]
-        else:
-            pad = [(0, 0)] * ext.ndim
-            pad[2] = (hu, hu)
-            ext = np.pad(ext, pad)
-        return _box_sum(_box_sum(_box_sum(ext, hp, 0), hq, 1), hu, 2)
 
-    cnt = box_sums(np.ones(grid.shape))
-    trail = (np.newaxis,) * (values.ndim - 3)
-    return box_sums(values) / cnt[(...,) + trail]
+@functools.lru_cache(maxsize=16)
+def _box_counts(grid: FrequencyGrid, T: int, hw: tuple[int, int, int]) -> np.ndarray:
+    """The in-range count of every box: the box sums of an all-ones field,
+    shared read-only by every field on the same grid, T and half-widths."""
+    counts = _box_sums(np.ones(grid.shape), grid, T, hw)
+    counts.flags.writeable = False
+    return counts
 
 
 def smooth_spectra(

@@ -207,9 +207,41 @@ def kernel_intensity_loop(x, y, t, T, eps, delta, cells, separable, queries):
     return out
 
 
-def close_pairs_dense(first, second, cells, block):
+def budget_blocks(first, second, cells, budget):
+    """The (lo, hi) first-member blocks that ``classical._close_pairs`` cuts
+    at ``budget`` candidates, by a plain loop.
+
+    A member's candidates are the second members whose square cell (side
+    1/m, as the engine picks m) is one of its 3 x 3 neighbours and whose
+    step is at most the largest weighted lag away, self included.  A block
+    takes members while its running count stays within the budget, and
+    always at least one."""
+    reach = float(cells.supports.max())
+    lag_max = int(cells.dmaxes.max())
+    m = min(max(int(1.0 / (reach * (1.0 + 1e-9))), 1), 1 << 20)
+    xi, yi, ti, _ = first
+    xj, yj, tj, _ = second
+
+    def cell(v):
+        return np.minimum(np.floor(np.asarray(v) * m), m - 1)
+
+    px, py = cell(xj), cell(yj)
+    blocks, lo, running = [], 0, 0
+    for k in range(xi.size):
+        near = (np.abs(px - cell(xi[k])) <= 1) & (np.abs(py - cell(yi[k])) <= 1)
+        count = int((near & (np.abs(tj - ti[k]) <= lag_max)).sum())
+        if k > lo and running + count > budget:
+            blocks.append((lo, k))
+            lo, running = k, 0
+        running += count
+    if xi.size:
+        blocks.append((lo, xi.size))
+    return blocks
+
+
+def close_pairs_dense(first, second, cells, blocks):
     """The close pairs of ``classical._close_pairs`` by a dense search: each
-    block of ``block`` first members against every second member, through a
+    (lo, hi) block of first members against every second member, through a
     block x partners distance matrix whose row-major nonzeros give the
     (i, j) order.  Yields one ``classical._Pairs`` per block."""
     from stspectra.classical import _Pairs, _border_distance
@@ -219,10 +251,9 @@ def close_pairs_dense(first, second, cells, block):
     border = _border_distance(xi, yi)
     reach = cells.supports.max()
     lag_max = cells.dmaxes.max()
-    for lo in range(0, xi.size, block):
-        sl = slice(lo, lo + block)
-        dist = xi[sl, None] - xj
-        np.hypot(dist, yi[sl, None] - yj, out=dist)
+    for lo, hi in blocks:
+        dist = xi[lo:hi, None] - xj
+        np.hypot(dist, yi[lo:hi, None] - yj, out=dist)
         i, j = np.nonzero(dist <= reach)
         d = dist[i, j]
         i += lo

@@ -32,7 +32,7 @@ from stspectra.errors import DomainError, ValidationError
 from stspectra.ingest import MultiPattern, Window
 
 from conftest import build_pattern
-from oracles import close_pairs_dense, kernel_intensity_loop
+from oracles import budget_blocks, close_pairs_dense, kernel_intensity_loop
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +134,14 @@ def naive_marked_k(comp, r, t):
 
 def child_peak_mib(script):
     """Peak resident memory, in MiB, of a fresh interpreter running
-    ``script`` against this checkout's package."""
+    ``script`` against this checkout's package.
+
+    Read as VmHWM, the peak of the child's own address space: ru_maxrss
+    keeps the peak of the image the child replaced at exec, which is this
+    test process's, so it reads at least this process's peak."""
     script += (
-        "import resource\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(int(l.split()[1]) for l in open('/proc/self/status')\n"
+        "           if l.startswith('VmHWM:')))\n"
     )
     src = str(Path(stspectra.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -148,7 +152,7 @@ def child_peak_mib(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    return int(proc.stdout) / 1024  # VmHWM is in kB
 
 
 @pytest.fixture(scope="module")
@@ -293,17 +297,17 @@ class TestPairCorrelationOracle:
         assert rows[0][:2] == (0.1, 1.0)
 
 
-def pair_search_cells(reach, lag_max):
+def pair_search_cells(reach, lag_max, T=8):
     """The (r, t) cells as far as the pair search reads them: the largest
-    support and the largest weighted lag.  Built directly, since a reach of
-    half the window or more leaves no eroded domain for ``_cells``."""
+    support, the largest weighted lag and T.  Built directly, since a reach
+    of half the window or more leaves no eroded domain for ``_cells``."""
     return classical._Cells(
-        r=np.array([reach]), t=np.array([1.0]), eps=None, tables=np.ones((1, 8)), T=8,
+        r=np.array([reach]), t=np.array([1.0]), eps=None, tables=np.ones((1, T)), T=T,
         supports=np.array([reach]), dmaxes=np.array([lag_max]), measure=np.ones((1, 1)),
     )
 
 
-def pair_search_events(reach, n=400, seed=8):
+def pair_search_events(reach, n=400, seed=8, T=8):
     """(x, y, t, global index) of events on and off the cell borders.
 
     A third are uniform; a third sit on multiples of 1/q (q = 1..12, which
@@ -324,37 +328,70 @@ def pair_search_events(reach, n=400, seed=8):
     y = np.r_[rng.random(third), rng.choice(border, third), rng.random(n - 2 * third)]
     x[-4:] = 0.0, reach, 0.25, 0.25
     y[-4:] = 0.5, 0.5, 0.0, reach
-    t = rng.integers(1, 9, n)
+    t = rng.integers(1, T + 1, n)
     t[-4:] = 1
     return x, y, t, np.arange(n)
+
+
+PAIR_SETS = {
+    "same": (slice(None), slice(None)),
+    "overlapping": (slice(0, 300), slice(150, None)),
+    "disjoint": (slice(0, 200), slice(200, None)),
+    "empty-second": (slice(None), slice(0, 0)),
+}
+
+
+def assert_engine_matches_oracle(first, second, cells, budget):
+    """The engine's blocks against the dense oracle's over the blocks that
+    the candidate budget cuts, field by field in dtype and value; each block
+    holds at most ``budget`` candidates or a single member.  Returns the
+    oracle's blocks."""
+    blocks = budget_blocks(first, second, cells, budget)
+    got = list(classical._close_pairs(first, second, cells))
+    want = list(close_pairs_dense(first, second, cells, blocks))
+    assert len(got) == len(want) == len(blocks)
+    for k, (g, w, (lo, hi)) in enumerate(zip(got, want, blocks)):
+        for name, a, b in zip(classical._Pairs._fields, g, w):
+            assert a.dtype == b.dtype, (k, name)
+            assert np.array_equal(a, b), (k, name)
+        assert np.all((g.i >= lo) & (g.i < hi))
+    return want
 
 
 class TestClosePairs:
     """The cell-index pair search against the dense block x partners search."""
 
     @pytest.mark.parametrize("reach", [0.5, 0.7, 0.1, 0.25, 0.13, 0.03])
-    @pytest.mark.parametrize("sets", ["same", "overlapping", "disjoint", "empty-second"])
-    @pytest.mark.parametrize("block", [7, classical._PAIR_BLOCK])
-    def test_matches_dense_search(self, monkeypatch, reach, sets, block):
-        monkeypatch.setattr(classical, "_PAIR_BLOCK", block)
+    @pytest.mark.parametrize("sets", list(PAIR_SETS))
+    @pytest.mark.parametrize("budget", [7, 2048])
+    def test_matches_dense_search(self, monkeypatch, reach, sets, budget):
+        monkeypatch.setattr(classical, "_PAIR_BUDGET", budget)
         events = pair_search_events(reach)
-        take = {
-            "same": (slice(None), slice(None)),
-            "overlapping": (slice(0, 300), slice(150, None)),
-            "disjoint": (slice(0, 200), slice(200, None)),
-            "empty-second": (slice(None), slice(0, 0)),
-        }[sets]
-        first, second = (tuple(a[part] for a in events) for part in take)
-        cells = pair_search_cells(reach, lag_max=2)
-        got = list(classical._close_pairs(first, second, cells))
-        want = list(close_pairs_dense(first, second, cells, block))
-        assert len(got) == len(want) == -(-first[0].size // block)
-        for g, w in zip(got, want):
-            for name, a, b in zip(classical._Pairs._fields, g, w):
-                assert a.dtype == b.dtype, name
-                np.testing.assert_array_equal(a, b, err_msg=name)
+        first, second = (tuple(a[part] for a in events) for part in PAIR_SETS[sets])
+        want = assert_engine_matches_oracle(
+            first, second, pair_search_cells(reach, lag_max=2), budget
+        )
         if sets == "same":
             assert (np.concatenate([w.dist for w in want]) == reach).sum() >= 4
+
+    @pytest.mark.parametrize("reach", [0.1, 0.03])
+    @pytest.mark.parametrize("sets", list(PAIR_SETS))
+    @pytest.mark.parametrize("T, lag_max", [(8, 0), (8, 1), (8, 7), (1, 0)])
+    @pytest.mark.parametrize("budget", [1, classical._PAIR_BUDGET])
+    def test_blocks_follow_the_candidate_budget(
+        self, monkeypatch, reach, sets, T, lag_max, budget
+    ):
+        # budget 1 puts every member with a candidate in a block of its own;
+        # the default makes one block here
+        monkeypatch.setattr(classical, "_PAIR_BUDGET", budget)
+        events = pair_search_events(reach, T=T)
+        first, second = (tuple(a[part] for a in events) for part in PAIR_SETS[sets])
+        cells = pair_search_cells(reach, lag_max, T)
+        want = assert_engine_matches_oracle(first, second, cells, budget)
+        pairs = [np.concatenate(parts) for parts in zip(*want)]
+        assert (pairs[3] <= lag_max).all()
+        if sets == "same":
+            assert pairs[0].size > 0
 
     def test_pair_across_a_rounded_cell_border(self):
         # at reach 0.1, cells of side exactly 0.1 put these x in cells 3 and 1
@@ -363,6 +400,20 @@ class TestClosePairs:
         (pairs,) = classical._close_pairs(events, events, pair_search_cells(0.1, 0))
         np.testing.assert_array_equal(pairs.i, [0, 1])
         np.testing.assert_array_equal(pairs.j, [1, 0])
+
+    @pytest.mark.parametrize("reach", [1e-7, 1e-300])
+    def test_tiny_reach_finds_coincident_pairs(self, reach):
+        # the cells stop at 2^20 a side, so the keys stay inside int64; the
+        # squared-distance screen still keeps the pairs at distance 0 and,
+        # at 1e-7, the pair just inside reach
+        x = np.array([0.5, 0.5, 0.5 + reach, 0.25, 0.25, 0.75])
+        y = np.array([0.5, 0.5, 0.5, 0.25, 0.251, 0.75])
+        events = (x, y, np.array([1, 1, 1, 2, 2, 8]), np.arange(6))
+        cells = pair_search_cells(reach, 0)
+        assert_engine_matches_oracle(events, events, cells, classical._PAIR_BUDGET)
+        (pairs,) = classical._close_pairs(events, events, cells)
+        np.testing.assert_array_equal(pairs.i, [0, 0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(pairs.j, [1, 2, 0, 2, 0, 1])
 
     def test_memory_is_bounded_by_the_pairs_in_reach(self):
         # a dense block x partners search peaks above 500 MiB here
@@ -379,6 +430,27 @@ class TestClosePairs:
         )
         peak_mib = child_peak_mib(script)
         assert peak_mib < 300, f"peak RSS {peak_mib:.0f} MiB"
+
+
+    def test_memory_does_not_grow_with_density(self):
+        # blocks of 2048 first members held every candidate of the block:
+        # 125 MiB at 50 000 events and 59 MiB at 12 500 here
+        def peak(n):
+            return child_peak_mib(
+                "import numpy as np\n"
+                "from stspectra import MultiPattern, Window, estimate_pair_correlation\n"
+                "rng = np.random.default_rng(7)\n"
+                f"n = {n}\n"
+                "pat = MultiPattern(x=rng.random(n), y=rng.random(n),\n"
+                "    t=rng.integers(1, 9, n), type_id=rng.integers(1, 4, n),\n"
+                "    labels=('a', 'b', 'c'), window=Window(0.0, 1.0, 0.0, 1.0, T=8))\n"
+                "est = estimate_pair_correlation(pat.pooled(), [0.02, 0.05], [1.0])\n"
+                "assert np.isfinite(est.values).all()\n"
+            )
+
+        dense, sparse = peak(50_000), peak(12_500)
+        assert dense < 80, f"peak RSS {dense:.0f} MiB at 50 000 events"
+        assert dense - sparse < 15, f"{sparse:.0f} -> {dense:.0f} MiB"
 
 
 class TestIntensity:

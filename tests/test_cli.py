@@ -406,7 +406,7 @@ class TestPartialAndGraph:
             "message": "smoothing neighbourhood 1 < d=3: smoothed matrices cannot "
             "reach full rank; enlarge the half-widths",
         }
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_spectra_keeps_the_rank_warning(self, tmp_path):
         events = simulate_events(tmp_path, "sim")
@@ -489,7 +489,7 @@ class TestPartialAndGraph:
             "error": "validation",
             "message": "threshold xi must be a finite non-negative number",
         }
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_per_slice_artifacts(self, tmp_path):
         events = simulate_events(tmp_path, "sim", rates="50,50,50", T=3)
@@ -881,7 +881,7 @@ class TestPipeline:
         report = json.loads(err[0])
         assert report["error"] == "symmetry"
         assert "symmetric about 0" in report["message"]
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_input_and_simulate_conflict(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
@@ -971,7 +971,7 @@ class TestPipeline:
             "error": "validation",
             "message": "an input CSV is required",
         }
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_xi_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1017,7 +1017,7 @@ class TestRefusalsWriteNothing:
             "error": "validation",
             "message": "half-widths must be >= 0",
         }
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sub, xi", [("graph", "null:q95"), ("pipeline", "0.5")], ids=["graph", "pipeline"]
@@ -1038,7 +1038,7 @@ class TestRefusalsWriteNothing:
             "neighbourhood 1 < d=3: smoothed matrices cannot reach full rank; "
             "enlarge the half-widths",
         }
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub", ["graph", "pipeline"])
     def test_u_range_beyond_T(self, tmp_path, capsys, sub):
@@ -1054,7 +1054,7 @@ class TestRefusalsWriteNothing:
             "message": "u range -1..4 holds 6 temporal ordinates, more than T=4; "
             "u is periodic modulo T",
         }
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_dc_only_grid(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
@@ -1069,7 +1069,7 @@ class TestRefusalsWriteNothing:
             "error": "validation",
             "message": "no frequency ordinates left after DC exclusion",
         }
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_constant_marks(self, tmp_path, capsys):
         events = simulate_events(tmp_path, "sim")
@@ -1085,7 +1085,7 @@ class TestRefusalsWriteNothing:
              "--out", out, *GRID_ARGS]
         ) == 1
         assert one_report(capsys)["error"] == "degenerate"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestConfigMerge:
@@ -1245,6 +1245,12 @@ MALFORMED_VALUES = [
     ("spectra", "half-widths", "1,1", "need three comma-separated integers"),
     ("invert", "pair", "1", "need i,j"),
     ("simulate", "link", "1,2,5", "link needs i,j,offspring_rate,dispersion"),
+    ("ingest", "window", "a,b,c,d", "window needs x_min,x_max,y_min,y_max"),
+    ("spectra", "half-widths", "a,b,c", "need three comma-separated integers"),
+    ("invert", "pair", "a,b", "need i,j"),
+    ("simulate", "link", "a,2,3,4", "link needs i,j,offspring_rate,dispersion"),
+    ("simulate", "rates", "a,b", "need comma-separated numbers or start:stop:count"),
+    ("classical", "r-grid", "0:0.1:x", "need comma-separated numbers or start:stop:count"),
 ]
 
 
