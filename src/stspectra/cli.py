@@ -695,15 +695,10 @@ SPECTRA_HEADER = ["p", "q", "u", "i", "j", "re", "im", "kind"]
 PARTIAL_HEADER = ["p", "q", "u", "i", "j", "re", "im", "abs_d", "ridge"]
 
 
-def _grid_columns(grid) -> list[list[str]]:
-    """The p, q and u label strings of every ordinate, in grid (C) order."""
-    return [list(map(str, column.tolist())) for column in grid.points().T]
-
-
 def _spectral_blocks(fields):
     """spectra.csv blocks: entries i <= j of each (field, kind) in turn; the
     fields share one grid."""
-    pqu = _grid_columns(fields[0][0].grid)
+    pqu = list(fields[0][0].grid.points().T)
     for field, kind in fields:
         for i in range(1, field.d + 1):
             for j in range(i, field.d + 1):
@@ -759,7 +754,7 @@ def cmd_spectra(args) -> int:
 
 def _partial_blocks(pf):
     """partial.csv blocks: coherency, |d_ij| and ridge of each pair i < j."""
-    pqu = _grid_columns(pf.grid)
+    pqu = list(pf.grid.points().T)
     ridge = pf.ridge.ravel()
     d = len(pf.labels)
     for i in range(1, d + 1):

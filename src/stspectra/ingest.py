@@ -9,13 +9,16 @@ rescaled to the unit square; marks are never rescaled.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -365,8 +368,10 @@ def bin_times(
 
 
 # rows per chunk, both for parsing an events file and for writing a table,
-# so that neither holds a whole file as Python objects or as one string
-_CHUNK_ROWS = 8192
+# so that neither holds a whole file as Python objects or as one string; a
+# written chunk's slot buffers then take about 1 MiB, under the analysis's
+# own peak
+_CHUNK_ROWS = 4096
 
 
 def _parse_float(text: str, column: str, line: int) -> float:
@@ -439,7 +444,7 @@ def _ids(texts: list[str], ids: dict[str, int], first: int) -> np.ndarray:
 def _floats_or_nan(texts) -> np.ndarray:
     """Texts parsed as floats, with NaN where one does not parse."""
     try:
-        return np.array(list(map(float, texts)), dtype=float)
+        return np.fromiter(map(float, texts), float, len(texts))
     except (TypeError, ValueError):
         out = np.full(len(texts), np.nan)
         for k, text in enumerate(texts):
@@ -492,12 +497,12 @@ def _parse_rows(reader, columns: list[int], path: Path) -> dict:
         n_rows += len(rows)
         if min(map(len, rows)) < width:
             rows = [row + [None] * (width - len(row)) for row in rows]
-        table = list(zip(*rows))
+        fields = [map(operator.itemgetter(k), rows) for k in columns]
         try:
-            x = np.array(list(map(float, table[columns[0]])))
-            y = np.array(list(map(float, table[columns[1]])))
-            times = list(map(str.strip, table[columns[2]]))
-            labels = list(map(str.strip, table[columns[3]]))
+            x = np.fromiter(map(float, fields[0]), float, len(rows))
+            y = np.fromiter(map(float, fields[1]), float, len(rows))
+            times = list(map(str.strip, fields[2]))
+            labels = list(map(str.strip, fields[3]))
         except (TypeError, ValueError):
             raise _BadRow from None
         if not (np.isfinite(x).all() and np.isfinite(y).all() and all(times)
@@ -508,7 +513,7 @@ def _parse_rows(reader, columns: list[int], path: Path) -> dict:
         parts["t"].append(_ids(times, time_ids, 0))
         parts["type"].append(_ids(labels, label_ids, 1))
         if has_marks:  # a bad mark is an error only on a row that is kept
-            parts["mark"].append(_floats_or_nan(table[columns[4]]))
+            parts["mark"].append(_floats_or_nan(list(fields[4])))
     if not n_rows:
         raise EmptyInputError(f"{path}: no data rows")
 
@@ -723,42 +728,356 @@ def _csv_fields(texts, newline: str = "\n") -> tuple[str, ...]:
     return tuple(fields)
 
 
-def _row_format(column) -> str:
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "U"
-    return "%.17g" if kind == "f" else "%d" if kind in "iu" else "%s"
+# -- the table writer --------------------------------------------------
+#
+# A batch of rows is laid out as an (n, width) byte array: one slot per
+# column, each opening with the byte that separates it from the field
+# before, then the row's newline.  Bytes that no text fills stay NUL and
+# are dropped when the batch is written.  The digit characters come from
+# one table of the 10 000 four-digit groups, as little-endian words.
+
+_ZERO = ord("0")
 
 
-def _chunk_values(column, start: int) -> list:
-    part = column[start : start + _CHUNK_ROWS]
-    return part.tolist() if isinstance(part, np.ndarray) else part
+def _frozen(*tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.cache
+def _digit_tables():
+    """The four digit characters of each group 0..9999 as little-endian
+    words: in full, with leading zeros blank (0 all blank), and as an
+    integer's only group (0 as "0"); and, for group k = 0..3 of a 16-digit
+    tail, the position 1..16 of each group's last nonzero digit (0 for 0).
+    Built on first use, read-only."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # most significant first
+    chars = np.ascontiguousarray((digits + _ZERO).T)
+    nonzero = digits != 0
+    shown = nonzero.copy()  # a nonzero digit at or before each place
+    for k in range(1, 4):
+        shown[k] |= shown[k - 1]
+    lead = (chars * shown.T).view("<u4").ravel()
+    only = lead.copy()
+    only[0] = _ZERO << 24
+    last = (nonzero * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    last = np.where(last > 0, last + 4 * np.arange(4, dtype=np.uint8)[:, None], 0)
+    return _frozen(chars.view("<u4").ravel(), lead, only, last)
+
+
+# A float's slot has 32 bytes: the separator "," at 0, the sign at 1, the
+# prefix "0." + zeros of an exponent in -4..-1 ending at 6, the 17 digits
+# at 7..23 (those after a point shifted up a byte), "e-0k" at 25..28.
+# Bytes 29..31 stay blank, and 25..28 when no value takes an exponent.
+
+
+@functools.cache
+def _float_layouts():
+    """Per class ((exponent + 6) * 2 + has fraction digits) * 2 + negative,
+    the slot words that keep the digits in place, that keep them shifted a
+    byte up past the point, and that add the sign, prefix, point and
+    exponent after the separator: three (92, 4) tables; and per count k,
+    the words that keep the first k digits, (18, 4).  Built on first use,
+    read-only."""
+    lay = np.zeros((23, 2, 2, 3, 32), np.uint8)
+    for x in range(-6, 17):
+        for frac in (0, 1):
+            keep, shifted, add = lay[x + 6, frac, 0]
+            if frac and not -4 <= x < 0:  # fixed with a fraction, or scientific
+                point = 8 + max(x, 0)
+                keep[7:point] = 0xFF
+                add[point] = ord(".")
+                shifted[point + 1 : 25] = 0xFF
+            else:
+                keep[7:24] = 0xFF
+            if x < -4:
+                add[25:29] = np.frombuffer(b"e-%02d" % -x, np.uint8)
+            elif x < 0:
+                prefix = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+                add[7 - prefix.size : 7] = prefix
+    lay[:, :, :, 2, 0] = ord(",")
+    lay[:, :, 1] = lay[:, :, 0]
+    lay[:, :, 1, 2, 1] = ord("-")
+    lay = lay.reshape(92, 3, 32)
+    first = np.zeros((18, 32), np.uint8)
+    for k in range(18):
+        first[k, 7 : 7 + k] = 0xFF
+    return _frozen(*(lay[:, k].copy().view("<u8") for k in range(3)), first.view("<u8"))
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo, each with at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, s):
+    """a * 10**s exactly, as the rounded product p and its error e
+    (Dekker's two-product, Numer. Math. 18, 1971)."""
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(s), _POW10_LO.take(s)
+    p = a * _POW10.take(s)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _decade_step(p, e):
+    """+1 where p + e < 1e16, -1 where p + e >= 1e17, 0 in between."""
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    return low.astype(np.intp) - high
+
+
+def _float_slots(v: np.ndarray) -> np.ndarray:
+    """Each float64's ``'%.17g'`` text in a slot of 25 or 29 bytes.
+
+    For 1e-6 <= |v| < 1e17 and for zeros the digits are exact in numpy:
+    with 10**s exact, v * 10**s = p + e exactly, and s is chosen so that
+    p + e lies in [1e16, 1e17); its 17 digits are p + rint(e), rounded
+    half to even since p is even there.  Other values (nan, inf, every
+    magnitude outside that range) take ``'%.17g' %`` one at a time."""
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= 1e-6) & (a < 1e17)
+    work = np.where(fast, a, 1.0)
+    s = np.clip(16 - np.floor(np.log10(work)), 0, 22).astype(np.intp)
+    p, e = _scaled(work, s)
+    # log10 can miss by one next to a power of ten; a value whose decade
+    # needs 10**23 (just under 1e-6) leaves the fast path
+    step = _decade_step(p, e)
+    redo = np.flatnonzero(step)
+    if redo.size:
+        s[redo] = np.clip(s[redo] + step[redo], 0, 22)
+        p[redo], e[redo] = _scaled(work[redo], s[redo])
+        fast[redo[_decade_step(p[redo], e[redo]) != 0]] = False
+    # rounding never carries into an 18th digit: of the floats below a power
+    # of ten in this range, the closest (just under 1e-6) is 4.5e-17 of it
+    # below, and a carry needs 5e-18
+    digits = p.astype(np.int64)
+    digits += np.rint(e).astype(np.int64)
+    exponent = 16 - s
+    digits[zero] = 0
+    exponent[zero] = 0
+
+    lead = digits // 10**16
+    tail = digits - lead * 10**16
+    high = tail // 10**8
+    low = tail - high * 10**8
+    first, third = high // 10**4, low // 10**4
+    groups = (first, high - first * 10**4, third, low - third * 10**4)
+    quad, _, _, last_digit = _digit_tables()
+    in_place, shifted_keep, added, first_digits = _float_layouts()
+    words = np.zeros((v.size, 4), "<u8")
+    quads = words.view("<u4")
+    quads[:, 1] = (lead + _ZERO) << 24
+    last = np.zeros(v.size, np.intp)
+    for k, g in enumerate(groups):
+        quads[:, 2 + k] = quad.take(g)
+        np.maximum(last, last_digit[k].take(g), out=last)
+    whole = np.maximum(exponent, 0)  # the last integer digit of a fixed form
+    kept = first_digits.take(np.maximum(last, whole) + 1, axis=0)
+    kept &= words
+    flat = kept.ravel()  # byte 31 of every slot is blank: nothing carries
+    shifted = flat << 8
+    shifted[1:] |= flat[:-1] >> 56
+    layout = ((exponent + 6) * 2 + (last > whole)) * 2 + np.signbit(v)
+    out = in_place.take(layout, axis=0)
+    out &= kept
+    moved = shifted_keep.take(layout, axis=0)
+    moved &= shifted.reshape(kept.shape)
+    out |= moved
+    out |= added.take(layout, axis=0)
+    out = out.view(np.uint8)
+    for r in np.flatnonzero(~(fast | zero)):
+        text = np.frombuffer(("%.17g" % v[r]).encode("ascii"), np.uint8)
+        out[r, 1:] = 0
+        out[r, 1 : 1 + text.size] = text
+    return out[:, : 29 if (exponent[fast] < -4).any() else 25]
+
+
+def _int_slots(values: np.ndarray) -> np.ndarray:
+    """Each value's ``'%d'`` text, (n, 4 + 4 * groups) bytes: the separator
+    and the sign, then the digits four to a word."""
+    if values.dtype.kind == "u":
+        u = values.astype(np.uint64)
+        neg = np.zeros(u.size, bool)
+    else:
+        values = values.astype(np.int64)
+        u = np.abs(values).view(np.uint64)  # |-2**63| wraps to 2**63
+        neg = values < 0
+    n_groups = -(-len(str(u.max())) // 4)
+    groups = []  # most significant first
+    for _ in range(n_groups - 1):
+        q = u // 10_000
+        groups.insert(0, u - q * 10_000)
+        u = q
+    groups.insert(0, u)
+    quad, lead, only, _ = _digit_tables()
+    words = np.empty((u.size, 1 + n_groups), "<u4")
+    words[:, 0] = neg * (ord("-") << 24) + ord(",")
+    words[:, 1] = (only if n_groups == 1 else lead).take(groups[0])
+    started = groups[0] != 0
+    for col, g in enumerate(groups[1:], start=2):
+        first = only if col == n_groups else lead
+        words[:, col] = np.where(started, quad.take(g), first.take(g))
+        started |= g != 0
+    return words.view(np.uint8)
+
+
+class _Coded(NamedTuple):
+    """A text column given by code: row r holds ``texts[codes[r]]``."""
+
+    texts: tuple[str, ...]
+    codes: np.ndarray
+
+
+def _kind(column) -> str:
+    """'f' (float array), 'i' (int array) or 's' (text) for a column."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return "f" if column.dtype.kind == "f" else "i"
+    return "s"
+
+
+def _batches(blocks):
+    """Consecutive block pieces ``(columns, start, stop)`` of one column
+    signature, at most ``_CHUNK_ROWS`` rows to a batch; a block longer
+    than a batch is cut."""
+    batch, size, kinds = [], 0, None
+    for columns in blocks:
+        first = next(c for c in columns if not isinstance(c, str))
+        n = len(first.codes if isinstance(first, _Coded) else first)
+        signature = tuple(map(_kind, columns))
+        if batch and signature != kinds:
+            yield batch
+            batch, size = [], 0
+        kinds = signature
+        start = 0
+        while start < n:
+            stop = min(n, start + _CHUNK_ROWS - size)
+            batch.append((columns, start, stop))
+            size += stop - start
+            start = stop
+            if size == _CHUNK_ROWS:
+                yield batch
+                batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _piece_codes(column, start: int, stop: int):
+    """The distinct texts of a piece of a text column and each row's index
+    into them (a scalar for a repeated string)."""
+    if isinstance(column, str):
+        return (column,), 0
+    if isinstance(column, _Coded):
+        return column.texts, column.codes[start:stop]
+    part = column[start:stop]
+    texts = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
+    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+    return tuple(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+
+
+def _text_slots(pieces, col: int, n: int, encode):
+    """A text column of a batch: each row's encoded text after the
+    separator, (n, width) bytes, and the mask of the bytes that hold text,
+    or None when no text holds a NUL byte."""
+    ids: dict[str, int] = {}
+    codes = np.empty(n, np.intp)
+    at = 0
+    for columns, start, stop in pieces:
+        texts, local = _piece_codes(columns[col], start, stop)
+        remap = np.array([ids.setdefault(t, len(ids)) for t in texts], np.intp)
+        codes[at : at + stop - start] = remap[local]
+        at += stop - start
+    encoded = [encode(t) for t in ids]
+    lengths = np.array([len(b) for b in encoded])
+    table = np.zeros((len(encoded), 1 + lengths.max()), np.uint8)
+    table[:, 0] = ord(",")
+    for row, b in zip(table, encoded):
+        row[1 : 1 + len(b)] = np.frombuffer(b, np.uint8)
+    mask = None
+    if any(b"\0" in b for b in encoded):
+        span = np.arange(table.shape[1])
+        mask = ((span >= 1) & (span <= lengths[:, None]))[codes]
+    return table.take(codes, axis=0), mask
+
+
+def _format_batch(pieces, newline: bytes, encode) -> bytes:
+    """The rows of a batch as written: numbers formatted in numpy, each
+    column's pieces together, then the NUL bytes dropped."""
+    n = sum(stop - start for _, start, stop in pieces)
+    slots, masks = [], {}
+    for col, column in enumerate(pieces[0][0]):
+        kind = _kind(column)
+        if kind == "s":
+            slot, masks[col] = _text_slots(pieces, col, n, encode)
+        else:
+            values = np.concatenate([c[col][a:b] for c, a, b in pieces])
+            slot = (_float_slots(values.astype(float, copy=False)) if kind == "f"
+                    else _int_slots(values))
+        slots.append(slot)
+    slots[0][:, 0] = 0  # no separator before the first field
+    # one record per row, a field per slot: each column is copied in one go
+    rows = np.empty(n, [(f"f{k}", f"V{slot.shape[1]}") for k, slot in enumerate(slots)]
+                    + [("newline", f"V{len(newline)}")])
+    for k, slot in enumerate(slots):
+        rows[f"f{k}"] = slot.view(f"V{slot.shape[1]}")[:, 0]
+    rows["newline"] = np.void(newline)
+    if all(mask is None for mask in masks.values()):
+        return rows.tobytes().translate(None, b"\0")
+    # a text holds NUL: keep the bytes that are not NUL or that are text
+    rows = rows.view(np.uint8).reshape(n, -1)
+    keep = rows != 0
+    starts = np.cumsum([0] + [slot.shape[1] for slot in slots])
+    for col, mask in masks.items():
+        if mask is not None:
+            keep[:, starts[col] : starts[col + 1]] |= mask
+    return rows[keep].tobytes()
 
 
 def _write_table(path, comments, header, blocks, newline: str = "\n") -> int:
     """Write a CSV table: comment lines, a header row, then every block's
     rows; returns the number of rows.
 
-    A block is a list of columns in header order.  A column is a float array
-    (written ``%.17g``), an int array (``%d``), a sequence of pre-formatted
-    strings, or one string that every row of the block repeats; strings are
-    written as given, so fields that can hold labels come from
-    :func:`_csv_fields`.  Each block's rows come from one ``%`` template and
-    are written ``_CHUNK_ROWS`` at a time.
+    A block is a list of columns in header order.  A column is a float
+    array (written as ``'%.17g' % v``), an int array (``'%d'``), a
+    sequence of strings, a :class:`_Coded` text column, or one string that
+    every row of the block repeats; strings are written as given, so
+    fields that can hold labels come from :func:`_csv_fields`.
+
+    The bytes are those of ``'%.17g' % v`` and ``'%d' % v`` for every
+    value, but the numbers are formatted in numpy: floats with
+    1e-6 <= |v| < 1e17 (and zeros) get their 17 significant digits
+    exactly, from an error-free product with a power of ten; nan, inf and
+    every other magnitude take Python's ``'%.17g'`` one value at a time.
+    Consecutive blocks with the same column kinds are formatted together,
+    ``_CHUNK_ROWS`` rows at a time, and each distinct string is encoded
+    once, in the encoding of the text-mode file.
     """
     n_rows = 0
     with Path(path).open("w", newline="") as fh:
         fh.writelines(line + newline for line in comments)
         fh.write(",".join(header) + newline)
-        for columns in blocks:
-            template = ",".join(
-                c.replace("%", "%%") if isinstance(c, str) else _row_format(c)
-                for c in columns
-            ) + newline
-            varying = [c for c in columns if not isinstance(c, str)]
-            n = len(varying[0])
-            for start in range(0, n, _CHUNK_ROWS):
-                rows = zip(*(_chunk_values(c, start) for c in varying))
-                fh.write("".join(map(template.__mod__, rows)))
-            n_rows += n
+        fh.flush()
+        encoded: dict[str, bytes] = {}
+
+        def encode(text: str) -> bytes:
+            if text not in encoded:
+                encoded[text] = text.encode(fh.encoding)
+            return encoded[text]
+
+        line_end = newline.encode(fh.encoding)
+        for pieces in _batches(blocks):
+            fh.buffer.write(_format_batch(pieces, line_end, encode))
+            n_rows += sum(stop - start for _, start, stop in pieces)
     return n_rows
 
 
@@ -770,8 +1089,8 @@ def export_events(pattern: MultiPattern, path: str | Path) -> None:
     ``\\r\\n``, as ``csv.writer`` ends them by default.
     """
     header = ["x", "y", "time", "type"]
-    labels = np.array(_csv_fields(pattern.labels, "\r\n"), dtype=object)
-    columns = [pattern.x, pattern.y, pattern.t, labels[pattern.type_id - 1]]
+    labels = _Coded(_csv_fields(pattern.labels, "\r\n"), pattern.type_id - 1)
+    columns = [pattern.x, pattern.y, pattern.t, labels]
     if pattern.has_marks:
         header.append("mark")
         columns.append(pattern.marks)
