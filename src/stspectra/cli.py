@@ -945,6 +945,7 @@ def cmd_invert(args) -> int:
     pattern, _ = _load_pattern(args)
     spec = _analysis_spec(args, pattern.T)
     _require_full_rank_box(spec.half_widths, pattern.d)
+    _require_mirror(spec.grid, pattern.T)
     cfg = _config_dict(args, {"resolved_half_widths": list(spec.half_widths)})
     _, smoothed = spectral_fields(pattern, spec)
     if args.pair is not None:

@@ -16,6 +16,7 @@ and tabulate edge persistence across steps.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -59,6 +60,8 @@ class EdgeStatistics:
     ordinate; argmax[i, j] is the (p, q, u) frequency attaining it;
     reliable[i, j] is False when singular ordinates were skipped, in
     which case the sup runs over the resolvable part of the grid only.
+    Each unordered pair is reduced once, from the upper triangle of
+    ``abs_d``, and the lower triangle of each matrix mirrors the upper.
     """
 
     stats: np.ndarray
@@ -71,6 +74,8 @@ class EdgeStatistics:
         return self.stats.shape[0]
 
     def pair(self, i: int, j: int) -> float:
+        if not (1 <= i <= self.d and 1 <= j <= self.d):
+            raise ValidationError(f"pair ({i},{j}) outside components 1..{self.d}")
         return float(self.stats[i - 1, j - 1])
 
 
@@ -185,29 +190,35 @@ def partial_pipeline(
     return partial_field(smoothed)
 
 
+def _pair_sups(pf: PartialField) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(value, first argmax as a flat ordinate index, found) of sup |d_ij| over
+    ``sup_mask()`` for each pair i < j, read from the upper triangle in
+    ``np.triu_indices`` order (value and argmax hold only where found, i.e.
+    some ordinate was finite), and whether any sup ordinate is singular."""
+    mask = pf.grid.sup_mask().ravel()
+    i, j = np.triu_indices(pf.d, k=1)
+    sel = pf.abs_d.reshape(mask.size, -1)[:, i * pf.d + j]  # (ordinates, pairs)
+    sel = np.where(mask[:, None] & np.isfinite(sel), sel, -np.inf)
+    k = sel.argmax(axis=0)  # first maximum
+    value = sel[k, np.arange(k.size)]
+    return value, k, value > -np.inf, bool(pf.singular.ravel()[mask].any())
+
+
 def edge_statistics(pf: PartialField) -> EdgeStatistics:
     """Supremum of |d_ij| per pair over every ordinate of the grid but DC."""
-    mask = pf.grid.sup_mask()
-    d = len(pf.labels)
-    sel = pf.abs_d[mask]  # (ordinates, d, d) in flat grid order
-    finite = np.isfinite(sel)
-    k = np.where(finite, sel, -np.inf).argmax(axis=0)  # first maximum
-    found = finite.any(axis=0) & ~np.eye(d, dtype=bool)
-
+    value, flat, found, singular = _pair_sups(pf)
+    d = pf.d
+    i, j = np.triu_indices(d, k=1)
     stats = np.full((d, d), np.nan)
-    stats[found] = np.take_along_axis(sel, k[None], axis=0)[0][found]
+    stats[i, j] = stats[j, i] = np.where(found, value, np.nan)
     argmax = np.zeros((d, d, 3), dtype=np.int64)
-    argmax[found] = pf.grid.points()[mask.ravel()][k[found]]
+    argmax[i, j] = argmax[j, i] = np.where(found[:, None], pf.grid.points()[flat], 0)
     # a pair is unreliable when it has no finite ordinate or when singular
     # ordinates were skipped anywhere in the sup
     reliable = np.eye(d, dtype=bool)
-    if not pf.singular[mask].any():
-        reliable |= found
+    reliable[i, j] = reliable[j, i] = found & ~singular
     return EdgeStatistics(
-        stats=stats,
-        argmax=argmax,
-        reliable=reliable,
-        labels=pf.labels,
+        stats=stats, argmax=argmax, reliable=reliable, labels=pf.labels
     )
 
 
@@ -230,29 +241,28 @@ def build_dependence_graph(
     flagged."""
     xi = _check_xi(xi)
     es = edge_statistics(pf)
-    d = es.d
     edges = []
     warnings = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            s = es.stats[a, b]
-            if np.isnan(s):
-                warnings.append(
-                    f"pair ({a + 1},{b + 1}) had no resolvable ordinate; "
-                    "no edge decision possible"
-                )
-                continue
-            if not es.reliable[a, b]:
-                warnings.append(
-                    f"pair ({a + 1},{b + 1}) statistic excludes singular "
-                    "ordinates; treat with care"
-                )
-            if s >= xi:
-                edges.append((a + 1, b + 1))
+    # the pairs i < j in the order edge_statistics reduces them
+    for a, b in itertools.combinations(range(es.d), 2):
+        s = es.stats[a, b]
+        if np.isnan(s):
+            warnings.append(
+                f"pair ({a + 1},{b + 1}) had no resolvable ordinate; "
+                "no edge decision possible"
+            )
+            continue
+        if not es.reliable[a, b]:
+            warnings.append(
+                f"pair ({a + 1},{b + 1}) statistic excludes singular "
+                "ordinates; treat with care"
+            )
+        if s >= xi:
+            edges.append((a + 1, b + 1))
     return DependenceGraph(
         **vars(es),
         xi=xi,
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
         warnings=tuple(warnings),
         provenance=dict(provenance or {}),
     )
@@ -282,11 +292,12 @@ def calibrate_null_threshold(
 
     Each replicate scatters the observed per-component counts uniformly
     over the window and steps, runs the partial pipeline of ``spec``, and
-    records max_{i<j} sup_w |d_ij|: the largest finite entry of its
-    ``abs_d`` over the pairs i < j and the ordinates of ``sup_mask()``, or
-    0.0 when there is none.  Under ``spec.marked`` each replicate
-    also carries its component's observed marks, permuted independently of
-    location (the mark-independence null of ``mark_permutation_envelope``).
+    records max_{i<j} sup_w |d_ij|: the largest of the pair statistics that
+    ``edge_statistics`` reads (each unordered pair reduced once, over the
+    ordinates of ``sup_mask()``), or 0.0 when no pair has a finite one.
+    Under ``spec.marked`` each replicate also carries its component's
+    observed marks, permuted independently of location (the
+    mark-independence null of ``mark_permutation_envelope``).
     xi is the requested upper quantile of those maxima (deterministic
     'higher' order statistic), so graphs built at xi have family-wise
     false-edge probability about 1 - quantile under complete independence.
@@ -304,8 +315,7 @@ def calibrate_null_threshold(
     if spec.marked and not pattern.has_marks:
         raise ValidationError("marked transform requested but pattern has no marks")
     _require_full_rank_box(spec.half_widths, pattern.d)
-    mask = spec.grid.sup_mask()
-    i, j = np.triu_indices(pattern.d, k=1)
+    spec.grid.sup_mask()  # a grid of DC alone is refused before any replicate
     counts = tuple(int(c) for c in pattern.counts)
     samples = np.empty(replicates)
     for r in range(replicates):
@@ -313,9 +323,8 @@ def calibrate_null_threshold(
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
         pf = partial_pipeline(null, spec)  # kept: see partial_pipeline
-        vals = pf.abs_d[mask][:, i, j]
-        vals = vals[np.isfinite(vals)]
-        samples[r] = vals.max() if vals.size else 0.0
+        value, _, found, _ = _pair_sups(pf)
+        samples[r] = value[found].max() if found.any() else 0.0
     xi = float(np.quantile(samples, quantile, method="higher"))
     return CalibrationResult(
         xi=xi,
@@ -348,10 +357,11 @@ def per_slice_graphs(
     """Analyse each temporal step as a T=1 pattern under ``spec.for_slice()``
     and tabulate edges.
 
-    A slice box of fewer than d ordinates is refused before any slice is
-    analysed.  Empty slices produce a None graph and a warning; components
-    absent from a slice contribute zero transforms there, which the
-    singularity guards downstream absorb."""
+    A bad xi, and a slice box of fewer than d ordinates, are refused before
+    any slice is analysed.  Empty slices produce a None graph and a warning;
+    components absent from a slice contribute zero transforms there, which
+    the singularity guards downstream absorb."""
+    xi = _check_xi(xi)
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
     _require_slice_box(spec, pattern.d)
@@ -370,7 +380,7 @@ def per_slice_graphs(
     return SliceGraphs(
         graphs=tuple(graphs),
         labels=pattern.labels,
-        xi=float(xi),
+        xi=xi,
         warnings=tuple(warnings),
     )
 
@@ -402,13 +412,8 @@ def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _stat_cell(v: float) -> float | None:
-    return None if not np.isfinite(v) else float(v)
-
-
 def graph_to_json(graph: DependenceGraph) -> str:
     """Serialise the graph to a stable JSON document (round-trips)."""
-    d = graph.d
     payload = {
         "format": "stspectra-graph",
         "version": 1,
@@ -420,22 +425,17 @@ def graph_to_json(graph: DependenceGraph) -> str:
                 "j": j,
                 "labels": [graph.labels[i - 1], graph.labels[j - 1]],
                 "stat": float(graph.stats[i - 1, j - 1]),
-                "argmax": [int(v) for v in graph.argmax[i - 1, j - 1]],
+                "argmax": graph.argmax[i - 1, j - 1].tolist(),
                 "reliable": bool(graph.reliable[i - 1, j - 1]),
             }
             for i, j in graph.edges
         ],
         "isolated": list(graph.isolated),
         "stats": [
-            [_stat_cell(graph.stats[a, b]) for b in range(d)] for a in range(d)
+            [v if np.isfinite(v) else None for v in row] for row in graph.stats.tolist()
         ],
-        "argmax": [
-            [[int(v) for v in graph.argmax[a, b]] for b in range(d)]
-            for a in range(d)
-        ],
-        "reliable": [
-            [bool(graph.reliable[a, b]) for b in range(d)] for a in range(d)
-        ],
+        "argmax": graph.argmax.tolist(),
+        "reliable": graph.reliable.tolist(),
         "warnings": list(graph.warnings),
         "provenance": graph.provenance,
     }
@@ -450,9 +450,7 @@ def graph_from_json(text: str) -> DependenceGraph:
         raise ValidationError("not a dependence-graph document")
     labels = tuple(doc["labels"])
     d = len(labels)
-    stats = np.array(
-        [[np.nan if v is None else float(v) for v in row] for row in doc["stats"]]
-    ).reshape(d, d)
+    stats = np.array(doc["stats"], dtype=float).reshape(d, d)  # None reads NaN
     argmax = np.array(doc["argmax"], dtype=np.int64).reshape(d, d, 3)
     reliable = np.array(doc["reliable"], dtype=bool).reshape(d, d)
     edges = tuple(sorted((int(e["i"]), int(e["j"])) for e in doc["edges"]))

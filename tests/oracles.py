@@ -118,6 +118,16 @@ def partial_coherence_three(field, i, j, k):
     )
 
 
+def null_maximum_abs_d(pf):
+    """A null replicate's maximum read straight from ``abs_d``: the largest
+    finite entry over the pairs i < j and the ordinates of ``sup_mask()``,
+    or 0.0 when there is none."""
+    i, j = np.triu_indices(pf.d, k=1)
+    vals = pf.abs_d[pf.grid.sup_mask()][:, i, j]
+    vals = vals[np.isfinite(vals)]
+    return vals.max() if vals.size else 0.0
+
+
 def inverse_sum(values, grid, T):
     """The lag-domain inverse of ``inverse_transform`` by its definition:
     kappa(c, h) = (1/|grid|) * sum_w f(w) exp(+2*pi*i*(p*c_x + q*c_y + u*h/T))

@@ -408,6 +408,22 @@ class TestPartialAndGraph:
         }
         assert not out.exists()
 
+    def test_graph_json_triangles_agree(self, tmp_path):
+        # at d=5 the two triangles of abs_d differ at rounding level; each
+        # unordered pair is reduced once, so its two entries are one value
+        events = simulate_events(tmp_path, "sim", rates="200,200,800,800,800", T=5)
+        out = tmp_path / "g"
+        assert run(
+            ["graph", events, "--time-is-index", "--half-widths", "1,1,1", "--xi", "0.5",
+             "--format", "json", "--out", out, *GRID_ARGS]
+        ) == 0
+        doc = json.loads((out / "graph.json").read_text())
+        stats = np.array(doc["stats"], dtype=float)
+        argmax = np.array(doc["argmax"])
+        assert np.isfinite(stats[~np.eye(5, dtype=bool)]).all()
+        assert np.array_equal(stats, stats.T, equal_nan=True)
+        assert np.array_equal(argmax, argmax.transpose(1, 0, 2))
+
     def test_spectra_keeps_the_rank_warning(self, tmp_path):
         events = simulate_events(tmp_path, "sim")
         argv = ["spectra", events, "--time-is-index", "--half-widths", "0,0,0"]
@@ -605,6 +621,30 @@ class TestInvert:
         ][1:]
         pairs = {tuple(l.split(",")[3:5]) for l in data}
         assert pairs == {("1", "2"), ("1", "3"), ("2", "3")}
+
+    @pytest.mark.parametrize("extra", [[], ["--pair", "1,2"]], ids=["all-pairs", "pair"])
+    def test_unmirrorable_grid_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, extra
+    ):
+        # one temporal ordinate at T=4 has no conjugate mirror: the run must
+        # stop before it transforms anything
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed before refusing the grid")
+
+        monkeypatch.setattr("stspectra.cli.spectral_fields", no_transform)
+        events = simulate_events(tmp_path, "sim", T=4)
+        capsys.readouterr()
+        out = tmp_path / "inv"
+        assert run_without_warnings(
+            ["invert", events, "--time-is-index", "--u-min", "0", "--u-max", "0",
+             "--half-widths", "2,2,0", *extra, "--out", out]
+        ) == 1
+        assert one_report(capsys) == {
+            "error": "symmetry",
+            "message": "cannot symmetrise: the conjugate mirror needs all 4 temporal "
+            "ordinates, got 1; use the default u range",
+        }
+        assert not out.exists()
 
 
 class TestClassicalCli:

@@ -28,6 +28,7 @@ from stspectra.graph import _permuted_marks
 from stspectra.partial import PartialField
 
 from conftest import build_pattern
+from oracles import null_maximum_abs_d
 
 
 def hand_field(singular_at=None, labels=("a", "b", "c")):
@@ -91,6 +92,26 @@ class TestEdgeStatistics:
     def test_symmetry(self):
         es = edge_statistics(hand_field())
         assert es.pair(1, 2) == es.pair(2, 1)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-1, 2), (1, 4), (4, 4)])
+    def test_pair_outside_components_refused(self, i, j):
+        # numpy's negative indexing would read (3, 1) for pair(0, 1)
+        es = edge_statistics(hand_field())
+        with pytest.raises(ValidationError, match=r"outside components 1\.\.3"):
+            es.pair(i, j)
+
+    def test_lower_triangle_mirrors_upper(self):
+        # each pair is read from the upper triangle of abs_d once: a larger
+        # value planted below the diagonal, at (p=1, q=1) for (2,1), moves
+        # neither triangle of the statistic nor of its argmax
+        pf = hand_field()
+        pf.abs_d[1, 2, 0, 1, 0] = 0.9
+        es = edge_statistics(pf)
+        assert es.pair(2, 1) == es.pair(1, 2) == 0.7
+        assert es.argmax[1, 0].tolist() == [1, 0, 0]
+        assert np.array_equal(es.stats, es.stats.T, equal_nan=True)
+        assert np.array_equal(es.argmax, es.argmax.transpose(1, 0, 2))
+        assert np.array_equal(es.reliable, es.reliable.T)
 
     def test_empty_mask_rejected(self):
         grid = FrequencyGrid(p_max=0, q_min=0, q_max=0, u_min=0, u_max=0)
@@ -188,19 +209,34 @@ class TestSerialisation:
         assert graph_to_dot(g1) == graph_to_dot(g2)
 
 
-def samples_via_edge_statistics(pattern, spec, replicates, seed):
-    """Per-replicate null maxima through the full edge statistics: the largest
-    finite sup statistic over the pairs i < j, or 0.0 when there is none."""
+def null_fields(pattern, spec, replicates, seed):
+    """The partial fields of the calibration replicates, drawn as
+    ``calibrate_null_threshold`` draws them."""
     counts = tuple(int(c) for c in pattern.counts)
-    out = np.empty(replicates)
     for r in range(replicates):
         null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
-        es = edge_statistics(partial_pipeline(null, spec))
+        yield partial_pipeline(null, spec)
+
+
+def samples_via_edge_statistics(pattern, spec, replicates, seed):
+    """Per-replicate null maxima through the full edge statistics: the largest
+    finite sup statistic over the pairs i < j, or 0.0 when there is none."""
+    out = np.empty(replicates)
+    for r, pf in enumerate(null_fields(pattern, spec, replicates, seed)):
+        es = edge_statistics(pf)
         vals = es.stats[np.triu_indices(es.d, k=1)]
         vals = vals[np.isfinite(vals)]
         out[r] = vals.max() if vals.size else 0.0
+    return out
+
+
+def samples_via_abs_d(pattern, spec, replicates, seed):
+    """Per-replicate null maxima read straight from each field's ``abs_d``."""
+    out = np.empty(replicates)
+    for r, pf in enumerate(null_fields(pattern, spec, replicates, seed)):
+        out[r] = null_maximum_abs_d(pf)
     return out
 
 
@@ -238,6 +274,21 @@ class TestCalibration:
         oracle = samples_via_edge_statistics(pattern, spec, 8, 3)
         assert out.samples.tobytes() == oracle.tobytes()
         if not marked:
+            assert (out.samples == 0.0).any() and (out.samples > 0.0).any()
+
+    @pytest.mark.parametrize("marked", [False, True], ids=["unmarked", "marked"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    def test_samples_equal_abs_d_maxima(self, monkeypatch, marked, singular):
+        # the route that reads abs_d directly shares no code with the pair
+        # reducer; with a condition bound of 2 most ordinates are singular
+        if singular:
+            monkeypatch.setattr(stspectra.partial, "COND_THRESHOLD", 2.0)
+        pattern = marked_null((20, 20, 20), 2, seed=0)
+        spec = AnalysisSpec(self.GRID, (1, 1, 0), marked=marked)
+        out = calibrate_null_threshold(pattern, spec, replicates=8, seed=3)
+        oracle = samples_via_abs_d(pattern, spec, 8, 3)
+        assert out.samples.tobytes() == oracle.tobytes()
+        if singular and not marked:
             assert (out.samples == 0.0).any() and (out.samples > 0.0).any()
 
     def test_dc_only_grid_refused_before_any_null(self, monkeypatch):
@@ -407,6 +458,12 @@ class TestSliceGraphs:
             "neighbourhood 9 < d=10: smoothed matrices cannot reach full rank; "
             "enlarge the half-widths"
         )
+
+    @pytest.mark.parametrize("xi", [np.nan, -0.1, np.inf])
+    def test_bad_xi_refused_before_any_slice(self, monkeypatch, gappy_pattern, xi):
+        monkeypatch.setattr(stspectra.graph, "spectral_fields", no_transform)
+        with pytest.raises(ValidationError, match="threshold xi must be"):
+            per_slice_graphs(gappy_pattern, xi)
 
     def test_no_spec_means_the_default_spec(self, gappy_pattern):
         bare = per_slice_graphs(gappy_pattern, xi=0.5)
