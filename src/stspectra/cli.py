@@ -702,7 +702,7 @@ def _spectral_blocks(fields):
     for field, kind in fields:
         for i in range(1, field.d + 1):
             for j in range(i, field.d + 1):
-                v = field.values[..., i - 1, j - 1].ravel()
+                v = field.entry(i, j).ravel()
                 yield pqu + [str(i), str(j), v.real, v.imag, kind]
 
 
@@ -759,8 +759,8 @@ def _partial_blocks(pf):
     d = len(pf.labels)
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            coh = pf.coherency[..., i - 1, j - 1].ravel()
-            mag = pf.abs_d[..., i - 1, j - 1].ravel()
+            coh = pf.pair_coherency(i, j).ravel()
+            mag = pf.pair_abs_d(i, j).ravel()
             yield pqu + [str(i), str(j), coh.real, coh.imag, mag, ridge]
 
 

@@ -24,11 +24,19 @@ import numpy as np
 
 from .errors import EmptyInputError, ValidationError
 from .ingest import MultiPattern
-from .partial import PartialField, _require_full_rank_box, partial_field
+from .partial import (
+    PartialField,
+    _partial_field,
+    _require_full_rank_box,
+    partial_field,
+)
 from .simulate import simulate_binomial_null
 from .spectra import (
     AnalysisSpec,
     SpectralField,
+    _Buffers,
+    _periodogram,
+    _smooth,
     dft,
     marked_dft,
     periodogram_matrix,
@@ -180,14 +188,7 @@ def partial_pipeline(
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
     _require_full_rank_box(spec.half_widths, pattern.d)
-    # raw stays referenced through the inversion, and calibration keeps the
-    # previous replicate's field until the next is built: freed earlier, the
-    # heap top is trimmed and re-faulted every replicate.  On the README
-    # pipeline (200 replicates) freeing raw early takes the minor faults
-    # from 31k to 44k; freeing the previous field too takes them to 476k,
-    # and the run about 1.6x slower
-    raw, smoothed = spectral_fields(pattern, spec)
-    return partial_field(smoothed)
+    return partial_field(spectral_fields(pattern, spec)[1])
 
 
 def _pair_sups(pf: PartialField) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -196,8 +197,7 @@ def _pair_sups(pf: PartialField) -> tuple[np.ndarray, np.ndarray, np.ndarray, bo
     ``np.triu_indices`` order (value and argmax hold only where found, i.e.
     some ordinate was finite), and whether any sup ordinate is singular."""
     mask = pf.grid.sup_mask().ravel()
-    i, j = np.triu_indices(pf.d, k=1)
-    sel = pf.abs_d.reshape(mask.size, -1)[:, i * pf.d + j]  # (ordinates, pairs)
+    sel = pf._upper_abs_d().reshape(mask.size, -1)  # (ordinates, pairs)
     sel = np.where(mask[:, None] & np.isfinite(sel), sel, -np.inf)
     k = sel.argmax(axis=0)  # first maximum
     value = sel[k, np.arange(k.size)]
@@ -281,6 +281,17 @@ def _permuted_marks(null: MultiPattern, pattern: MultiPattern, seed: int) -> Mul
     return replace(null, marks=np.concatenate(marks))
 
 
+def _null_maximum(null: MultiPattern, spec: AnalysisSpec, work: _Buffers) -> float:
+    """max_{i<j} sup_w |d_ij| of one null replicate, or 0.0 when no pair has
+    a finite one: the chain of :func:`partial_pipeline` over the kernels
+    behind its public stages, each field-sized array taken from ``work``."""
+    transform = marked_dft if spec.marked else dft
+    raw = _periodogram(transform(null, spec.grid), spec.normalisation, work)
+    pf = _partial_field(_smooth(raw, spec.half_widths, work), work)
+    value, _, found, _ = _pair_sups(pf)
+    return value[found].max() if found.any() else 0.0
+
+
 def calibrate_null_threshold(
     pattern: MultiPattern,
     spec: AnalysisSpec | None = None,
@@ -303,6 +314,11 @@ def calibrate_null_threshold(
     false-edge probability about 1 - quantile under complete independence.
     Replicate r uses seed seed + r; keep that range disjoint from analysis
     seeds.
+
+    The replicates run the analysis's kernels on upper triangles (see
+    :class:`~stspectra.spectra.SpectralField`) in work arrays allocated once
+    per call and released on return: no replicate allocates a field-sized
+    array after the first, and none builds full coherency or |d_ij| arrays.
     """
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
@@ -318,13 +334,12 @@ def calibrate_null_threshold(
     spec.grid.sup_mask()  # a grid of DC alone is refused before any replicate
     counts = tuple(int(c) for c in pattern.counts)
     samples = np.empty(replicates)
+    work = _Buffers()
     for r in range(replicates):
         null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
-        pf = partial_pipeline(null, spec)  # kept: see partial_pipeline
-        value, _, found, _ = _pair_sups(pf)
-        samples[r] = value[found].max() if found.any() else 0.0
+        samples[r] = _null_maximum(null, spec, work)
     xi = float(np.quantile(samples, quantile, method="higher"))
     return CalibrationResult(
         xi=xi,

@@ -18,7 +18,7 @@ the identical machinery applied to a marked spectral field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -27,10 +27,15 @@ from .errors import DegenerateFieldError, ValidationError
 from .spectra import (
     FrequencyGrid,
     SpectralField,
+    _assemble,
     _component_indices,
+    _FilledOnRead,
+    _fresh,
     _require_half_widths,
     _require_smoothed,
     _schur_projection,
+    _triu,
+    _upper_index,
 )
 
 __all__ = [
@@ -46,7 +51,7 @@ RIDGE_FRACTIONS = (1e-8, 1e-6, 1e-4)
 
 
 @dataclass(frozen=True, eq=False)
-class PartialField:
+class PartialField(_FilledOnRead):
     """All-pairs partial statistics, conditioned on the remaining components,
     and the per-ordinate inverse they are read from.
 
@@ -60,19 +65,52 @@ class PartialField:
     pair-conditioned spectra f_ij|rest and f_ii|rest with rest = all except
     {i,j}, built from ``inverse`` on first read.  Diagonals are excluded by
     contract and stored as zero.
+
+    :func:`partial_field` stores coherency and |d_ij| of the pairs i < j
+    only, as ``_pairs`` (each (P, Q, U, d(d-1)/2) in ``np.triu_indices(d, 1)``
+    order), which the pair accessors and the edge statistics read; the full
+    ``coherency`` and ``abs_d`` are built from ``inverse`` on first read.
+    Full arrays a caller gives are kept as given.
     """
 
-    coherency: np.ndarray
-    abs_d: np.ndarray
+    coherency: np.ndarray | None
+    abs_d: np.ndarray | None
     inverse: np.ndarray
     ridge: np.ndarray
     singular: np.ndarray
     grid: FrequencyGrid
     labels: tuple[str, ...]
+    _pairs: tuple[np.ndarray, np.ndarray] | None = dc_field(
+        default=None, repr=False, kw_only=True
+    )
+
+    _COMPACT = "_pairs"
+    _FULL = ("coherency", "abs_d")
+
+    def _fill(self) -> dict:
+        d = self.d
+        i, j = np.indices((d, d)).reshape(2, -1)
+        coherency, abs_d = _coherencies(self.inverse, i, j)
+        diag = np.arange(d)
+        full = {}
+        for name, arr, zero in (("coherency", coherency, 0), ("abs_d", abs_d, 0.0)):
+            arr = arr.reshape(arr.shape[:-1] + (d, d))
+            arr[..., diag, diag] = zero
+            arr[self.singular] = np.nan
+            full[name] = arr
+        return full
 
     @property
     def d(self) -> int:
-        return self.abs_d.shape[-1]
+        return len(self.labels)
+
+    def _upper_abs_d(self) -> np.ndarray:
+        """|d_ij| of the pairs i < j, (P, Q, U, d(d-1)/2) in
+        ``np.triu_indices(d, 1)`` order."""
+        if self._pairs is not None:
+            return self._pairs[1]
+        i, j = _triu(self.d, 1)
+        return self.abs_d[..., i, j]
 
     @cached_property
     def _pair_spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +138,17 @@ class PartialField:
     def auto(self) -> np.ndarray:
         return self._pair_spectra[1]
 
-    def pair_abs_d(self, i: int, j: int) -> np.ndarray:
+    def _pair(self, which: int, i: int, j: int) -> np.ndarray:
         a, b = _component_indices(self.d, (i, j))[0]
-        return self.abs_d[..., a, b]
+        if self._pairs is None or a > b:
+            return (self.coherency, self.abs_d)[which][..., a, b]
+        return self._pairs[which][..., _upper_index(self.d, a, b, 1)]
+
+    def pair_abs_d(self, i: int, j: int) -> np.ndarray:
+        return self._pair(1, i, j)
 
     def pair_coherency(self, i: int, j: int) -> np.ndarray:
-        a, b = _component_indices(self.d, (i, j))[0]
-        return self.coherency[..., a, b]
+        return self._pair(0, i, j)
 
 
 def _require_full_rank_box(half_widths: tuple[int, int, int], d: int) -> None:
@@ -122,16 +164,23 @@ def _require_full_rank_box(half_widths: tuple[int, int, int], d: int) -> None:
         )
 
 
-def _as_matrix_field(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """The checked field values and their absolute values, which the zero
-    test, the Hermitian scale and the Gershgorin discs share."""
+def _checked_stack(
+    field: SpectralField, work=_fresh
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field's matrices as a (n, d, d) stack, their absolute values,
+    which the Gershgorin discs read, and whether each matrix is finite,
+    after the checks of every inversion: d >= 2, a full-rank box, a field
+    not identically zero, and Hermitian.
+
+    The checks read what the field stores, once.  An upper triangle is then
+    assembled into ``work`` arrays; a caller's values are used as given."""
     d = field.d
     if d < 2:
         raise ValidationError("need d >= 2 components")
     if field.half_widths is not None:
         _require_full_rank_box(field.half_widths, d)
-    values = field.values
-    magnitude = np.abs(values)
+    stored = field._stored
+    magnitude = np.abs(stored, out=work("magnitude", stored.shape, np.float64))
     if not magnitude.any():
         raise DegenerateFieldError(
             "spectral field is identically zero (constant marks give a "
@@ -139,14 +188,21 @@ def _as_matrix_field(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
         )
     # over finite entries only: one NaN would make both NaN, and NaN passes
     # any comparison with the bound
-    scale = magnitude.max(where=np.isfinite(values), initial=0.0)
+    finite = np.isfinite(stored)
+    scale = magnitude.max(where=finite, initial=0.0)
     defect = field.hermitian_defect()
     if defect > 1e-10 * max(scale, 1e-300):
         raise ValidationError(
             f"field is not Hermitian (defect {defect:.3e}); internal contract "
             "violated upstream"
         )
-    return values, magnitude
+    n = int(np.prod(stored.shape[:3]))  # ordinates
+    finite = _fold(np.logical_and, finite.reshape(n, -1))
+    if field._upper is not None:
+        shape = stored.shape[:-1] + (d, d)
+        stored = _assemble(stored, d, work("stack", shape))
+        magnitude = _assemble(magnitude, d, work("stack_magnitude", shape, np.float64))
+    return stored.reshape(n, d, d), magnitude.reshape(n, d, d), finite
 
 
 def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -183,7 +239,7 @@ def _gershgorin_certified(
 
 
 def _ridged_inverse(
-    field: SpectralField,
+    field: SpectralField, work=_fresh
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invert the d x d matrix at every ordinate, ridged where it is ill
     conditioned; returns (inverse, ridge, singular) over the grid.
@@ -197,16 +253,15 @@ def _ridged_inverse(
     condition number at every fraction is max|lambda+c| / min|lambda+c|.
     An ordinate that no fraction passes, and every non-finite one, is
     singular: it is inverted as the identity with the rest of the stack and
-    its inverse set to NaN.
+    its inverse set to NaN.  The stack of :func:`_checked_stack` is copied
+    only when a matrix is loaded or set to the identity.
     """
-    values, magnitude = _as_matrix_field(field)
+    flat, magnitude, finite = _checked_stack(field, work)
     d = field.d
-    flat = values.reshape(-1, d, d)
-    work = flat.copy()
     ridge = np.zeros(flat.shape[0])
-    singular = ~_gershgorin_certified(flat, COND_THRESHOLD, magnitude.reshape(flat.shape))
-    finite = _fold(np.logical_and, _fold(np.logical_and, np.isfinite(flat)))
+    singular = ~_gershgorin_certified(flat, COND_THRESHOLD, magnitude)
     rest = np.nonzero(singular & finite)[0]
+    loaded = rest[:0]
     if rest.size:
         mats = flat[rest]
         fractions = np.array((0.0, *RIDGE_FRACTIONS))
@@ -221,16 +276,20 @@ def _ridged_inverse(
         ridge[rest[ok]] = fractions[rung[ok]]
         # only loaded matrices change: adding a zero load would turn -0 to +0
         up = ok & (rung > 0)
+        loaded = rest[up]
         load = loads[rung[up], np.nonzero(up)[0]]
-        work[rest[up]] = mats[up] + load[:, None, None] * np.eye(d)
-    work[singular] = np.eye(d)
-    inv = _hpd_inverse(work)
+    if loaded.size or singular.any():
+        flat = flat.copy()
+        if loaded.size:
+            flat[loaded] += load[:, None, None] * np.eye(d)
+        flat[singular] = np.eye(d)
+    inv = _hpd_inverse(flat, work)
     inv[singular] = np.nan
-    shape = values.shape[:3]
-    return inv.reshape(values.shape), ridge.reshape(shape), singular.reshape(shape)
+    shape = field._stored.shape[:3]
+    return inv.reshape(shape + (d, d)), ridge.reshape(shape), singular.reshape(shape)
 
 
-def _hpd_inverse(mats: np.ndarray) -> np.ndarray:
+def _hpd_inverse(mats: np.ndarray, work=_fresh) -> np.ndarray:
     """Inverse of every matrix of a (n, d, d) stack of Hermitian matrices.
 
     Gauss-Jordan elimination without pivoting, run over the stack in a
@@ -241,11 +300,12 @@ def _hpd_inverse(mats: np.ndarray) -> np.ndarray:
     principal minors.  A matrix with a pivot whose real part is not
     positive is not positive definite; those matrices alone are inverted
     again by ``np.linalg.inv``, which pivots.  The result is a (n, d, d)
-    view of the one work array.
+    view of the one ``work`` array of the elimination.
     """
     n, d = mats.shape[:2]
-    a = mats.transpose(1, 2, 0).copy()
-    scratch = np.empty((d, n), dtype=a.dtype)
+    a = work("inverse", (d, d, n), mats.dtype)
+    np.copyto(a, mats.transpose(1, 2, 0))
+    scratch = work("pivot_row", (d, n), mats.dtype)
     definite = np.ones(n, dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(d):
@@ -264,31 +324,52 @@ def _hpd_inverse(mats: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _coherencies(b: np.ndarray, i: np.ndarray, j: np.ndarray, work=_fresh):
+    """The partial coherency -b_ij/sqrt(b_ii*b_jj) and its magnitude |d_ij|
+    at the index pairs (i, j) of the inverses b (..., d, d), each shaped
+    (..., len(i)); NaN where the denominator is not positive."""
+    d = b.shape[-1]
+    shape = b.shape[:-2] + (i.size,)
+    bii = np.einsum("...kk->...k", b).real
+    with np.errstate(all="ignore"):
+        den = np.sqrt(bii[..., i] * bii[..., j])
+        defined = den > 0
+        coherency = np.take(
+            b.reshape(shape[:-1] + (d * d,)), i * d + j, axis=-1, mode="clip",
+            out=work("coherency", shape),
+        )
+        np.negative(coherency, out=coherency)
+        np.divide(coherency, np.where(defined, den, 1.0), out=coherency)
+        if not defined.all():
+            coherency[~defined] = np.nan
+        abs_d = np.abs(coherency, out=work("abs_d", shape, np.float64))
+    return coherency, abs_d
+
+
 def partial_field(field: SpectralField) -> PartialField:
     """All-pairs partial statistics through the ridged per-ordinate inverse
-    (see :func:`_ridged_inverse`); the pair-conditioned spectra are built
-    from the inverse when first read."""
+    (see :func:`_ridged_inverse`).  Coherency and |d_ij| are formed for the
+    pairs i < j alone; the full arrays and the pair-conditioned spectra are
+    built from the inverse when first read."""
+    return _partial_field(field)
+
+
+def _partial_field(field: SpectralField, work=_fresh) -> PartialField:
+    """:func:`partial_field` with its field-sized arrays taken from ``work``."""
     _require_smoothed(field)
-    b, ridge, singular = _ridged_inverse(field)
-    diag = np.arange(field.d)
-    bii = b[..., diag, diag].real  # (P,Q,U,d)
-    with np.errstate(all="ignore"):
-        den = np.sqrt(bii[..., :, None] * bii[..., None, :])
-        defined = den > 0
-        coherency = -b / np.where(defined, den, 1.0)
-        coherency[~defined] = np.nan
-        abs_d = np.abs(coherency)
-    for arr, fill in ((coherency, 0), (abs_d, 0.0)):
-        arr[..., diag, diag] = fill
+    b, ridge, singular = _ridged_inverse(field, work)
+    pairs = _coherencies(b, *_triu(field.d, 1), work)
+    for arr in pairs:
         arr[singular] = np.nan
     return PartialField(
-        coherency=coherency,
-        abs_d=abs_d,
+        coherency=None,
+        abs_d=None,
         inverse=b,
         ridge=ridge,
         singular=singular,
         grid=field.grid,
         labels=field.labels,
+        _pairs=pairs,
     )
 
 

@@ -339,17 +339,120 @@ def marked_dft(pattern: MultiPattern, grid: FrequencyGrid) -> DftVector:
     return _transform(pattern, grid, marked=True)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """A d x d spectral matrix per frequency ordinate.
+def _fresh(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """A new uninitialised work array: the allocator of a single run.  Its
+    signature is that of :class:`_Buffers`, whose name it ignores."""
+    return np.empty(shape, dtype)
 
-    values: complex (P, Q, U, d, d), Hermitian at every ordinate by
-    construction.  ``kind`` is "raw" (rank-1 outer products) or "smoothed".
-    The normalisation choice and smoothing half-widths ride along so
-    downstream modules and artifact provenance can quote them.
+
+class _Buffers:
+    """The allocator of repeated runs on one shape, such as null replicates.
+
+    A named work array is allocated on its first request and handed out
+    again on every later request of the same shape and dtype, so the runs
+    after the first allocate no field-sized array.  What a run builds in
+    them is valid until the next run overwrites it."""
+
+    def __init__(self):
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        a = self.arrays.get(name)
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self.arrays[name] = np.empty(shape, dtype)
+        return a
+
+
+@functools.lru_cache(maxsize=None)
+def _triu(d: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d, k)``, the order in which fields store a
+    triangle, built once per (d, k) and read-only."""
+    rows, cols = np.triu_indices(d, k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _upper_index(d: int, i: int, j: int, k: int = 0) -> int:
+    """The place of entry (i, j), 0-based with i <= j, in the
+    ``np.triu_indices(d, k)`` order."""
+    rows, cols = _triu(d, k)
+    return int(np.flatnonzero((rows == i) & (cols == j))[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the entries of a d x d matrix in C order, the place of
+    (min(i,j), max(i,j)) in the order of ``_triu(d)``; and the C-order
+    places of the entries i > j."""
+    rows, cols = _triu(d)
+    places = np.empty((d, d), np.intp)
+    places[rows, cols] = places[cols, rows] = np.arange(rows.size)
+    below = np.flatnonzero(np.tri(d, k=-1, dtype=bool))
+    for a in (places, below):
+        a.flags.writeable = False
+    return places.ravel(), below
+
+
+def _assemble(upper: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., d, d) Hermitian matrices of an upper triangle (..., d(d+1)/2)
+    in ``np.triu_indices`` order: entries i <= j as stored, entries i > j
+    their conjugates (for a real triangle, the same values).  ``out`` must
+    be C-contiguous."""
+    if out is None:
+        out = np.empty(upper.shape[:-1] + (d, d), upper.dtype)
+    places, below = _mirror_layout(d)
+    flat = out.reshape(upper.shape[:-1] + (d * d,))
+    np.take(upper, places, axis=-1, mode="clip", out=flat)
+    if np.iscomplexobj(flat):
+        for k in below:
+            np.conjugate(flat[..., k], out=flat[..., k])
+    return out
+
+
+class _FilledOnRead:
+    """Frozen-dataclass base for fields that may keep a compact form of
+    their full arrays.  When the compact form (the attribute ``_COMPACT``
+    names) is given and every attribute of ``_FULL`` is None, those
+    attributes are built by ``_fill()`` on first read.  Full arrays a caller
+    gives are kept as given, and the compact form is then dropped."""
+
+    _COMPACT: str
+    _FULL: tuple[str, ...]
+
+    def __post_init__(self):
+        if getattr(self, self._COMPACT) is None:
+            return
+        if any(getattr(self, name) is not None for name in self._FULL):
+            object.__setattr__(self, self._COMPACT, None)
+        else:
+            for name in self._FULL:
+                object.__delattr__(self, name)
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: a full array not built yet
+        if name not in self._FULL or self._COMPACT not in self.__dict__:
+            raise AttributeError(name)
+        for key, value in self._fill().items():
+            object.__setattr__(self, key, value)
+        return self.__dict__[name]
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralField(_FilledOnRead):
+    """A d x d Hermitian spectral matrix per frequency ordinate.
+
+    values: complex (P, Q, U, d, d).  The periodogram and its smoothing
+    store only the entries i <= j, as ``_upper`` of shape
+    (P, Q, U, d(d+1)/2) in ``np.triu_indices`` order: :meth:`entry` reads
+    it, and ``values`` is assembled from it (the lower triangle as the
+    conjugate of the upper) on first read.  A field a caller builds from
+    ``values`` keeps them as given.  ``kind`` is "raw" (rank-1 outer
+    products) or "smoothed".  The normalisation choice and smoothing
+    half-widths ride along so downstream modules and artifact provenance
+    can quote them.
     """
 
-    values: np.ndarray
+    values: np.ndarray | None
     grid: FrequencyGrid
     kind: str
     normalisation: str
@@ -357,22 +460,42 @@ class SpectralField:
     T: int
     labels: tuple[str, ...]
     half_widths: tuple[int, int, int] | None = None
+    _upper: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+
+    _COMPACT = "_upper"
+    _FULL = ("values",)
+
+    def _fill(self) -> dict:
+        return {"values": _assemble(self._upper, self.d)}
 
     @property
     def d(self) -> int:
-        return self.values.shape[-1]
+        return len(self.labels)
+
+    @property
+    def _stored(self) -> np.ndarray:
+        """What the field holds: its upper triangle, or a caller's values."""
+        return self.values if self._upper is None else self._upper
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """The (i,j) matrix entry over the grid (components 1-based)."""
         d = len(self.labels)
         if not (1 <= i <= d and 1 <= j <= d):
             raise ValidationError(f"component pair ({i},{j}) outside 1..{d}")
-        return self.values[..., i - 1, j - 1]
+        if self._upper is None:
+            return self.values[..., i - 1, j - 1]
+        v = self._upper[..., _upper_index(d, min(i, j) - 1, max(i, j) - 1)]
+        return v if i <= j else np.conj(v)
 
     def hermitian_defect(self) -> float:
         """max |F_ij - conj(F_ji)| over the entry pairs finite on both sides;
         inf where an entry is finite and its mirror is not.  A pair that is
-        NaN or inf on both sides adds nothing."""
+        NaN or inf on both sides adds nothing.  An upper triangle is checked
+        over what it stores, its diagonal, where the defect is 2|Im F_ii|."""
+        if self._upper is not None:
+            rows, cols = _triu(self.d)
+            diag = self._upper[..., rows == cols]
+            return float((2.0 * np.abs(diag.imag)).max(where=np.isfinite(diag), initial=0.0))
         finite = np.isfinite(self.values)
         if (finite != np.swapaxes(finite, -1, -2)).any():
             return float("inf")
@@ -388,43 +511,47 @@ def periodogram_matrix(
 
     With the recorded default ``sqrt_counts``, c_ij = 1/sqrt(n_i * n_j);
     with ``none``, c_ij = 1.  Each ordinate's matrix is a rank-1 Hermitian
-    positive semi-definite outer product exactly (identical floating
-    operations produce the conjugate-transpose entries).
+    positive semi-definite outer product.  Only the entries i <= j are
+    formed, with a real diagonal; the field holds them as its upper
+    triangle, so Hermitian symmetry holds by construction.
     """
+    return _periodogram(dfts, normalisation)
+
+
+def _periodogram(dfts: DftVector, normalisation: str, work=_fresh) -> SpectralField:
+    """:func:`periodogram_matrix` with its triangle built in ``work`` arrays."""
     if normalisation not in NORMALISATIONS:
         raise ValidationError(f"unknown normalisation {normalisation!r}")
-    stacked = np.moveaxis(dfts.values, 0, -1)  # (P,Q,U,d)
-    raw = stacked[..., :, None] * np.conj(stacked[..., None, :])
-    # fused-multiply paths round (i,j) and (j,i) differently by one ulp, so
-    # Hermitian symmetry is enforced by construction: conjugate-mirror the
-    # upper triangle and realify the diagonal
-    d = stacked.shape[-1]
-    lo_i, lo_j = np.tril_indices(d, -1)
-    raw[..., lo_i, lo_j] = np.conj(raw[..., lo_j, lo_i])
-    kk = np.arange(d)
-    raw[..., kk, kk] = raw[..., kk, kk].real
+    i, j = _triu(dfts.d)
+    upper = work("periodogram", dfts.grid.shape + (i.size,))
+    conj = np.conjugate(dfts.values, out=work("periodogram_conj", dfts.values.shape))
+    for k, (a, b) in enumerate(zip(i, j)):
+        np.multiply(dfts.values[a], conj[b], out=upper[..., k])
+    upper.imag[..., i == j] = 0.0  # the diagonal is real
     if normalisation == "sqrt_counts":
         n = dfts.counts.astype(float)
         safe = np.where(n > 0, n, 1.0)
         const = 1.0 / np.sqrt(np.multiply.outer(safe, safe))
-        raw = raw * const
+        np.multiply(upper, const[i, j], out=upper)
     return SpectralField(
-        values=raw,
+        values=None,
         grid=dfts.grid,
         kind="raw",
         normalisation=normalisation,
         counts=dfts.counts,
         T=dfts.T,
         labels=dfts.labels,
+        _upper=upper,
     )
 
 
-def _box_sum(a: np.ndarray, h: int, axis: int) -> np.ndarray:
-    """Sums of 2h+1 consecutive entries along ``axis``: an axis of length
-    L + 2h becomes one of length L.  Shifted-slice adds, no cumulative sum."""
+def _box_sum(a: np.ndarray, h: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """Sums of 2h+1 consecutive entries along ``axis``, written into ``out``:
+    an axis of length L + 2h becomes one of length L.  Shifted-slice adds,
+    no cumulative sum."""
     n = a.shape[axis] - 2 * h
     lead = (slice(None),) * axis
-    out = a[lead + (slice(0, n),)].copy()
+    np.copyto(out, a[lead + (slice(0, n),)])
     for k in range(1, 2 * h + 1):
         out += a[lead + (slice(k, k + n),)]
     return out
@@ -470,7 +597,11 @@ def _require_half_widths(half_widths) -> tuple[int, int, int]:
 
 
 def _box_average(
-    values: np.ndarray, grid: FrequencyGrid, T: int, hw: tuple[int, int, int]
+    values: np.ndarray,
+    grid: FrequencyGrid,
+    T: int,
+    hw: tuple[int, int, int],
+    work=_fresh,
 ) -> np.ndarray:
     """Uniform box average over the frequency neighbourhood, using the exact
     structure of the half-grid instead of plain truncation.
@@ -493,16 +624,22 @@ def _box_average(
     all-ones field give the in-range counts.
 
     ``values`` has shape (P, Q, U) + trailing; the trailing axes ride along.
+    The extension, the sums and the average are ``work`` arrays.
     """
     hw = _require_half_widths(hw)
     if values.shape[:3] != grid.shape:
         raise ValidationError("field shape disagrees with grid")
     trail = (np.newaxis,) * (values.ndim - 3)
-    return _box_sums(values, grid, T, hw) / _box_counts(grid, T, hw)[(...,) + trail]
+    sums = _box_sums(values, grid, T, hw, work)
+    return np.divide(sums, _box_counts(grid, T, hw)[(...,) + trail], out=sums)
 
 
 def _box_sums(
-    a: np.ndarray, grid: FrequencyGrid, T: int, hw: tuple[int, int, int]
+    a: np.ndarray,
+    grid: FrequencyGrid,
+    T: int,
+    hw: tuple[int, int, int],
+    work=_fresh,
 ) -> np.ndarray:
     """The neighbourhood sums of :func:`_box_average` over its extension of
     ``a``.  The hu planes each side in u are copies of the planes they wrap
@@ -511,7 +648,9 @@ def _box_sums(
     P, Q, U = grid.shape
     mirrored = hp if _mirror_refusal(grid, T) is None else 0
     k = np.arange(1, min(mirrored, P - 1) + 1)  # plane p = -k mirrors p = k
-    ext = np.zeros((P + 2 * hp, Q + 2 * hq, U + 2 * hu) + a.shape[3:], a.dtype)
+    trail = a.shape[3:]
+    ext = work("box_extension", (P + 2 * hp, Q + 2 * hq, U + 2 * hu) + trail, a.dtype)
+    ext.fill(0)
     body = ext[:, :, hu : hu + U]
     body[hp : hp + P, hq : hq + Q] = a
     body[hp - k, hq : hq + Q] = _mirror_planes(a, grid, k)
@@ -519,7 +658,9 @@ def _box_sums(
         for v in range(hu):
             ext[:, :, v] = body[:, :, (v - hu) % U]
             ext[:, :, hu + U + v] = body[:, :, v % U]
-    return _box_sum(_box_sum(_box_sum(ext, hp, 0), hq, 1), hu, 2)
+    by_p = _box_sum(ext, hp, 0, work("box_p", (P, Q + 2 * hq, U + 2 * hu) + trail, a.dtype))
+    by_q = _box_sum(by_p, hq, 1, work("box_q", (P, Q, U + 2 * hu) + trail, a.dtype))
+    return _box_sum(by_q, hu, 2, work("box_u", (P, Q, U) + trail, a.dtype))
 
 
 @functools.lru_cache(maxsize=16)
@@ -535,7 +676,8 @@ def smooth_spectra(
     field: SpectralField, half_widths: tuple[int, int, int] | None = None
 ) -> SpectralField:
     """Entrywise uniform average over the rectangular frequency neighbourhood
-    (2h_p+1) x (2h_q+1) x (2h_u+1).
+    (2h_p+1) x (2h_q+1) x (2h_u+1), of the upper triangle of a periodogram
+    or of a caller's values, whichever the field stores.
 
     Out-of-range neighbours are resolved by the exact grid structure where
     possible (cyclic wrap in u, conjugate mirror across p=0; see
@@ -553,9 +695,8 @@ def smooth_spectra(
     if half_widths is None:
         half_widths = default_half_widths(field.T)
     hp, hq, hu = (int(h) for h in half_widths)
-    acc = _box_average(field.values, field.grid, field.T, (hp, hq, hu))
-
     size = (2 * hp + 1) * (2 * hq + 1) * (2 * hu + 1)
+    smoothed = _smooth(field, (hp, hq, hu))
     if size < field.d:
         warnings.warn(
             f"smoothing neighbourhood {size} < d={field.d}: smoothed matrices "
@@ -563,15 +704,25 @@ def smooth_spectra(
             RuntimeWarning,
             stacklevel=2,
         )
+    return smoothed
+
+
+def _smooth(field: SpectralField, half_widths, work=_fresh) -> SpectralField:
+    """The box average of what ``field`` stores, its upper triangle or a
+    caller's values, as a smoothed field of the same form."""
+    hw = tuple(int(h) for h in half_widths)
+    acc = _box_average(field._stored, field.grid, field.T, hw, work)
+    upper = field._upper is not None
     return SpectralField(
-        values=acc,
+        values=None if upper else acc,
         grid=field.grid,
         kind="smoothed",
         normalisation=field.normalisation,
         counts=field.counts,
         T=field.T,
         labels=field.labels,
-        half_widths=(hp, hq, hu),
+        half_widths=hw,
+        _upper=acc if upper else None,
     )
 
 

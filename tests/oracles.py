@@ -5,7 +5,17 @@ import math
 
 import numpy as np
 
-from stspectra import DftVector, symmetrise_scalar
+from stspectra import (
+    DftVector,
+    PartialField,
+    SpectralField,
+    dft,
+    marked_dft,
+    simulate_binomial_null,
+    symmetrise_scalar,
+)
+from stspectra.graph import _permuted_marks
+from stspectra.partial import _ridged_inverse
 from stspectra.spectra import _box_average
 
 
@@ -116,6 +126,75 @@ def partial_coherence_three(field, i, j, k):
     return (r_ij - r_ik * r_kj) / np.sqrt(
         (1.0 - np.abs(r_ik) ** 2) * (1.0 - np.abs(r_kj) ** 2)
     )
+
+
+def full_matrix_route(pattern, spec):
+    """The analysis chain over full d x d matrices at every ordinate.
+
+    The periodogram forms every outer product F_i * conj(F_j), then copies
+    the conjugate of the upper triangle into the lower one and realifies
+    the diagonal; the box average smooths all d^2 entries; the ridged
+    inverse of that smoothed field (built from its values) gives coherency
+    -b_ij/sqrt(b_ii*b_jj) and |d_ij| over the whole matrix, diagonal 0 and
+    singular ordinates NaN.  Returns (raw values, smoothed field, partial
+    field)."""
+    dfts = (marked_dft if spec.marked else dft)(pattern, spec.grid)
+    stacked = np.moveaxis(dfts.values, 0, -1)  # (P,Q,U,d)
+    raw = stacked[..., :, None] * np.conj(stacked[..., None, :])
+    d = dfts.d
+    lo_i, lo_j = np.tril_indices(d, -1)
+    raw[..., lo_i, lo_j] = np.conj(raw[..., lo_j, lo_i])
+    diag = np.arange(d)
+    raw[..., diag, diag] = raw[..., diag, diag].real
+    if spec.normalisation == "sqrt_counts":
+        n = dfts.counts.astype(float)
+        safe = np.where(n > 0, n, 1.0)
+        raw = raw * (1.0 / np.sqrt(np.multiply.outer(safe, safe)))
+    smoothed = SpectralField(
+        values=_box_average(raw, spec.grid, pattern.T, spec.half_widths),
+        grid=spec.grid,
+        kind="smoothed",
+        normalisation=spec.normalisation,
+        counts=dfts.counts,
+        T=pattern.T,
+        labels=pattern.labels,
+        half_widths=tuple(spec.half_widths),
+    )
+    b, ridge, singular = _ridged_inverse(smoothed)
+    bii = b[..., diag, diag].real
+    with np.errstate(all="ignore"):
+        den = np.sqrt(bii[..., :, None] * bii[..., None, :])
+        defined = den > 0
+        coherency = -b / np.where(defined, den, 1.0)
+        coherency[~defined] = np.nan
+        abs_d = np.abs(coherency)
+    for arr, fill in ((coherency, 0), (abs_d, 0.0)):
+        arr[..., diag, diag] = fill
+        arr[singular] = np.nan
+    pf = PartialField(
+        coherency=coherency,
+        abs_d=abs_d,
+        inverse=b,
+        ridge=ridge,
+        singular=singular,
+        grid=spec.grid,
+        labels=pattern.labels,
+    )
+    return raw, smoothed, pf
+
+
+def full_matrix_samples(pattern, spec, replicates, seed):
+    """Calibration samples through :func:`full_matrix_route`: replicate r
+    draws the binomial null of seed + r (with permuted marks under a marked
+    spec) and records :func:`null_maximum_abs_d` of its partial field."""
+    counts = tuple(int(c) for c in pattern.counts)
+    out = np.empty(replicates)
+    for r in range(replicates):
+        null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
+        if spec.marked:
+            null = _permuted_marks(null, pattern, seed + r)
+        out[r] = null_maximum_abs_d(full_matrix_route(null, spec)[2])
+    return out
 
 
 def null_maximum_abs_d(pf):

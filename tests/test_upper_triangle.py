@@ -1,0 +1,344 @@
+"""Spectral and partial fields stored as upper triangles: byte equality with
+the full-matrix route, the checks every inversion keeps, and calibration
+replicates that never build full arrays."""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import stspectra.graph
+import stspectra.partial
+from stspectra import (
+    AnalysisSpec,
+    FrequencyGrid,
+    PartialField,
+    SimSpec,
+    SpectralField,
+    calibrate_null_threshold,
+    dft,
+    edge_statistics,
+    marked_dft,
+    partial_field,
+    periodogram_matrix,
+    simulate,
+    smooth_spectra,
+)
+from stspectra.errors import DegenerateFieldError, ValidationError
+from stspectra.spectra import _Buffers
+
+from conftest import build_pattern
+from oracles import full_matrix_route, full_matrix_samples
+
+
+def readme_case():
+    pattern = simulate(
+        SimSpec(
+            kind="linked_cluster",
+            rates=(75.0, 75.0, 300.0),
+            T=4,
+            link_pairs=((1, 2, 225.0, 0.005),),
+            seed=7,
+        )
+    ).pattern
+    return pattern, AnalysisSpec(FrequencyGrid.default(4), (2, 2, 1)), 4
+
+
+def marked_case():
+    pattern = simulate(
+        SimSpec(
+            kind="homogeneous_poisson",
+            rates=(40.0, 50.0, 60.0, 70.0),
+            T=8,
+            seed=3,
+            mark_dist="normal:5,1",
+        )
+    ).pattern
+    return pattern, AnalysisSpec(FrequencyGrid.default(8), (1, 1, 1), marked=True), 3
+
+
+def absent_component_slice():
+    # component 3 has events in step 2 only, so the T=1 slice of step 1
+    # holds a zero row and column at every ordinate
+    rng = np.random.default_rng(11)
+    counts = {(1, 1): 60, (2, 1): 50, (1, 2): 40, (2, 2): 45, (3, 2): 30}
+    parts = [
+        (rng.random(n), rng.random(n), np.full(n, step), np.full(n, comp))
+        for (comp, step), n in counts.items()
+    ]
+    x, y, t, c = (np.concatenate(col) for col in zip(*parts))
+    pattern = build_pattern(x, y, t, c, ("a", "b", "c"), T=2)
+    spec = AnalysisSpec(FrequencyGrid.default(2), (1, 1, 1)).for_slice()
+    return pattern.slice_time(1), spec, 0
+
+
+def unnormalised_case():
+    pattern, spec, reps = readme_case()
+    return pattern, dataclasses.replace(spec, normalisation="none"), reps
+
+
+def refused_mirror_case():
+    # U = 2 < T = 4 and an asymmetric q range: no conjugate mirror below p = 0
+    pattern, _, reps = readme_case()
+    grid = FrequencyGrid(p_max=6, q_min=-4, q_max=6, u_min=0, u_max=1)
+    return pattern, AnalysisSpec(grid, (2, 2, 1)), reps
+
+
+CASES = {
+    "readme": readme_case,
+    "marked_d4_T8": marked_case,
+    "absent_component_slice": absent_component_slice,
+    "normalisation_none": unnormalised_case,
+    "mirror_refused": refused_mirror_case,
+}
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_matrices(values, full):
+    """Entries i <= j bit for bit, and the lower triangle up to the sign of
+    exact zeros: it is the conjugate of the upper one, where the full route
+    conjugated before normalising and smoothing, which can leave +0 where
+    the conjugate holds -0."""
+    i, j = np.triu_indices(values.shape[-1])
+    return same_bytes(values[..., i, j], full[..., i, j]) and same_bytes(
+        values + 0.0, full + 0.0
+    )
+
+
+def triangle_fields(pattern, spec):
+    transform = marked_dft if spec.marked else dft
+    raw = periodogram_matrix(transform(pattern, spec.grid), spec.normalisation)
+    return raw, smooth_spectra(raw, spec.half_widths)
+
+
+class TestFullMatrixOracle:
+    @pytest.mark.parametrize(
+        "case, cond",
+        [
+            ("readme", None),
+            ("marked_d4_T8", None),
+            ("absent_component_slice", None),
+            # a condition bound between the rungs leaves some zero-row
+            # ordinates ridged and the others singular
+            ("absent_component_slice", 2e4),
+            ("normalisation_none", None),
+            ("mirror_refused", None),
+        ],
+    )
+    def test_fields_and_edge_statistics_equal_the_full_route(self, monkeypatch, case, cond):
+        if cond is not None:
+            monkeypatch.setattr(stspectra.partial, "COND_THRESHOLD", cond)
+        pattern, spec, _ = CASES[case]()
+        raw_full, smoothed_full, pf_full = full_matrix_route(pattern, spec)
+        raw, smoothed = triangle_fields(pattern, spec)
+        pf = partial_field(smoothed)
+        # the edge statistics read the stored pairs, before any full array
+        es, es_full = edge_statistics(pf), edge_statistics(pf_full)
+        for name in ("stats", "argmax", "reliable"):
+            assert same_bytes(getattr(es, name), getattr(es_full, name)), name
+        assert same_matrices(raw.values, raw_full)
+        assert same_matrices(smoothed.values, smoothed_full.values)
+        for name in ("inverse", "ridge", "singular", "coherency", "abs_d"):
+            assert same_bytes(getattr(pf, name), getattr(pf_full, name)), name
+        d = pattern.d
+        pairs = partial_field(smoothed)  # i < j read the stored pairs, i > j the full arrays
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                entry = smoothed_full.values[..., i - 1, j - 1]
+                if i <= j:
+                    assert same_bytes(smoothed.entry(i, j), entry)
+                else:
+                    assert same_bytes(smoothed.entry(i, j) + 0.0, entry + 0.0)
+                if i != j:
+                    a, b = pf_full.abs_d[..., i - 1, j - 1], pf_full.coherency[..., i - 1, j - 1]
+                    assert same_bytes(pairs.pair_abs_d(i, j), a)
+                    assert same_bytes(pairs.pair_coherency(i, j), b)
+        if case == "absent_component_slice":
+            assert (pf.ridge > 0).any()
+            assert pf.singular.any() == (cond is not None)
+
+    @pytest.mark.parametrize(
+        "case", ["readme", "marked_d4_T8", "normalisation_none", "mirror_refused"]
+    )
+    def test_calibration_samples_equal_the_full_route(self, case):
+        pattern, spec, reps = CASES[case]()
+        out = calibrate_null_threshold(pattern, spec, replicates=reps, seed=7654321)
+        oracle = full_matrix_samples(pattern, spec, reps, 7654321)
+        assert same_bytes(out.samples, oracle)
+
+
+def triangle_field(upper, d, kind="smoothed"):
+    grid = FrequencyGrid(p_max=upper.shape[0] - 1, q_min=0, q_max=0, u_min=0, u_max=0)
+    return SpectralField(
+        values=None,
+        grid=grid,
+        kind=kind,
+        normalisation="none",
+        counts=np.full(d, 100),
+        T=1,
+        labels=tuple(str(k + 1) for k in range(d)),
+        half_widths=(1, 1, 0),
+        _upper=upper,
+    )
+
+
+def hpd_upper(d, n_points=6, seed=0):
+    """The upper triangles of random Hermitian positive-definite matrices."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n_points, 1, 1, d, 2 * d)) + 1j * rng.normal(
+        size=(n_points, 1, 1, d, 2 * d)
+    )
+    mats = g @ np.conj(np.swapaxes(g, -1, -2))
+    i, j = np.triu_indices(d)
+    upper = mats[..., i, j]
+    upper[..., i == j] = upper[..., i == j].real
+    return upper
+
+
+class TestChecks:
+    def test_non_hermitian_values_refused_with_the_message(self):
+        upper = hpd_upper(3)
+        vals = triangle_field(upper, 3).values.copy()
+        vals[2, 0, 0, 0, 1] += 1e-3
+        field = dataclasses.replace(triangle_field(upper, 3), values=vals)
+        assert field._upper is None
+        defect = field.hermitian_defect()
+        assert defect == pytest.approx(1e-3)
+        message = (
+            f"field is not Hermitian (defect {defect:.3e}); internal contract "
+            "violated upstream"
+        )
+        with pytest.raises(ValidationError) as exc:
+            partial_field(field)
+        assert str(exc.value) == message
+
+    def test_triangle_with_imaginary_diagonal_refused(self):
+        upper = hpd_upper(3)
+        upper[3, 0, 0, 3] += 2e-3j  # entry (1, 1) of ordinate 3
+        field = triangle_field(upper, 3)
+        assert field.hermitian_defect() == pytest.approx(4e-3)
+        with pytest.raises(ValidationError, match=r"field is not Hermitian \(defect 4\.000e-03\)"):
+            partial_field(field)
+
+    def test_hermitian_triangle_has_zero_defect(self):
+        assert triangle_field(hpd_upper(4), 4).hermitian_defect() == 0.0
+
+    @pytest.mark.parametrize("stored", ["triangle", "values"])
+    def test_all_zero_field_is_degenerate(self, stored):
+        field = triangle_field(np.zeros((5, 1, 1, 6), dtype=complex), 3)
+        if stored == "values":
+            field = dataclasses.replace(field, values=field.values)
+        with pytest.raises(DegenerateFieldError, match="identically zero"):
+            partial_field(field)
+
+    def test_nan_entries_give_singular_ordinates(self):
+        upper = hpd_upper(3)
+        upper[1, 0, 0, 4] = np.nan  # entry (2, 3)
+        upper[4, 0, 0, 0] = complex(np.nan, 0.0)  # entry (1, 1)
+        pf = partial_field(triangle_field(upper, 3))
+        assert pf.singular.ravel().tolist() == [False, True, False, False, True, False]
+        assert np.isnan(pf.pair_abs_d(1, 2)[[1, 4]]).all()
+        assert np.isfinite(pf.pair_abs_d(1, 2)[[0, 2, 3, 5]]).all()
+        assert np.isnan(pf.abs_d[1]).all() and np.isnan(pf.inverse[4]).all()
+
+
+class TestFieldInterfaces:
+    def test_values_and_entries_of_a_triangle(self):
+        upper = hpd_upper(3)
+        field = triangle_field(upper, 3)
+        assert "values" not in vars(field)
+        assert same_bytes(field.entry(2, 3), upper[..., 4])
+        assert same_bytes(field.entry(3, 2), np.conj(upper[..., 4]))
+        vals = field.values
+        assert vals.shape == (6, 1, 1, 3, 3)
+        assert same_bytes(vals[..., 2, 1], np.conj(upper[..., 4]))
+        assert field.values is vals  # built once
+        assert field.hermitian_defect() == 0.0
+
+    def test_caller_values_are_kept_as_given(self):
+        upper = hpd_upper(3)
+        vals = triangle_field(upper, 3).values.copy()
+        field = SpectralField(
+            values=vals, grid=triangle_field(upper, 3).grid, kind="smoothed",
+            normalisation="none", counts=np.full(3, 100), T=1, labels=("1", "2", "3"),
+        )
+        assert field.values is vals and field._upper is None
+        assert same_bytes(field.entry(3, 1), vals[..., 2, 0])
+
+    def test_caller_partial_arrays_are_kept_as_given(self):
+        pf = partial_field(triangle_field(hpd_upper(3), 3))
+        assert "abs_d" not in vars(pf) and "coherency" not in vars(pf)
+        given = PartialField(
+            coherency=pf.coherency, abs_d=pf.abs_d * 0.5, inverse=pf.inverse,
+            ridge=pf.ridge, singular=pf.singular, grid=pf.grid, labels=pf.labels,
+        )
+        assert given._pairs is None
+        assert same_bytes(given.pair_abs_d(1, 3), pf.abs_d[..., 0, 2] * 0.5)
+        assert same_bytes(given.pair_abs_d(3, 1), pf.abs_d[..., 2, 0] * 0.5)
+
+    def test_lower_pair_reads_the_full_array(self):
+        pf = partial_field(triangle_field(hpd_upper(3), 3))
+        lower = pf.pair_coherency(2, 1)
+        assert same_bytes(lower, pf.coherency[..., 1, 0])
+        assert same_bytes(pf.pair_coherency(1, 2), pf.coherency[..., 0, 1])
+
+    def test_smoothing_keeps_the_form_it_is_given(self, trio_pattern, small_grid):
+        raw = periodogram_matrix(dft(trio_pattern, small_grid))
+        assert raw._upper is not None and smooth_spectra(raw, (1, 1, 1))._upper is not None
+        full = dataclasses.replace(raw, values=raw.values)
+        smoothed = smooth_spectra(full, (1, 1, 1))
+        assert smoothed._upper is None
+        assert same_matrices(smoothed.values, smooth_spectra(raw, (1, 1, 1)).values)
+
+
+class CountingBuffers(_Buffers):
+    """Counts each name's allocations and requests; every instance made in
+    a test is kept in ``made``."""
+
+    made: list = []
+
+    def __init__(self):
+        super().__init__()
+        self.allocations = Counter()
+        self.requests = Counter()
+        self.made.append(self)
+
+    def __call__(self, name, shape, dtype=np.complex128):
+        before = self.arrays.get(name)
+        a = super().__call__(name, shape, dtype)
+        self.allocations[name] += a is not before
+        self.requests[name] += 1
+        return a
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["unmarked", "marked"])
+def test_replicates_reuse_buffers_and_build_no_full_array(monkeypatch, marked):
+    fills = Counter()
+    for cls in (SpectralField, PartialField):
+        def counted(self, _fill=cls._fill, _name=cls.__name__):
+            fills[_name] += 1
+            return _fill(self)
+
+        monkeypatch.setattr(cls, "_fill", counted)
+    monkeypatch.setattr(CountingBuffers, "made", [])
+    monkeypatch.setattr(stspectra.graph, "_Buffers", CountingBuffers)
+    pattern = marked_case()[0] if marked else readme_case()[0]
+    spec = AnalysisSpec(FrequencyGrid.default(pattern.T), (2, 2, 1), marked=marked)
+    replicates = 5
+    calibrate_null_threshold(pattern, spec, replicates=replicates, seed=11)
+    assert fills == Counter()
+    (work,) = CountingBuffers.made
+    field_sized = {"periodogram", "box_extension", "box_p", "box_q", "box_u", "magnitude",
+                   "stack", "stack_magnitude", "inverse", "coherency", "abs_d"}
+    assert field_sized <= set(work.requests)
+    assert set(work.allocations.values()) == {1}
+    assert all(n % replicates == 0 for n in work.requests.values())
+    # reading a full array afterwards builds it, once
+    pf = partial_field(smooth_spectra(periodogram_matrix(dft(pattern, spec.grid)), (2, 2, 1)))
+    pf.abs_d, pf.coherency, pf.abs_d
+    assert fills == Counter({"PartialField": 1})
