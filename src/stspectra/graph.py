@@ -68,8 +68,9 @@ class EdgeStatistics:
     ordinate; argmax[i, j] is the (p, q, u) frequency attaining it;
     reliable[i, j] is False when singular ordinates were skipped, in
     which case the sup runs over the resolvable part of the grid only.
-    Each unordered pair is reduced once, from the upper triangle of
-    ``abs_d``, and the lower triangle of each matrix mirrors the upper.
+    Each unordered pair is reduced once, from the |d_ij| of
+    ``PartialField.pairs``, and the lower triangle of each matrix mirrors
+    the upper.
     """
 
     stats: np.ndarray
@@ -193,11 +194,11 @@ def partial_pipeline(
 
 def _pair_sups(pf: PartialField) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """(value, first argmax as a flat ordinate index, found) of sup |d_ij| over
-    ``sup_mask()`` for each pair i < j, read from the upper triangle in
+    ``sup_mask()`` for each pair i < j, read from ``pf.pairs`` in
     ``np.triu_indices`` order (value and argmax hold only where found, i.e.
     some ordinate was finite), and whether any sup ordinate is singular."""
     mask = pf.grid.sup_mask().ravel()
-    sel = pf._upper_abs_d().reshape(mask.size, -1)  # (ordinates, pairs)
+    sel = pf.pairs[1].reshape(mask.size, -1)  # (ordinates, pairs)
     sel = np.where(mask[:, None] & np.isfinite(sel), sel, -np.inf)
     k = sel.argmax(axis=0)  # first maximum
     value = sel[k, np.arange(k.size)]

@@ -180,9 +180,9 @@ class MultiPattern:
         if self.type_id.min() < 1 or self.type_id.max() > d:
             raise ValidationError("type ids must be contiguous 1..d")
         if not self._allow_missing_types:
-            present = np.unique(self.type_id)
-            if present.size != d:
-                missing = sorted(set(range(1, d + 1)) - set(present.tolist()))
+            counts = np.bincount(self.type_id, minlength=d + 1)[1:]
+            if not counts.all():
+                missing = (np.flatnonzero(counts == 0) + 1).tolist()
                 raise ValidationError(f"components never observed: {missing}")
 
     # -- basic views ---------------------------------------------------

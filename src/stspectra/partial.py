@@ -18,7 +18,7 @@ the identical machinery applied to a marked spectral field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,9 +29,9 @@ from .spectra import (
     SpectralField,
     _assemble,
     _component_indices,
-    _FilledOnRead,
     _fresh,
     _require_half_widths,
+    _require_hermitian,
     _require_smoothed,
     _schur_projection,
     _triu,
@@ -51,7 +51,7 @@ RIDGE_FRACTIONS = (1e-8, 1e-6, 1e-4)
 
 
 @dataclass(frozen=True, eq=False)
-class PartialField(_FilledOnRead):
+class PartialField:
     """All-pairs partial statistics, conditioned on the remaining components,
     and the per-ordinate inverse they are read from.
 
@@ -59,58 +59,48 @@ class PartialField(_FilledOnRead):
     after the diagonal-loading fraction in ``ridge`` (0 where the plain
     inverse was well conditioned); ``singular`` marks ordinates where every
     ridge step failed, whose inverse and statistics are NaN.
-    abs_d[..., i, j] is the rescaled inverse density |b_ij|/sqrt(b_ii*b_jj)
-    (the sup of which drives the dependence graph); coherency is the signed
-    complex partial coherency -b_ij/sqrt(b_ii*b_jj); cross and auto are the
-    pair-conditioned spectra f_ij|rest and f_ii|rest with rest = all except
-    {i,j}, built from ``inverse`` on first read.  Diagonals are excluded by
-    contract and stored as zero.
-
-    :func:`partial_field` stores coherency and |d_ij| of the pairs i < j
-    only, as ``_pairs`` (each (P, Q, U, d(d-1)/2) in ``np.triu_indices(d, 1)``
-    order), which the pair accessors and the edge statistics read; the full
-    ``coherency`` and ``abs_d`` are built from ``inverse`` on first read.
-    Full arrays a caller gives are kept as given.
+    ``pairs`` is (coherency, |d_ij|) of the pairs i < j, each
+    (P, Q, U, d(d-1)/2) in ``np.triu_indices(d, 1)`` order, which the pair
+    accessors and the edge statistics read: coherency is the signed complex
+    partial coherency -b_ij/sqrt(b_ii*b_jj) and |d_ij| its magnitude, the
+    rescaled inverse density (the sup of which drives the dependence graph).
+    The full d x d ``coherency`` and ``abs_d``, diagonals zero by contract,
+    and the pair-conditioned spectra cross and auto, f_ij|rest and f_ii|rest
+    with rest = all except {i,j}, are built from ``inverse`` on first read.
     """
 
-    coherency: np.ndarray | None
-    abs_d: np.ndarray | None
+    pairs: tuple[np.ndarray, np.ndarray]
     inverse: np.ndarray
     ridge: np.ndarray
     singular: np.ndarray
     grid: FrequencyGrid
     labels: tuple[str, ...]
-    _pairs: tuple[np.ndarray, np.ndarray] | None = dc_field(
-        default=None, repr=False, kw_only=True
-    )
-
-    _COMPACT = "_pairs"
-    _FULL = ("coherency", "abs_d")
-
-    def _fill(self) -> dict:
-        d = self.d
-        i, j = np.indices((d, d)).reshape(2, -1)
-        coherency, abs_d = _coherencies(self.inverse, i, j)
-        diag = np.arange(d)
-        full = {}
-        for name, arr, zero in (("coherency", coherency, 0), ("abs_d", abs_d, 0.0)):
-            arr = arr.reshape(arr.shape[:-1] + (d, d))
-            arr[..., diag, diag] = zero
-            arr[self.singular] = np.nan
-            full[name] = arr
-        return full
 
     @property
     def d(self) -> int:
         return len(self.labels)
 
-    def _upper_abs_d(self) -> np.ndarray:
-        """|d_ij| of the pairs i < j, (P, Q, U, d(d-1)/2) in
-        ``np.triu_indices(d, 1)`` order."""
-        if self._pairs is not None:
-            return self._pairs[1]
-        i, j = _triu(self.d, 1)
-        return self.abs_d[..., i, j]
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coherency, abs_d) over every index pair of ``inverse``."""
+        d = self.d
+        i, j = np.indices((d, d)).reshape(2, -1)
+        diag = np.arange(d)
+        full = []
+        for arr in _coherencies(self.inverse, i, j):
+            arr = arr.reshape(arr.shape[:-1] + (d, d))
+            arr[..., diag, diag] = 0
+            arr[self.singular] = np.nan
+            full.append(arr)
+        return tuple(full)
+
+    @property
+    def coherency(self) -> np.ndarray:
+        return self._full[0]
+
+    @property
+    def abs_d(self) -> np.ndarray:
+        return self._full[1]
 
     @cached_property
     def _pair_spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,9 +130,9 @@ class PartialField(_FilledOnRead):
 
     def _pair(self, which: int, i: int, j: int) -> np.ndarray:
         a, b = _component_indices(self.d, (i, j))[0]
-        if self._pairs is None or a > b:
-            return (self.coherency, self.abs_d)[which][..., a, b]
-        return self._pairs[which][..., _upper_index(self.d, a, b, 1)]
+        if a > b:
+            return self._full[which][..., a, b]
+        return self.pairs[which][..., _upper_index(self.d, a, b, 1)]
 
     def pair_abs_d(self, i: int, j: int) -> np.ndarray:
         return self._pair(1, i, j)
@@ -172,37 +162,28 @@ def _checked_stack(
     after the checks of every inversion: d >= 2, a full-rank box, a field
     not identically zero, and Hermitian.
 
-    The checks read what the field stores, once.  An upper triangle is then
-    assembled into ``work`` arrays; a caller's values are used as given."""
+    The checks read the upper triangle, once; the stack and its absolute
+    values are then assembled from it into ``work`` arrays."""
     d = field.d
     if d < 2:
         raise ValidationError("need d >= 2 components")
     if field.half_widths is not None:
         _require_full_rank_box(field.half_widths, d)
-    stored = field._stored
-    magnitude = np.abs(stored, out=work("magnitude", stored.shape, np.float64))
+    upper = field.upper
+    magnitude = np.abs(upper, out=work("magnitude", upper.shape, np.float64))
     if not magnitude.any():
         raise DegenerateFieldError(
             "spectral field is identically zero (constant marks give a "
             "degenerate marked field); partial statistics are undefined"
         )
-    # over finite entries only: one NaN would make both NaN, and NaN passes
-    # any comparison with the bound
-    finite = np.isfinite(stored)
-    scale = magnitude.max(where=finite, initial=0.0)
-    defect = field.hermitian_defect()
-    if defect > 1e-10 * max(scale, 1e-300):
-        raise ValidationError(
-            f"field is not Hermitian (defect {defect:.3e}); internal contract "
-            "violated upstream"
-        )
-    n = int(np.prod(stored.shape[:3]))  # ordinates
+    finite = np.isfinite(upper)
+    _require_hermitian(field.hermitian_defect(), magnitude.max(where=finite, initial=0.0))
+    n = int(np.prod(upper.shape[:3]))  # ordinates
     finite = _fold(np.logical_and, finite.reshape(n, -1))
-    if field._upper is not None:
-        shape = stored.shape[:-1] + (d, d)
-        stored = _assemble(stored, d, work("stack", shape))
-        magnitude = _assemble(magnitude, d, work("stack_magnitude", shape, np.float64))
-    return stored.reshape(n, d, d), magnitude.reshape(n, d, d), finite
+    shape = upper.shape[:-1] + (d, d)
+    stack = _assemble(upper, d, work("stack", shape, upper.dtype))
+    magnitude = _assemble(magnitude, d, work("stack_magnitude", shape, np.float64))
+    return stack.reshape(n, d, d), magnitude.reshape(n, d, d), finite
 
 
 def _fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -285,7 +266,7 @@ def _ridged_inverse(
         flat[singular] = np.eye(d)
     inv = _hpd_inverse(flat, work)
     inv[singular] = np.nan
-    shape = field._stored.shape[:3]
+    shape = field.upper.shape[:3]
     return inv.reshape(shape + (d, d)), ridge.reshape(shape), singular.reshape(shape)
 
 
@@ -362,14 +343,12 @@ def _partial_field(field: SpectralField, work=_fresh) -> PartialField:
     for arr in pairs:
         arr[singular] = np.nan
     return PartialField(
-        coherency=None,
-        abs_d=None,
+        pairs=pairs,
         inverse=b,
         ridge=ridge,
         singular=singular,
         grid=field.grid,
         labels=field.labels,
-        _pairs=pairs,
     )
 
 

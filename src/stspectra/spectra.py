@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -409,50 +409,22 @@ def _assemble(upper: np.ndarray, d: int, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-class _FilledOnRead:
-    """Frozen-dataclass base for fields that may keep a compact form of
-    their full arrays.  When the compact form (the attribute ``_COMPACT``
-    names) is given and every attribute of ``_FULL`` is None, those
-    attributes are built by ``_fill()`` on first read.  Full arrays a caller
-    gives are kept as given, and the compact form is then dropped."""
-
-    _COMPACT: str
-    _FULL: tuple[str, ...]
-
-    def __post_init__(self):
-        if getattr(self, self._COMPACT) is None:
-            return
-        if any(getattr(self, name) is not None for name in self._FULL):
-            object.__setattr__(self, self._COMPACT, None)
-        else:
-            for name in self._FULL:
-                object.__delattr__(self, name)
-
-    def __getattr__(self, name):
-        # reached only when normal lookup fails: a full array not built yet
-        if name not in self._FULL or self._COMPACT not in self.__dict__:
-            raise AttributeError(name)
-        for key, value in self._fill().items():
-            object.__setattr__(self, key, value)
-        return self.__dict__[name]
-
-
 @dataclass(frozen=True, eq=False)
-class SpectralField(_FilledOnRead):
-    """A d x d Hermitian spectral matrix per frequency ordinate.
+class SpectralField:
+    """A d x d Hermitian spectral matrix per frequency ordinate, held as its
+    upper triangle.
 
-    values: complex (P, Q, U, d, d).  The periodogram and its smoothing
-    store only the entries i <= j, as ``_upper`` of shape
-    (P, Q, U, d(d+1)/2) in ``np.triu_indices`` order: :meth:`entry` reads
-    it, and ``values`` is assembled from it (the lower triangle as the
-    conjugate of the upper) on first read.  A field a caller builds from
-    ``values`` keeps them as given.  ``kind`` is "raw" (rank-1 outer
+    upper: the entries i <= j, complex (P, Q, U, d(d+1)/2) in
+    ``np.triu_indices`` order, which :meth:`entry` reads; ``values``, the
+    full (P, Q, U, d, d) matrices, is assembled from it (the lower triangle
+    as the conjugate of the upper) on first read.  Full matrices a caller
+    has enter through :meth:`from_values`.  ``kind`` is "raw" (rank-1 outer
     products) or "smoothed".  The normalisation choice and smoothing
     half-widths ride along so downstream modules and artifact provenance
     can quote them.
     """
 
-    values: np.ndarray | None
+    upper: np.ndarray
     grid: FrequencyGrid
     kind: str
     normalisation: str
@@ -460,48 +432,60 @@ class SpectralField(_FilledOnRead):
     T: int
     labels: tuple[str, ...]
     half_widths: tuple[int, int, int] | None = None
-    _upper: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
-    _COMPACT = "_upper"
-    _FULL = ("values",)
-
-    def _fill(self) -> dict:
-        return {"values": _assemble(self._upper, self.d)}
+    @classmethod
+    def from_values(cls, values: np.ndarray, **meta) -> "SpectralField":
+        """The field of full (P, Q, U, d, d) matrices, which keeps their
+        entries i <= j.  Refused unless Hermitian: the defect is
+        max |F_ij - conj(F_ji)| over the entry pairs finite on both sides,
+        inf where an entry is finite and its mirror is not, and it may not
+        pass 1e-10 times the largest finite |F_ij| (see
+        :func:`_require_hermitian`)."""
+        finite = np.isfinite(values)
+        if (finite != np.swapaxes(finite, -1, -2)).any():
+            defect = float("inf")
+        else:
+            with np.errstate(invalid="ignore"):  # inf - inf off the finite pairs
+                gap = np.abs(values - np.conj(np.swapaxes(values, -1, -2)))
+            defect = float(gap.max(where=finite, initial=0.0))
+        _require_hermitian(defect, np.abs(values).max(where=finite, initial=0.0))
+        i, j = _triu(values.shape[-1])
+        return cls(upper=values[..., i, j], **meta)
 
     @property
     def d(self) -> int:
         return len(self.labels)
 
-    @property
-    def _stored(self) -> np.ndarray:
-        """What the field holds: its upper triangle, or a caller's values."""
-        return self.values if self._upper is None else self._upper
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return _assemble(self.upper, self.d)
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """The (i,j) matrix entry over the grid (components 1-based)."""
-        d = len(self.labels)
+        d = self.d
         if not (1 <= i <= d and 1 <= j <= d):
             raise ValidationError(f"component pair ({i},{j}) outside 1..{d}")
-        if self._upper is None:
-            return self.values[..., i - 1, j - 1]
-        v = self._upper[..., _upper_index(d, min(i, j) - 1, max(i, j) - 1)]
+        v = self.upper[..., _upper_index(d, min(i, j) - 1, max(i, j) - 1)]
         return v if i <= j else np.conj(v)
 
     def hermitian_defect(self) -> float:
-        """max |F_ij - conj(F_ji)| over the entry pairs finite on both sides;
-        inf where an entry is finite and its mirror is not.  A pair that is
-        NaN or inf on both sides adds nothing.  An upper triangle is checked
-        over what it stores, its diagonal, where the defect is 2|Im F_ii|."""
-        if self._upper is not None:
-            rows, cols = _triu(self.d)
-            diag = self._upper[..., rows == cols]
-            return float((2.0 * np.abs(diag.imag)).max(where=np.isfinite(diag), initial=0.0))
-        finite = np.isfinite(self.values)
-        if (finite != np.swapaxes(finite, -1, -2)).any():
-            return float("inf")
-        with np.errstate(invalid="ignore"):  # inf - inf off the finite pairs
-            gap = np.abs(self.values - np.conj(np.swapaxes(self.values, -1, -2)))
-        return float(gap.max(where=finite, initial=0.0))
+        """max |F_ij - conj(F_ji)| over the finite entries.  The lower
+        triangle is the conjugate of the upper, so only the diagonal can
+        fall short, by 2|Im F_ii|."""
+        rows, cols = _triu(self.d)
+        diag = self.upper[..., rows == cols]
+        return float((2.0 * np.abs(diag.imag)).max(where=np.isfinite(diag), initial=0.0))
+
+
+def _require_hermitian(defect: float, scale: float) -> None:
+    """Refuse a Hermitian defect above 1e-10 times ``scale``, the largest
+    finite |F_ij| of the field; NaN entries are left out of both, since one
+    NaN would pass any comparison with the bound."""
+    if defect > 1e-10 * max(scale, 1e-300):
+        raise ValidationError(
+            f"field is not Hermitian (defect {defect:.3e}); internal contract "
+            "violated upstream"
+        )
 
 
 def periodogram_matrix(
@@ -534,14 +518,13 @@ def _periodogram(dfts: DftVector, normalisation: str, work=_fresh) -> SpectralFi
         const = 1.0 / np.sqrt(np.multiply.outer(safe, safe))
         np.multiply(upper, const[i, j], out=upper)
     return SpectralField(
-        values=None,
+        upper=upper,
         grid=dfts.grid,
         kind="raw",
         normalisation=normalisation,
         counts=dfts.counts,
         T=dfts.T,
         labels=dfts.labels,
-        _upper=upper,
     )
 
 
@@ -676,8 +659,7 @@ def smooth_spectra(
     field: SpectralField, half_widths: tuple[int, int, int] | None = None
 ) -> SpectralField:
     """Entrywise uniform average over the rectangular frequency neighbourhood
-    (2h_p+1) x (2h_q+1) x (2h_u+1), of the upper triangle of a periodogram
-    or of a caller's values, whichever the field stores.
+    (2h_p+1) x (2h_q+1) x (2h_u+1), of the upper triangle of a periodogram.
 
     Out-of-range neighbours are resolved by the exact grid structure where
     possible (cyclic wrap in u, conjugate mirror across p=0; see
@@ -708,22 +690,10 @@ def smooth_spectra(
 
 
 def _smooth(field: SpectralField, half_widths, work=_fresh) -> SpectralField:
-    """The box average of what ``field`` stores, its upper triangle or a
-    caller's values, as a smoothed field of the same form."""
+    """The box average of the field's upper triangle, as a smoothed field."""
     hw = tuple(int(h) for h in half_widths)
-    acc = _box_average(field._stored, field.grid, field.T, hw, work)
-    upper = field._upper is not None
-    return SpectralField(
-        values=None if upper else acc,
-        grid=field.grid,
-        kind="smoothed",
-        normalisation=field.normalisation,
-        counts=field.counts,
-        T=field.T,
-        labels=field.labels,
-        half_widths=hw,
-        _upper=acc if upper else None,
-    )
+    upper = _box_average(field.upper, field.grid, field.T, hw, work)
+    return replace(field, upper=upper, kind="smoothed", half_widths=hw)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

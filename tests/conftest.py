@@ -1,9 +1,11 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stspectra import FrequencyGrid, SimSpec, simulate
+from stspectra import FrequencyGrid, SimSpec, SpectralField, simulate
 from stspectra.ingest import MultiPattern, Window
 
 
@@ -18,6 +20,14 @@ def build_pattern(x, y, t, type_id, labels, T, marks=None):
         window=Window(0.0, 1.0, 0.0, 1.0, T=T),
         marks=None if marks is None else np.asarray(marks, dtype=float),
     )
+
+
+def with_values(field, values):
+    """``field`` with its matrices replaced by the full ``values``, through
+    ``SpectralField.from_values``."""
+    meta = {f.name: getattr(field, f.name) for f in dataclasses.fields(field)}
+    del meta["upper"]
+    return SpectralField.from_values(values, **meta)
 
 
 # the frozen-oracle fixture: eight events, two components, T=2

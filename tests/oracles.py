@@ -2,6 +2,7 @@
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -134,10 +135,12 @@ def full_matrix_route(pattern, spec):
     The periodogram forms every outer product F_i * conj(F_j), then copies
     the conjugate of the upper triangle into the lower one and realifies
     the diagonal; the box average smooths all d^2 entries; the ridged
-    inverse of that smoothed field (built from its values) gives coherency
-    -b_ij/sqrt(b_ii*b_jj) and |d_ij| over the whole matrix, diagonal 0 and
-    singular ordinates NaN.  Returns (raw values, smoothed field, partial
-    field)."""
+    inverse of that smoothed field (which enters the package through
+    ``SpectralField.from_values``) gives coherency -b_ij/sqrt(b_ii*b_jj)
+    and |d_ij| over the whole matrix, diagonal 0 and singular ordinates
+    NaN.  The partial field holds the pairs i < j of those arrays.  Returns
+    the raw and smoothed matrices, the smoothed field, the partial field
+    and the full coherency and |d_ij|, as attributes of one namespace."""
     dfts = (marked_dft if spec.marked else dft)(pattern, spec.grid)
     stacked = np.moveaxis(dfts.values, 0, -1)  # (P,Q,U,d)
     raw = stacked[..., :, None] * np.conj(stacked[..., None, :])
@@ -150,8 +153,9 @@ def full_matrix_route(pattern, spec):
         n = dfts.counts.astype(float)
         safe = np.where(n > 0, n, 1.0)
         raw = raw * (1.0 / np.sqrt(np.multiply.outer(safe, safe)))
-    smoothed = SpectralField(
-        values=_box_average(raw, spec.grid, pattern.T, spec.half_widths),
+    smoothed = _box_average(raw, spec.grid, pattern.T, spec.half_widths)
+    field = SpectralField.from_values(
+        smoothed,
         grid=spec.grid,
         kind="smoothed",
         normalisation=spec.normalisation,
@@ -160,7 +164,7 @@ def full_matrix_route(pattern, spec):
         labels=pattern.labels,
         half_widths=tuple(spec.half_widths),
     )
-    b, ridge, singular = _ridged_inverse(smoothed)
+    b, ridge, singular = _ridged_inverse(field)
     bii = b[..., diag, diag].real
     with np.errstate(all="ignore"):
         den = np.sqrt(bii[..., :, None] * bii[..., None, :])
@@ -171,38 +175,40 @@ def full_matrix_route(pattern, spec):
     for arr, fill in ((coherency, 0), (abs_d, 0.0)):
         arr[..., diag, diag] = fill
         arr[singular] = np.nan
+    i, j = np.triu_indices(d, k=1)
     pf = PartialField(
-        coherency=coherency,
-        abs_d=abs_d,
+        pairs=(coherency[..., i, j], abs_d[..., i, j]),
         inverse=b,
         ridge=ridge,
         singular=singular,
         grid=spec.grid,
         labels=pattern.labels,
     )
-    return raw, smoothed, pf
+    return SimpleNamespace(
+        raw=raw, smoothed=smoothed, field=field, pf=pf, coherency=coherency, abs_d=abs_d
+    )
 
 
 def full_matrix_samples(pattern, spec, replicates, seed):
     """Calibration samples through :func:`full_matrix_route`: replicate r
     draws the binomial null of seed + r (with permuted marks under a marked
-    spec) and records :func:`null_maximum_abs_d` of its partial field."""
+    spec) and records :func:`null_maximum_abs_d` of the route's |d_ij|."""
     counts = tuple(int(c) for c in pattern.counts)
     out = np.empty(replicates)
     for r in range(replicates):
         null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
-        out[r] = null_maximum_abs_d(full_matrix_route(null, spec)[2])
+        out[r] = null_maximum_abs_d(full_matrix_route(null, spec).abs_d, spec.grid)
     return out
 
 
-def null_maximum_abs_d(pf):
-    """A null replicate's maximum read straight from ``abs_d``: the largest
-    finite entry over the pairs i < j and the ordinates of ``sup_mask()``,
-    or 0.0 when there is none."""
-    i, j = np.triu_indices(pf.d, k=1)
-    vals = pf.abs_d[pf.grid.sup_mask()][:, i, j]
+def null_maximum_abs_d(abs_d, grid):
+    """A null replicate's maximum read straight from a full ``abs_d`` array:
+    the largest finite entry over the pairs i < j and the ordinates of
+    ``grid.sup_mask()``, or 0.0 when there is none."""
+    i, j = np.triu_indices(abs_d.shape[-1], k=1)
+    vals = abs_d[grid.sup_mask()][:, i, j]
     vals = vals[np.isfinite(vals)]
     return vals.max() if vals.size else 0.0
 

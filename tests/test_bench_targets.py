@@ -1,9 +1,14 @@
-"""The stage names that bench/tracing.py wraps must exist in the package:
-a missing name is silently reported as a zero metric by the benchmark."""
+"""The stage names that bench/tracing.py wraps must exist in the package,
+and the attributes it reads off their results must be readable: a missing
+name is silently reported as a zero metric by the benchmark, and so is an
+attribute reader that fails."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+import stspectra.cli
 
 
 def load_tracing():
@@ -24,3 +29,25 @@ def test_every_tracer_target_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(mod), name, None))
     ]
     assert missing == []
+
+
+def test_traced_pipeline_reads_every_span_attribute(tmp_path, monkeypatch):
+    tracing = load_tracing()
+    for mod, names in tracing.TARGETS.items():  # restored after the test
+        module = importlib.import_module(mod)
+        for name in names:
+            monkeypatch.setattr(module, name, getattr(module, name))
+    tracer = tracing.Tracer()
+    tracer.install()
+    simulate = {"kind": "homogeneous_poisson", "rates": [40, 50, 60], "T": 2, "seed": 5}
+    argv = ["pipeline", "--simulate", json.dumps(simulate), "--xi", "null:q95",
+            "--replicates", "2", "--per-slice", "--p-max", "3", "--q-min", "-3",
+            "--q-max", "3", "--out", str(tmp_path / "run")]
+    assert stspectra.cli.main(argv) == 0
+    assert tracer.missing == []
+    assert [s for s in tracer.spans if "attr_error" in s] == []
+    partial = [s for s in tracer.spans if s["name"] == "partial.partial_field"]
+    assert len(partial) == 3  # the analysis and the two slices
+    for span in partial:
+        assert {"ordinates", "ridged", "singular"} <= span.keys()
+        assert span["ordinates"] > 0

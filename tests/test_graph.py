@@ -58,11 +58,10 @@ def hand_field(singular_at=None, labels=("a", "b", "c")):
     singular = np.zeros(grid.shape, dtype=bool)
     if singular_at is not None:
         singular[singular_at] = True
-    zeros = np.zeros_like(abs_d, dtype=complex)
+    i, j = np.triu_indices(d, k=1)
     return PartialField(
-        coherency=zeros,
-        abs_d=abs_d,
-        inverse=zeros,
+        pairs=(np.zeros(grid.shape + (i.size,), dtype=complex), abs_d[..., i, j]),
+        inverse=np.zeros(abs_d.shape, dtype=complex),
         ridge=np.zeros(grid.shape),
         singular=singular,
         grid=grid,
@@ -101,12 +100,9 @@ class TestEdgeStatistics:
             es.pair(i, j)
 
     def test_lower_triangle_mirrors_upper(self):
-        # each pair is read from the upper triangle of abs_d once: a larger
-        # value planted below the diagonal, at (p=1, q=1) for (2,1), moves
-        # neither triangle of the statistic nor of its argmax
-        pf = hand_field()
-        pf.abs_d[1, 2, 0, 1, 0] = 0.9
-        es = edge_statistics(pf)
+        # each pair is reduced once, and both triangles of the statistic
+        # and of its argmax read that one reduction
+        es = edge_statistics(hand_field())
         assert es.pair(2, 1) == es.pair(1, 2) == 0.7
         assert es.argmax[1, 0].tolist() == [1, 0, 0]
         assert np.array_equal(es.stats, es.stats.T, equal_nan=True)
@@ -115,11 +111,10 @@ class TestEdgeStatistics:
 
     def test_empty_mask_rejected(self):
         grid = FrequencyGrid(p_max=0, q_min=0, q_max=0, u_min=0, u_max=0)
-        zeros = np.zeros(grid.shape + (2, 2))
+        pairs = np.zeros(grid.shape + (1,))
         pf = PartialField(
-            coherency=zeros.astype(complex),
-            abs_d=zeros,
-            inverse=zeros.astype(complex),
+            pairs=(pairs.astype(complex), pairs),
+            inverse=np.zeros(grid.shape + (2, 2), dtype=complex),
             ridge=np.zeros(grid.shape),
             singular=np.zeros(grid.shape, dtype=bool),
             grid=grid,
@@ -236,7 +231,7 @@ def samples_via_abs_d(pattern, spec, replicates, seed):
     """Per-replicate null maxima read straight from each field's ``abs_d``."""
     out = np.empty(replicates)
     for r, pf in enumerate(null_fields(pattern, spec, replicates, seed)):
-        out[r] = null_maximum_abs_d(pf)
+        out[r] = null_maximum_abs_d(pf.abs_d, pf.grid)
     return out
 
 

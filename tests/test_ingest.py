@@ -323,6 +323,14 @@ class TestPatternInvariants:
                 [0.5, 0.6], [0.5, 0.6], [1, 1], [1, 1], ("a", "b"), T=1
             )
 
+    def test_unobserved_components_named_in_order(self):
+        with pytest.raises(ValidationError) as err:
+            build_pattern(
+                [0.5, 0.6, 0.7], [0.5, 0.6, 0.7], [1, 1, 1], [3, 1, 3],
+                ("a", "b", "c", "d"), T=1,
+            )
+        assert str(err.value) == "components never observed: [2, 4]"
+
     def test_non_finite_values_rejected(self):
         # the CSV route rejects these row by row; library callers must not
         # slip them past the window check, where NaN compares false

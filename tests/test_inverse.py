@@ -1,10 +1,9 @@
 """Lag-domain back-transformation: symmetry, deltas, round trips."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from conftest import with_values
 from oracles import forward_from_lags, inverse_sum
 from stspectra import (
     FrequencyGrid,
@@ -222,7 +221,7 @@ class TestPartialLags:
         point = (1, -smoothed.grid.q_min, -smoothed.grid.u_min)
         vals[point + (2,)] = vals[point + (1,)]
         vals[point + (slice(None), 2)] = vals[point + (slice(None), 1)]
-        field = dataclasses.replace(smoothed, values=vals)
+        field = with_values(smoothed, vals)
         pf = partial_field(field)
         assert pf.ridge[point] > 0.0 and not pf.singular.any()
         lags = partial_cross_lags(pf, field.T)
@@ -241,7 +240,7 @@ class TestPartialLags:
     def test_singular_ordinate_raises_with_its_grid_point(self, smoothed):
         vals = smoothed.values.copy()
         vals[2, 1, 3] = 0.0
-        field = dataclasses.replace(smoothed, values=vals)
+        field = with_values(smoothed, vals)
         where = (2, int(field.grid.q_values[1]), int(field.grid.u_values[3]))
         pf = partial_field(field)
         for call in (

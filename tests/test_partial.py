@@ -40,8 +40,8 @@ def random_hpd_field(d, n_points=40, seed=0, jitter=1.0):
     )
     vals = g @ np.conj(np.swapaxes(g, -1, -2))
     vals += jitter * np.eye(d)
-    return SpectralField(
-        values=vals,
+    return SpectralField.from_values(
+        vals,
         grid=grid,
         kind="smoothed",
         normalisation="none",
@@ -117,8 +117,8 @@ def random_unitary(d, seed):
 
 
 def replace_values(field, vals):
-    return SpectralField(
-        values=vals,
+    return SpectralField.from_values(
+        vals,
         grid=field.grid,
         kind="smoothed",
         normalisation="none",
@@ -177,8 +177,8 @@ class TestInversion:
         vals = np.zeros((1, 1, 1, 3, 3), dtype=complex)
         vals[0, 0, 0] = np.diag([1.0, 1.0, 1e-8])
         grid = FrequencyGrid(p_max=0, q_min=0, q_max=0, u_min=0, u_max=0)
-        field = SpectralField(
-            values=vals,
+        field = SpectralField.from_values(
+            vals,
             grid=grid,
             kind="smoothed",
             normalisation="none",

@@ -1,8 +1,10 @@
-"""Spectral and partial fields stored as upper triangles: byte equality with
-the full-matrix route, the checks every inversion keeps, and calibration
+"""Spectral fields stored as upper triangles and partial fields as pairs:
+byte equality with the full-matrix route, the checks of
+``SpectralField.from_values`` and of every inversion, and calibration
 replicates that never build full arrays."""
 
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
@@ -28,7 +30,7 @@ from stspectra import (
 from stspectra.errors import DegenerateFieldError, ValidationError
 from stspectra.spectra import _Buffers
 
-from conftest import build_pattern
+from conftest import build_pattern, with_values
 from oracles import full_matrix_route, full_matrix_samples
 
 
@@ -134,28 +136,30 @@ class TestFullMatrixOracle:
         if cond is not None:
             monkeypatch.setattr(stspectra.partial, "COND_THRESHOLD", cond)
         pattern, spec, _ = CASES[case]()
-        raw_full, smoothed_full, pf_full = full_matrix_route(pattern, spec)
+        full = full_matrix_route(pattern, spec)
         raw, smoothed = triangle_fields(pattern, spec)
         pf = partial_field(smoothed)
         # the edge statistics read the stored pairs, before any full array
-        es, es_full = edge_statistics(pf), edge_statistics(pf_full)
+        es, es_full = edge_statistics(pf), edge_statistics(full.pf)
         for name in ("stats", "argmax", "reliable"):
             assert same_bytes(getattr(es, name), getattr(es_full, name)), name
-        assert same_matrices(raw.values, raw_full)
-        assert same_matrices(smoothed.values, smoothed_full.values)
-        for name in ("inverse", "ridge", "singular", "coherency", "abs_d"):
-            assert same_bytes(getattr(pf, name), getattr(pf_full, name)), name
+        assert same_matrices(raw.values, full.raw)
+        assert same_matrices(smoothed.values, full.smoothed)
+        for name in ("inverse", "ridge", "singular"):
+            assert same_bytes(getattr(pf, name), getattr(full.pf, name)), name
+        for name in ("coherency", "abs_d"):
+            assert same_bytes(getattr(pf, name), getattr(full, name)), name
         d = pattern.d
         pairs = partial_field(smoothed)  # i < j read the stored pairs, i > j the full arrays
         for i in range(1, d + 1):
             for j in range(1, d + 1):
-                entry = smoothed_full.values[..., i - 1, j - 1]
+                entry = full.smoothed[..., i - 1, j - 1]
                 if i <= j:
                     assert same_bytes(smoothed.entry(i, j), entry)
                 else:
                     assert same_bytes(smoothed.entry(i, j) + 0.0, entry + 0.0)
                 if i != j:
-                    a, b = pf_full.abs_d[..., i - 1, j - 1], pf_full.coherency[..., i - 1, j - 1]
+                    a, b = full.abs_d[..., i - 1, j - 1], full.coherency[..., i - 1, j - 1]
                     assert same_bytes(pairs.pair_abs_d(i, j), a)
                     assert same_bytes(pairs.pair_coherency(i, j), b)
         if case == "absent_component_slice":
@@ -175,7 +179,7 @@ class TestFullMatrixOracle:
 def triangle_field(upper, d, kind="smoothed"):
     grid = FrequencyGrid(p_max=upper.shape[0] - 1, q_min=0, q_max=0, u_min=0, u_max=0)
     return SpectralField(
-        values=None,
+        upper=upper,
         grid=grid,
         kind=kind,
         normalisation="none",
@@ -183,7 +187,6 @@ def triangle_field(upper, d, kind="smoothed"):
         T=1,
         labels=tuple(str(k + 1) for k in range(d)),
         half_widths=(1, 1, 0),
-        _upper=upper,
     )
 
 
@@ -200,22 +203,36 @@ def hpd_upper(d, n_points=6, seed=0):
     return upper
 
 
+def refusal(defect):
+    return f"field is not Hermitian (defect {defect:.3e}); internal contract violated upstream"
+
+
 class TestChecks:
     def test_non_hermitian_values_refused_with_the_message(self):
-        upper = hpd_upper(3)
-        vals = triangle_field(upper, 3).values.copy()
+        field = triangle_field(hpd_upper(3), 3)
+        vals = field.values.copy()
         vals[2, 0, 0, 0, 1] += 1e-3
-        field = dataclasses.replace(triangle_field(upper, 3), values=vals)
-        assert field._upper is None
-        defect = field.hermitian_defect()
+        defect = np.abs(vals - np.conj(np.swapaxes(vals, -1, -2))).max()
         assert defect == pytest.approx(1e-3)
-        message = (
-            f"field is not Hermitian (defect {defect:.3e}); internal contract "
-            "violated upstream"
-        )
         with pytest.raises(ValidationError) as exc:
-            partial_field(field)
-        assert str(exc.value) == message
+            with_values(field, vals)
+        assert str(exc.value) == refusal(defect)
+
+    def test_values_finite_against_a_non_finite_mirror_refused(self):
+        field = triangle_field(hpd_upper(3), 3)
+        vals = field.values.copy()
+        vals[1, 0, 0, 2, 0] = np.nan  # (3, 1) while (1, 3) stays finite
+        with pytest.raises(ValidationError) as exc:
+            with_values(field, vals)
+        assert str(exc.value) == refusal(float("inf"))
+
+    def test_values_within_the_bound_keep_their_upper_triangle(self):
+        field = triangle_field(hpd_upper(3), 3)
+        vals = field.values.copy()
+        vals[2, 0, 0, 1, 0] *= 1 + 1e-13  # below the diagonal, inside the bound
+        kept = with_values(field, vals)
+        assert same_bytes(kept.upper, field.upper)
+        assert same_bytes(kept.values, field.values)
 
     def test_triangle_with_imaginary_diagonal_refused(self):
         upper = hpd_upper(3)
@@ -232,7 +249,7 @@ class TestChecks:
     def test_all_zero_field_is_degenerate(self, stored):
         field = triangle_field(np.zeros((5, 1, 1, 6), dtype=complex), 3)
         if stored == "values":
-            field = dataclasses.replace(field, values=field.values)
+            field = with_values(field, np.zeros((5, 1, 1, 3, 3), dtype=complex))
         with pytest.raises(DegenerateFieldError, match="identically zero"):
             partial_field(field)
 
@@ -240,11 +257,30 @@ class TestChecks:
         upper = hpd_upper(3)
         upper[1, 0, 0, 4] = np.nan  # entry (2, 3)
         upper[4, 0, 0, 0] = complex(np.nan, 0.0)  # entry (1, 1)
-        pf = partial_field(triangle_field(upper, 3))
-        assert pf.singular.ravel().tolist() == [False, True, False, False, True, False]
-        assert np.isnan(pf.pair_abs_d(1, 2)[[1, 4]]).all()
-        assert np.isfinite(pf.pair_abs_d(1, 2)[[0, 2, 3, 5]]).all()
-        assert np.isnan(pf.abs_d[1]).all() and np.isnan(pf.inverse[4]).all()
+        assert_singular_at_1_and_4(partial_field(triangle_field(upper, 3)))
+
+    def test_nan_values_on_both_sides_give_singular_ordinates(self):
+        field = triangle_field(hpd_upper(3), 3)
+        vals = field.values.copy()
+        vals[1, 0, 0, 1, 2] = vals[1, 0, 0, 2, 1] = np.nan  # (2, 3) and (3, 2)
+        vals[4, 0, 0, 0, 0] = complex(np.nan, 0.0)  # (1, 1)
+        assert_singular_at_1_and_4(partial_field(with_values(field, vals)))
+
+    @pytest.mark.parametrize("case", ["readme", "absent_component_slice"])
+    def test_field_rebuilt_from_its_values_inverts_alike(self, case):
+        smoothed = triangle_fields(*CASES[case]()[:2])[1]
+        pf, again = partial_field(smoothed), partial_field(with_values(smoothed, smoothed.values))
+        for name in ("inverse", "ridge", "singular", "coherency", "abs_d"):
+            assert same_bytes(getattr(again, name), getattr(pf, name)), name
+        for a, b in zip(again.pairs, pf.pairs):
+            assert same_bytes(a, b)
+
+
+def assert_singular_at_1_and_4(pf):
+    assert pf.singular.ravel().tolist() == [False, True, False, False, True, False]
+    assert np.isnan(pf.pair_abs_d(1, 2)[[1, 4]]).all()
+    assert np.isfinite(pf.pair_abs_d(1, 2)[[0, 2, 3, 5]]).all()
+    assert np.isnan(pf.abs_d[1]).all() and np.isnan(pf.inverse[4]).all()
 
 
 class TestFieldInterfaces:
@@ -260,40 +296,12 @@ class TestFieldInterfaces:
         assert field.values is vals  # built once
         assert field.hermitian_defect() == 0.0
 
-    def test_caller_values_are_kept_as_given(self):
-        upper = hpd_upper(3)
-        vals = triangle_field(upper, 3).values.copy()
-        field = SpectralField(
-            values=vals, grid=triangle_field(upper, 3).grid, kind="smoothed",
-            normalisation="none", counts=np.full(3, 100), T=1, labels=("1", "2", "3"),
-        )
-        assert field.values is vals and field._upper is None
-        assert same_bytes(field.entry(3, 1), vals[..., 2, 0])
-
-    def test_caller_partial_arrays_are_kept_as_given(self):
-        pf = partial_field(triangle_field(hpd_upper(3), 3))
-        assert "abs_d" not in vars(pf) and "coherency" not in vars(pf)
-        given = PartialField(
-            coherency=pf.coherency, abs_d=pf.abs_d * 0.5, inverse=pf.inverse,
-            ridge=pf.ridge, singular=pf.singular, grid=pf.grid, labels=pf.labels,
-        )
-        assert given._pairs is None
-        assert same_bytes(given.pair_abs_d(1, 3), pf.abs_d[..., 0, 2] * 0.5)
-        assert same_bytes(given.pair_abs_d(3, 1), pf.abs_d[..., 2, 0] * 0.5)
-
     def test_lower_pair_reads_the_full_array(self):
         pf = partial_field(triangle_field(hpd_upper(3), 3))
+        assert "_full" not in vars(pf)
         lower = pf.pair_coherency(2, 1)
         assert same_bytes(lower, pf.coherency[..., 1, 0])
         assert same_bytes(pf.pair_coherency(1, 2), pf.coherency[..., 0, 1])
-
-    def test_smoothing_keeps_the_form_it_is_given(self, trio_pattern, small_grid):
-        raw = periodogram_matrix(dft(trio_pattern, small_grid))
-        assert raw._upper is not None and smooth_spectra(raw, (1, 1, 1))._upper is not None
-        full = dataclasses.replace(raw, values=raw.values)
-        smoothed = smooth_spectra(full, (1, 1, 1))
-        assert smoothed._upper is None
-        assert same_matrices(smoothed.values, smooth_spectra(raw, (1, 1, 1)).values)
 
 
 class CountingBuffers(_Buffers):
@@ -316,22 +324,30 @@ class CountingBuffers(_Buffers):
         return a
 
 
+def count_builds(monkeypatch, builds):
+    """Count, in ``builds``, each build of a full array: SpectralField.values
+    and PartialField's full coherency and |d_ij|."""
+    for cls, name in ((SpectralField, "values"), (PartialField, "_full")):
+        def counted(self, _build=vars(cls)[name].func, _key=f"{cls.__name__}.{name}"):
+            builds[_key] += 1
+            return _build(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+
+
 @pytest.mark.parametrize("marked", [False, True], ids=["unmarked", "marked"])
 def test_replicates_reuse_buffers_and_build_no_full_array(monkeypatch, marked):
-    fills = Counter()
-    for cls in (SpectralField, PartialField):
-        def counted(self, _fill=cls._fill, _name=cls.__name__):
-            fills[_name] += 1
-            return _fill(self)
-
-        monkeypatch.setattr(cls, "_fill", counted)
+    builds = Counter()
+    count_builds(monkeypatch, builds)
     monkeypatch.setattr(CountingBuffers, "made", [])
     monkeypatch.setattr(stspectra.graph, "_Buffers", CountingBuffers)
     pattern = marked_case()[0] if marked else readme_case()[0]
     spec = AnalysisSpec(FrequencyGrid.default(pattern.T), (2, 2, 1), marked=marked)
     replicates = 5
     calibrate_null_threshold(pattern, spec, replicates=replicates, seed=11)
-    assert fills == Counter()
+    assert builds == Counter()
     (work,) = CountingBuffers.made
     field_sized = {"periodogram", "box_extension", "box_p", "box_q", "box_u", "magnitude",
                    "stack", "stack_magnitude", "inverse", "coherency", "abs_d"}
@@ -339,6 +355,7 @@ def test_replicates_reuse_buffers_and_build_no_full_array(monkeypatch, marked):
     assert set(work.allocations.values()) == {1}
     assert all(n % replicates == 0 for n in work.requests.values())
     # reading a full array afterwards builds it, once
-    pf = partial_field(smooth_spectra(periodogram_matrix(dft(pattern, spec.grid)), (2, 2, 1)))
-    pf.abs_d, pf.coherency, pf.abs_d
-    assert fills == Counter({"PartialField": 1})
+    smoothed = smooth_spectra(periodogram_matrix(dft(pattern, spec.grid)), (2, 2, 1))
+    pf = partial_field(smoothed)
+    pf.abs_d, pf.coherency, pf.abs_d, smoothed.values, smoothed.values
+    assert builds == Counter({"PartialField._full": 1, "SpectralField.values": 1})

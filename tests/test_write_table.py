@@ -77,9 +77,10 @@ class TestWriteTable:
         g = rng.normal(size=grid.shape + (3, 6)) + 1j * rng.normal(size=grid.shape + (3, 6))
         values = g @ np.conj(np.swapaxes(g, -1, -2))
         values[1, 2, 0] = 0.0  # singular: every partial statistic there is NaN
-        field = SpectralField(values=values, grid=grid, kind="smoothed",
-                              normalisation="none", counts=np.full(3, 50), T=2,
-                              labels=("a", "b", "c"), half_widths=(1, 1, 0))
+        field = SpectralField.from_values(values, grid=grid, kind="smoothed",
+                                          normalisation="none", counts=np.full(3, 50),
+                                          T=2, labels=("a", "b", "c"),
+                                          half_widths=(1, 1, 0))
         pf = partial_field(field)
         assert pf.singular[1, 2, 0] and np.isnan(pf.abs_d[1, 2, 0]).all()
         n = _write_table(tmp_path / "new.csv", [], PARTIAL_HEADER, _partial_blocks(pf))
