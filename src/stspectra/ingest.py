@@ -13,8 +13,8 @@ import functools
 import io
 import itertools
 import math
-import operator
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -455,65 +455,131 @@ def _floats_or_nan(texts) -> np.ndarray:
         return out
 
 
-def _first_rows(*keys: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first row of each distinct key tuple."""
-    order = np.lexsort(keys[::-1])
-    changed = np.zeros(order.size - 1, dtype=bool)
-    for key in keys:
-        k = key[order]
-        changed |= k[1:] != k[:-1]
-    starts = np.flatnonzero(np.r_[True, changed])
-    return np.sort(np.minimum.reduceat(order, starts))
+def _first_rows(x: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row of each distinct tuple of ``x``
+    and ``keys``.
+
+    A row whose x no other row shares is the first of its tuple; only the
+    rows of shared x values are sorted on the whole tuple."""
+    xs = np.sort(x)
+    shared = xs[1:][xs[1:] == xs[:-1]]
+    if not shared.size:
+        return np.arange(x.size)
+    rows = np.flatnonzero(np.isin(x, shared))
+    cols = [col[rows] for col in (x, *keys)]
+    # stable, so the first row of each tuple leads it
+    order = np.lexsort(cols[::-1])
+    same = np.ones(order.size - 1, dtype=bool)
+    for col in cols:
+        k = col[order]
+        same &= k[1:] == k[:-1]
+    keep = np.ones(x.size, dtype=bool)
+    keep[rows[order[1:][same]]] = False
+    return np.flatnonzero(keep)
 
 
-def _parse_rows(reader, columns: list[int], path: Path) -> dict:
-    """Parse, check and deduplicate the data rows of a ``csv.reader``,
-    column-wise over ``_CHUNK_ROWS`` rows at a time.
+# characters that numpy's float parser skips as white space round a number
+# and Python's float() refuses
+_FLOAT_REFUSED_SPACE = "\x1c\x1d\x1e\x1f"
+_BLANK_LINES = ("\n", "\r\n", "\r")
+# characters per block of lines read from an events file
+_BLOCK_CHARS = 1 << 16
+# the warnings np.loadtxt gives on a blank line and on a call past the
+# last record
+_LOADTXT_NOTES = "Input line|loadtxt: input contained no data"
 
-    ``columns`` holds the field index of x, y, time and type, then of the
-    mark if there is one.  A row shorter than a field it needs reads that
-    field as None, as ``csv.DictReader`` does; extra fields are ignored;
-    blank lines are no rows.  Times and labels are kept as ids into their
-    distinct stripped texts.  Raises :class:`_BadRow` where a row fails a
-    check, leaving the message to :func:`_raise_row_error`.
+
+class _Lines:
+    """The physical lines of an events file from where its reader stands,
+    read a block at a time, with what the loader checks on them.
+
+    Lines end as csv's do in a file opened with ``newline=""`` (at ``\\n``,
+    ``\\r\\n`` or ``\\r``).  ``long`` tells that some line is longer than
+    ``limit`` characters; ``float_space`` that some line holds a character
+    of :data:`_FLOAT_REFUSED_SPACE`."""
+
+    def __init__(self, fh, limit: int):
+        self.limit = limit
+        self.count = self.blank = self.chars = 0
+        self.long = self.float_space = False
+        self._rest = itertools.chain.from_iterable(self._blocks(fh))
+
+    def _blocks(self, fh):
+        while block := fh.readlines(_BLOCK_CHARS):
+            text = "".join(block)
+            self.count += len(block)
+            self.blank += sum(map(block.count, _BLANK_LINES))
+            self.chars += len(text)
+            self.long |= len(text) > self.limit and max(map(len, block)) > self.limit
+            self.float_space |= any(c in text for c in _FLOAT_REFUSED_SPACE)
+            yield block
+
+    def chunks(self, dtype: list, columns: list[int]):
+        """``np.loadtxt``'s arrays of the fields ``columns`` of the records,
+        ``_CHUNK_ROWS`` records at a time, read as csv reads them."""
+        size = _CHUNK_ROWS
+        while size == _CHUNK_ROWS:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _LOADTXT_NOTES, UserWarning)
+                chunk = np.loadtxt(self._rest, dtype, delimiter=",", quotechar='"',
+                                   comments=None, usecols=columns,
+                                   max_rows=_CHUNK_ROWS, ndmin=1)
+            size = chunk.size
+            yield chunk
+
+
+def _parse_rows(fh, columns: list[int], path: Path, typed: bool) -> dict:
+    """Parse, check and deduplicate the data rows of an events file open
+    past its header, ``_CHUNK_ROWS`` records at a time.
+
+    ``np.loadtxt`` tokenises the records, quoted fields as csv reads them,
+    and keeps the fields of ``columns``: the field index of x, y, time and
+    type, then of the mark if there is one.  With ``typed`` x, y and the
+    mark are parsed as float64 in C; otherwise they are kept as text and
+    parsed by Python's ``float``, which also reads what numpy's parser
+    refuses (``1_0``, digits outside ASCII).  Extra fields are ignored and
+    blank lines are no records.  Times and labels are kept as ids into
+    their distinct stripped texts.  Raises :class:`_BadRow` where a row
+    fails a check or numpy refuses a record, leaving the message to
+    :func:`_raise_row_error`, and csv's :class:`RowError` where every row
+    passes but a field is longer than csv's size limit.
     """
-    width = max(columns) + 1
     has_marks = len(columns) == 5
+    number = "f8" if typed else "O"
+    dtype = [("x", number), ("y", number), ("t", "O"), ("type", "O")]
+    if has_marks:
+        dtype.append(("mark", number))
+    lines = _Lines(fh, csv.field_size_limit())
     time_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
     parts: dict[str, list[np.ndarray]] = {"x": [], "y": [], "t": [], "type": [], "mark": []}
     n_rows = 0
-    while True:
-        try:
-            rows = list(itertools.islice(reader, _CHUNK_ROWS))
-        except (csv.Error, UnicodeDecodeError):
-            raise _BadRow from None  # or an earlier row of the chunk
-        if not rows:
-            break
-        if not all(rows):
-            rows = [row for row in rows if row]
-            if not rows:
-                continue
-        n_rows += len(rows)
-        if min(map(len, rows)) < width:
-            rows = [row + [None] * (width - len(row)) for row in rows]
-        fields = [map(operator.itemgetter(k), rows) for k in columns]
-        try:
-            x = np.fromiter(map(float, fields[0]), float, len(rows))
-            y = np.fromiter(map(float, fields[1]), float, len(rows))
-            times = list(map(str.strip, fields[2]))
-            labels = list(map(str.strip, fields[3]))
-        except (TypeError, ValueError):
-            raise _BadRow from None
-        if not (np.isfinite(x).all() and np.isfinite(y).all() and all(times)
-                and all(labels)):
-            raise _BadRow
-        parts["x"].append(x)
-        parts["y"].append(y)
-        parts["t"].append(_ids(times, time_ids, 0))
-        parts["type"].append(_ids(labels, label_ids, 1))
-        if has_marks:  # a bad mark is an error only on a row that is kept
-            parts["mark"].append(_floats_or_nan(list(fields[4])))
+    # a ValueError is a value numpy or float() refuses, a short row or text
+    # that does not decode
+    try:
+        for chunk in lines.chunks(dtype, columns):
+            if typed and lines.float_space:
+                raise _BadRow
+            n_rows += chunk.size
+            if typed:  # copies, so that no chunk outlives its turn
+                x, y = chunk["x"].copy(), chunk["y"].copy()
+            else:
+                x = np.fromiter(map(float, chunk["x"].tolist()), float, chunk.size)
+                y = np.fromiter(map(float, chunk["y"].tolist()), float, chunk.size)
+            times = list(map(str.strip, chunk["t"].tolist()))
+            labels = list(map(str.strip, chunk["type"].tolist()))
+            if not (np.isfinite(x).all() and np.isfinite(y).all() and all(times)
+                    and all(labels)):
+                raise _BadRow
+            parts["x"].append(x)
+            parts["y"].append(y)
+            parts["t"].append(_ids(times, time_ids, 0))
+            parts["type"].append(_ids(labels, label_ids, 1))
+            if has_marks:  # a bad mark is an error only on a row that is kept
+                parts["mark"].append(chunk["mark"].copy() if typed
+                                     else _floats_or_nan(chunk["mark"].tolist()))
+    except ValueError:
+        raise _BadRow from None
     if not n_rows:
         raise EmptyInputError(f"{path}: no data rows")
 
@@ -524,6 +590,13 @@ def _parse_rows(reader, columns: list[int], path: Path) -> dict:
         cols = {name: col[keep] for name, col in cols.items()}
     if has_marks and not np.isfinite(cols["mark"]).all():
         raise _BadRow
+    # csv refuses a field longer than its limit; only a line that long, or
+    # a record over several lines in a file that long, can hold one
+    spans_lines = lines.count - lines.blank > n_rows
+    if lines.long or (spans_lines and lines.chars > lines.limit):
+        with path.open(newline="") as again:
+            for _ in _checked_rows(csv.reader(again), path):
+                pass
     return dict(
         cols,
         n_rows=n_rows,
@@ -531,6 +604,20 @@ def _parse_rows(reader, columns: list[int], path: Path) -> dict:
         times=tuple(time_ids),
         labels=tuple(label_ids),
     )
+
+
+def _parse_file(path: Path, columns: list[int]) -> dict | None:
+    """The data rows of ``path`` as :func:`_parse_rows` gives them, or None
+    where a row fails a check.  The first pass parses numbers in C; if it
+    fails, the file is read once more with Python floats."""
+    for typed in (True, False):
+        with path.open(newline="") as fh:
+            next(csv.reader(fh))  # the header, which the caller has read
+            try:
+                return _parse_rows(fh, columns, path, typed)
+            except _BadRow:
+                pass
+    return None
 
 
 def load_events(
@@ -580,14 +667,9 @@ def load_events(
         explicit_mark = columns is not None and "mark" in columns
         if explicit_mark and not has_marks:
             raise SchemaError(f"{path}: missing mark column '{colmap['mark']}'")
-        index = {name: k for k, name in enumerate(header)}
-        roles = REQUIRED_FIELDS + (("mark",) if has_marks else ())
-        try:
-            parsed = _parse_rows(
-                reader, [index[colmap[role]] for role in roles], path
-            )
-        except _BadRow:
-            parsed = None
+    index = {name: k for k, name in enumerate(header)}
+    roles = REQUIRED_FIELDS + (("mark",) if has_marks else ())
+    parsed = _parse_file(path, [index[colmap[role]] for role in roles])
     if parsed is None:
         _raise_row_error(path, colmap, has_marks)
 

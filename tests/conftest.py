@@ -1,10 +1,15 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stspectra
 from stspectra import FrequencyGrid, SimSpec, SpectralField, simulate
 from stspectra.ingest import MultiPattern, Window
 
@@ -28,6 +33,29 @@ def with_values(field, values):
     meta = {f.name: getattr(field, f.name) for f in dataclasses.fields(field)}
     del meta["upper"]
     return SpectralField.from_values(values, **meta)
+
+
+def child_peak_mib(script):
+    """Peak resident memory, in MiB, of a fresh interpreter running
+    ``script`` against this checkout's package.
+
+    Read as VmHWM, the peak of the child's own address space: ru_maxrss
+    keeps the peak of the image the child replaced at exec, which is this
+    test process's, so it reads at least this process's peak."""
+    script += (
+        "print(next(int(l.split()[1]) for l in open('/proc/self/status')\n"
+        "           if l.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(stspectra.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024  # VmHWM is in kB
 
 
 # the frozen-oracle fixture: eight events, two components, T=2

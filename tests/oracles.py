@@ -1,13 +1,16 @@
 """Independent numerical and text routes used only as test oracles."""
 
 import csv
+import itertools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
 
 from stspectra import (
     DftVector,
+    EmptyInputError,
     PartialField,
     SpectralField,
     dft,
@@ -16,6 +19,7 @@ from stspectra import (
     symmetrise_scalar,
 )
 from stspectra.graph import _permuted_marks
+from stspectra.ingest import _CHUNK_ROWS, _BadRow, _floats_or_nan, _ids
 from stspectra.partial import _ridged_inverse
 from stspectra.spectra import _box_average
 
@@ -356,3 +360,81 @@ def close_pairs_dense(first, second, cells, blocks):
         keep = (lag <= lag_max) & (gi[i] != gj[j])
         i = i[keep]
         yield _Pairs(i, j[keep], d[keep], lag[keep], border[i], ti[i])
+
+
+def lexsort_first_rows(*keys):
+    """Ascending indices of the first row of each distinct key tuple, from
+    one lexsort over every key."""
+    order = np.lexsort(keys[::-1])
+    changed = np.zeros(order.size - 1, dtype=bool)
+    for key in keys:
+        k = key[order]
+        changed |= k[1:] != k[:-1]
+    starts = np.flatnonzero(np.r_[True, changed])
+    return np.sort(np.minimum.reduceat(order, starts))
+
+
+def csv_reader_rows(reader, columns, path):
+    """The data rows of a ``csv.reader`` parsed, checked and deduplicated
+    column-wise: ``csv.reader`` lists of strings, ``_CHUNK_ROWS`` rows at a
+    time, and a Python ``float`` per number field.
+
+    A row shorter than a field it needs reads that field as None, as
+    ``csv.DictReader`` does; blank lines are no rows.  Raises ``_BadRow``
+    where a row (or csv) fails, as ``ingest._parse_rows`` does."""
+    width = max(columns) + 1
+    has_marks = len(columns) == 5
+    time_ids, label_ids = {}, {}
+    parts = {"x": [], "y": [], "t": [], "type": [], "mark": []}
+    n_rows = 0
+    while True:
+        try:
+            rows = list(itertools.islice(reader, _CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            raise _BadRow from None
+        if not rows:
+            break
+        rows = [row for row in rows if row]
+        if not rows:
+            continue
+        n_rows += len(rows)
+        rows = [row + [None] * (width - len(row)) for row in rows]
+        fields = [map(operator.itemgetter(k), rows) for k in columns]
+        try:
+            x = np.fromiter(map(float, fields[0]), float, len(rows))
+            y = np.fromiter(map(float, fields[1]), float, len(rows))
+            times = list(map(str.strip, fields[2]))
+            labels = list(map(str.strip, fields[3]))
+        except (TypeError, ValueError):
+            raise _BadRow from None
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and all(times)
+                and all(labels)):
+            raise _BadRow
+        parts["x"].append(x)
+        parts["y"].append(y)
+        parts["t"].append(_ids(times, time_ids, 0))
+        parts["type"].append(_ids(labels, label_ids, 1))
+        if has_marks:
+            parts["mark"].append(_floats_or_nan(list(fields[4])))
+    if not n_rows:
+        raise EmptyInputError(f"{path}: no data rows")
+    cols = {name: np.concatenate(p) for name, p in parts.items() if p}
+    keep = lexsort_first_rows(cols["x"], cols["y"], cols["t"], cols["type"])
+    if keep.size < n_rows:
+        cols = {name: col[keep] for name, col in cols.items()}
+    if has_marks and not np.isfinite(cols["mark"]).all():
+        raise _BadRow
+    return dict(cols, n_rows=n_rows, duplicates=n_rows - keep.size,
+                times=tuple(time_ids), labels=tuple(label_ids))
+
+
+def csv_reader_parse_file(path, columns):
+    """``ingest._parse_file`` through :func:`csv_reader_rows`: the data rows
+    of ``path``, or None where a row fails a check."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, which load_events has read
+        try:
+            return csv_reader_rows(reader, columns, path)
+        except _BadRow:
+            return None

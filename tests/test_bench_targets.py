@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 import stspectra.cli
+from stspectra import SimSpec, export_events
 
 
 def load_tracing():
@@ -31,14 +32,20 @@ def test_every_tracer_target_resolves_to_a_callable():
     assert missing == []
 
 
-def test_traced_pipeline_reads_every_span_attribute(tmp_path, monkeypatch):
-    tracing = load_tracing()
-    for mod, names in tracing.TARGETS.items():  # restored after the test
+def installed_tracer(tracing, monkeypatch):
+    """A Tracer wrapping every target, each restored after the test."""
+    for mod, names in tracing.TARGETS.items():
         module = importlib.import_module(mod)
         for name in names:
             monkeypatch.setattr(module, name, getattr(module, name))
     tracer = tracing.Tracer()
     tracer.install()
+    return tracer
+
+
+def test_traced_pipeline_reads_every_span_attribute(tmp_path, monkeypatch):
+    tracing = load_tracing()
+    tracer = installed_tracer(tracing, monkeypatch)
     simulate = {"kind": "homogeneous_poisson", "rates": [40, 50, 60], "T": 2, "seed": 5}
     argv = ["pipeline", "--simulate", json.dumps(simulate), "--xi", "null:q95",
             "--replicates", "2", "--per-slice", "--p-max", "3", "--q-min", "-3",
@@ -51,3 +58,21 @@ def test_traced_pipeline_reads_every_span_attribute(tmp_path, monkeypatch):
     for span in partial:
         assert {"ordinates", "ridged", "singular"} <= span.keys()
         assert span["ordinates"] > 0
+
+
+def test_traced_file_pipeline_has_one_load_span(tmp_path, monkeypatch):
+    # ingest.load_s and ingest.rows_per_s time the whole of load_events
+    tracing = load_tracing()
+    spec = SimSpec(kind="homogeneous_poisson", rates=(40, 50, 60), T=2, seed=5)
+    pattern = stspectra.simulate(spec).pattern
+    events = tmp_path / "events.csv"
+    export_events(pattern, events)
+    tracer = installed_tracer(tracing, monkeypatch)
+    argv = ["pipeline", str(events), "--time-is-index", "--xi", "0.7", "--p-max", "3",
+            "--q-min", "-3", "--q-max", "3", "--out", str(tmp_path / "run")]
+    assert stspectra.cli.main(argv) == 0
+    loads = [s for s in tracer.spans if s["name"] == "ingest.load_events"]
+    assert [s["rows"] for s in loads] == [pattern.n]
+    metrics = tracing.layer_metrics(tracer.spans, 1, None)
+    assert metrics["ingest.events"] == pattern.n
+    assert metrics["ingest.load_s"] == loads[0]["end"] - loads[0]["start"] > 0

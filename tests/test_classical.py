@@ -31,7 +31,7 @@ from stspectra import (
 from stspectra.errors import DomainError, ValidationError
 from stspectra.ingest import MultiPattern, Window
 
-from conftest import build_pattern
+from conftest import build_pattern, child_peak_mib
 from oracles import budget_blocks, close_pairs_dense, kernel_intensity_loop
 
 
@@ -130,29 +130,6 @@ def naive_marked_k(comp, r, t):
             w = table[abs(int(tt[i]) - int(tt[j]))]
             total += w * (marks[i] * marks[j] / (mbar * mbar) - 1.0)
     return total / (lam * lam * side * side * steps)
-
-
-def child_peak_mib(script):
-    """Peak resident memory, in MiB, of a fresh interpreter running
-    ``script`` against this checkout's package.
-
-    Read as VmHWM, the peak of the child's own address space: ru_maxrss
-    keeps the peak of the image the child replaced at exec, which is this
-    test process's, so it reads at least this process's peak."""
-    script += (
-        "print(next(int(l.split()[1]) for l in open('/proc/self/status')\n"
-        "           if l.startswith('VmHWM:')))\n"
-    )
-    src = str(Path(stspectra.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) / 1024  # VmHWM is in kB
 
 
 @pytest.fixture(scope="module")

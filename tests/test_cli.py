@@ -26,6 +26,7 @@ from stspectra import (
     simulate_binomial_null,
     smooth_spectra,
 )
+from stspectra import ingest
 from stspectra.cli import (
     SLICE_XI_WARNING,
     _config_dict,
@@ -33,6 +34,7 @@ from stspectra.cli import (
     build_parser,
     main,
 )
+from stspectra.errors import EmptyInputError
 from stspectra.graph import graph_from_json
 
 GRID_ARGS = ["--p-max", "3", "--q-min", "-3", "--q-max", "3"]
@@ -228,6 +230,31 @@ class TestIngest:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "validation"
         assert "100000000000000000000000" in report["message"]
+
+    @pytest.mark.parametrize(
+        "rows, blank",
+        [(0, ""), (ingest._CHUNK_ROWS, ""), (2 * ingest._CHUNK_ROWS, ""),
+         (ingest._CHUNK_ROWS, "\n\r\n")],
+        ids=["header-only", "one-chunk", "two-chunks", "blank-lines"],
+    )
+    def test_loader_gives_no_warning(self, tmp_path, capsys, rows, blank):
+        # np.loadtxt warns when a call finds no record past the last one and
+        # when it skips a blank line
+        src = tmp_path / "raw.csv"
+        src.write_text("x,y,time,type\n" + "".join(
+            f"{k / 8192},{k % 7 / 8},1,{'ab'[k % 2]}\n" + blank * (k % 1000 == 0)
+            for k in range(rows)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rows:
+                assert load_events(src, time_is_index=True)[0].n == rows
+            else:
+                with pytest.raises(EmptyInputError):
+                    load_events(src, time_is_index=True)
+            code = run(["ingest", src, "--time-is-index", "--out", tmp_path / "out"])
+        assert code == (0 if rows else 1)
+        if not rows:
+            assert json.loads(capsys.readouterr().err)["error"] == "empty-input"
 
     @pytest.mark.parametrize(
         "data, error, message",

@@ -1,10 +1,16 @@
 """Loading, binning, validation, and round-trip export."""
 
+import csv
 import dataclasses
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stspectra import ingest
 from stspectra.errors import (
@@ -24,7 +30,8 @@ from stspectra.ingest import (
     rescale_to_unit_square,
 )
 
-from conftest import build_pattern
+from conftest import build_pattern, child_peak_mib
+from oracles import csv_reader_parse_file
 
 
 def write_csv(path, text):
@@ -236,6 +243,26 @@ LOADER_CONTRACT = [
                  (3, 2, 1, ("a", "b"), [0.1, 0.3]), id="bad-mark-on-dropped-duplicate"),
     pytest.param(FAR, (RowError, "line 10001: column 'y': cannot parse 'oops' as a number"),
                  id="bad-value-past-first-chunk"),
+    pytest.param((H + GOOD).replace("\n", "\r") + '\r0.5,0.6,1,"c\rd"\r',
+                 (3, 3, 0, ("a", "b", "c\rd"), [0.1, 0.3, 0.5]), id="cr-only-file"),
+    pytest.param(H + GOOD + "0." + "1" * 131071 + ",0.5,1,a\n",
+                 (RowError, "line 4: {path}: field larger than field limit (131072)"),
+                 id="over-long-x-field"),
+    pytest.param(H + GOOD + "0." + "1" * 131070 + ",0.5,1,a\n",
+                 (3, 3, 0, ("a", "b"), [0.1, 0.3, 0.1111111111111111]),
+                 id="x-field-at-the-limit"),
+    pytest.param(H + GOOD + '0.5,0.5,1,"' + "label\n" * 22000 + '"\n0.7,0.7,1,a\n',
+                 (RowError, "line 21849: {path}: field larger than field limit (131072)"),
+                 id="over-long-label-of-short-lines"),
+    pytest.param(H + "".join(f"{k / 8192},0.5,1,a\n" for k in range(4095))
+                 + '0.75,0.5,2,"b\nc"\n0.25,0.25,1,b\n',
+                 (4097, 4097, 0, ("a", "b\nc", "b"), [k / 8192 for k in range(4095)]
+                  + [0.75, 0.25]), id="quoted-newline-in-record-4096"),
+    pytest.param(H + GOOD + "1\x1f,0.2,1,a\n",
+                 (RowError, "line 4: column 'x': cannot parse '1\\x1f' as a number"),
+                 id="unit-separator-after-x"),
+    pytest.param(H + "\uff11,0.2,1,a\n0.3,0.4,2,b\n",
+                 (2, 2, 0, ("a", "b"), [1.0, 0.3]), id="fullwidth-digit"),
 ]
 
 
@@ -247,10 +274,131 @@ def test_loader_contract(tmp_path, text, expected):
         error, message = expected
         with pytest.raises(error) as err:
             load_events(path, time_is_index=True)
-        assert str(err.value) == message
+        assert str(err.value) == message.format(path=path)
     else:
         pat, rep = load_events(path, time_is_index=True)
         assert (rep.n_rows, pat.n, rep.duplicates_removed, rep.labels, pat.x.tolist()) == expected
+
+
+# pieces of event files on which numpy's tokenizer and csv.reader could
+# part: values both read, then values one of them may refuse
+NUMBERS = (["0.5", "0.25", "1", "0", "-0", "0.0", "-0.0", " 0.75 ", '"0.5"', "1e-3",
+            "0.30000000000000004", "1_0", "\uff11", "\u0663.5", '"1\n"'],
+           ["inf", "-inf", "nan", "abc", "", "0x1", "1d2"] + ["1\x1f", "\x1c2"] * 3)
+TIMES = (["1", "2", "01", " 1", "3 ", '"2"'], ["", " ", "x", "0"])
+LABELS = (["a", "b", " a ", "a ", '"a,b"', '"say ""hi"""', '"x\ny"', '"c\rd"',
+           '"e\r\nf"', '"g\n\nh"', 'p"q', '"r"s', ' "t,u"', '"v""\n""w"', "a\x1f"]
+          + ["a long label" * 4, '"' + "label\n" * 8 + '"'] * 3, ["", " ", '"\n\n"'])
+ENDINGS = ["\n", "\r\n", "\r"]
+# a field and one that reads as equal for the duplicate rule
+SAME = {"0": "-0", "-0": "0.0", "0.0": "-0.0", "-0.0": "0", "0.5": '"0.5"', "1": " 1",
+        "a": " a ", " a ": "a ", "b": '"b"'}
+
+
+@st.composite
+def event_texts(draw):
+    """An events file: a header (maybe reordered, maybe with a mark),
+    optionally ``_CHUNK_ROWS - 4`` plain rows so that what follows
+    straddles the first chunk, then drawn rows and blank lines."""
+    ending = draw(st.sampled_from(ENDINGS))
+    names = ["x", "y", "time", "type"] + (["mark"] if draw(st.booleans()) else [])
+    order = draw(st.permutations(range(len(names))))
+    header = ",".join(names[k] for k in order)
+    text = [header + ending]
+    if draw(st.booleans()):
+        plain = {"x": "", "y": "0.5", "time": "1", "type": "a", "mark": "1"}
+        fields = [plain[names[k]] for k in order]
+        at = order.index(0)  # the x column
+        for k in range(ingest._CHUNK_ROWS - 4):
+            fields[at] = str(k / 8192)
+            text.append(",".join(fields) + ending)
+    odd = draw(st.sampled_from([0, 3, 15]))  # percent of odd values and row lengths
+    drawn = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 5)) == 0:
+            text.append(draw(st.sampled_from(ENDINGS)))
+            continue
+        pick = {"x": NUMBERS, "y": NUMBERS, "time": TIMES, "type": LABELS, "mark": NUMBERS}
+        fields = [draw(st.sampled_from(pick[names[k]][draw(st.integers(0, 99)) < odd]))
+                  for k in order]
+        if drawn and draw(st.booleans()):  # a duplicate of an earlier row, its mark redrawn
+            earlier = draw(st.sampled_from(drawn))
+            fields = [f if names[k] == "mark" else SAME.get(e, e) if draw(st.booleans()) else e
+                      for k, f, e in zip(order, fields, earlier)]
+        drawn.append(fields)
+        if draw(st.integers(0, 99)) < odd:  # a short row, or a long one
+            cut = draw(st.integers(0, len(fields) - 1))
+            fields = fields[:cut] if draw(st.booleans()) else fields + ["extra"] * cut
+        text.append(",".join(fields) + draw(st.sampled_from(ENDINGS + [ending] * 3)))
+    if draw(st.booleans()):  # no line end after the last row
+        text[-1] = text[-1].rstrip("\r\n")
+    return "".join(text)
+
+
+def load_outcome(path, parse_file=None):
+    """What load_events gives for ``path``: the events' bytes, labels and
+    report, or the error's type and message; with ``parse_file`` the data
+    rows are read by it."""
+    with mock.patch.object(ingest, "_parse_file", parse_file or ingest._parse_file):
+        try:
+            pat, rep = load_events(path, time_is_index=True)
+        except Exception as exc:  # noqa: BLE001 - the outcome is compared
+            return type(exc), str(exc)
+    arrays = [pat.x, pat.y, pat.t, pat.type_id] + ([pat.marks] if pat.has_marks else [])
+    return [a.tobytes() for a in arrays], pat.labels, pat.window, rep
+
+
+class TestTokenizerMatchesCsvReader:
+    """load_events reads every file as the csv.reader row route
+    (``oracles.csv_reader_parse_file``) does: the same events, byte for
+    byte, and the same report, or the same error."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(text=event_texts(), limit=st.sampled_from([csv.field_size_limit(), 40]))
+    def test_same_outcome(self, text, limit):
+        default = csv.field_size_limit()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.csv"
+            path.write_text(text, newline="")
+            csv.field_size_limit(limit)  # a small limit makes fields too long
+            try:
+                expected = load_outcome(path, csv_reader_parse_file)
+                assert load_outcome(path) == expected
+            finally:
+                csv.field_size_limit(default)
+
+
+def write_long_labels(path, n):
+    """``n`` rows over eight distinct 120-character labels."""
+    labels = [f"label-{k}-" + "x" * 112 for k in range(8)]
+    with path.open("w") as fh:
+        fh.write(H)
+        for k in range(n):
+            fh.write(f"{(k * 7919 % n) / n},{k / n},{k % 5 + 1},{labels[k % 8]}\n")
+
+
+def test_load_memory_is_bounded_by_a_chunk(tmp_path):
+    # x, y, t and type_id, 8 bytes each per event; the loader holds its
+    # parts and their concatenation, so the rest is a chunk's text and a
+    # second copy of the arrays.  At the csv.reader row route the growth
+    # from 20 000 to 80 000 rows read 5.91-6.18 MiB, 3.5-3.7 MiB over the
+    # 2.44 MiB of arrays (VmHWM, three runs): that sets the allowance.  A
+    # loader that reads the whole file at once grows by about 10 MiB.
+    allowance_mib = 4.0
+    n = 20_000
+    peaks = []
+    for rows in (n, 4 * n):
+        path = tmp_path / f"events-{rows}.csv"
+        write_long_labels(path, rows)
+        peaks.append(child_peak_mib(
+            "from stspectra.ingest import load_events\n"
+            f"pat, rep = load_events({str(path)!r}, time_is_index=True)\n"
+            f"assert pat.n == {rows}\n"
+        ))
+    arrays_mib = 4 * 8 * 4 * n / 2**20
+    growth = peaks[1] - peaks[0]
+    assert growth <= arrays_mib + allowance_mib, f"{peaks[0]:.1f} -> {peaks[1]:.1f} MiB"
 
 
 class TestBinTimes:
