@@ -385,7 +385,8 @@ def _parse_float(text: str, column: str, line: int) -> float:
 
 
 class _BadRow(Exception):
-    """Some row fails a check; :func:`_raise_row_error` finds which."""
+    """numpy refuses a record or some row fails a check; :func:`_scan_rows`
+    reads the file row by row."""
 
 
 def _checked_rows(reader, path: Path):
@@ -403,18 +404,27 @@ def _checked_rows(reader, path: Path):
         raise RowError(line, f"{path}: {exc}") from None
 
 
-def _raise_row_error(path: Path, colmap: dict[str, str], has_marks: bool) -> None:
-    """Scan ``path`` row by row and raise the error of its first bad row.
+def _scan_rows(path: Path, colmap: dict[str, str], has_marks: bool) -> dict:
+    """Read ``path`` row by row with csv: raise the error of its first bad
+    row, or, where every row passes, give its rows as :func:`_parse_rows`
+    gives them.
 
-    This is the error path of :func:`load_events`.  It applies the row
-    checks in their documented order, so the error names the column and the
-    physical line (blank lines and newlines inside quoted fields count) of
-    the first row that fails, and a bad mark on a dropped duplicate row is
-    never parsed."""
+    This is the path of :func:`load_events` for a file that
+    :func:`_parse_rows` refuses.  It applies the row checks in their
+    documented order, so the error names the column and the physical line
+    (blank lines and newlines inside quoted fields count) of the first row
+    that fails, and a bad or missing mark on a dropped duplicate row is
+    never read.  Python's ``float`` parses the numbers.  So a file loads
+    here where numpy refuses what the rules accept: a number only ``float``
+    reads (``1_0``, digits outside ASCII), a line holding a character of
+    :data:`_FLOAT_REFUSED_SPACE` outside a number, or a dropped duplicate
+    whose mark is bad or missing."""
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        seen: set[tuple] = set()
+        kept: dict[tuple, float] = {}  # the mark of each row kept, by its key
+        n_rows = 0
         for row in _checked_rows(reader, path):
+            n_rows += 1
             line = reader.line_num
             x = _parse_float(row[colmap["x"]], colmap["x"], line)
             y = _parse_float(row[colmap["y"]], colmap["y"], line)
@@ -425,12 +435,29 @@ def _raise_row_error(path: Path, colmap: dict[str, str], has_marks: bool) -> Non
             if not label:
                 raise RowError(line, "empty type label")
             key = (x, y, time_text, label)
-            if key in seen:
-                continue
-            seen.add(key)
-            if has_marks:
-                _parse_float(row[colmap["mark"]], colmap["mark"], line)
-    raise RuntimeError(f"{path}: a chunk was rejected but every row passes its checks")
+            if key not in kept:
+                kept[key] = (_parse_float(row[colmap["mark"]], colmap["mark"], line)
+                             if has_marks else math.nan)
+    if not n_rows:
+        raise EmptyInputError(f"{path}: no data rows")
+    x, y, times, labels = zip(*kept)
+    time_ids: dict[str, int] = {}
+    label_ids: dict[str, int] = {}
+    cols = dict(
+        x=np.array(x, dtype=float),
+        y=np.array(y, dtype=float),
+        t=_ids(list(times), time_ids, 0),
+        type=_ids(list(labels), label_ids, 1),
+    )
+    if has_marks:
+        cols["mark"] = np.fromiter(kept.values(), float, len(kept))
+    return dict(
+        cols,
+        n_rows=n_rows,
+        duplicates=n_rows - len(kept),
+        times=tuple(time_ids),
+        labels=tuple(label_ids),
+    )
 
 
 def _ids(texts: list[str], ids: dict[str, int], first: int) -> np.ndarray:
@@ -439,20 +466,6 @@ def _ids(texts: list[str], ids: dict[str, int], first: int) -> np.ndarray:
     for text in dict.fromkeys(texts):
         ids.setdefault(text, len(ids) + first)
     return np.fromiter(map(ids.__getitem__, texts), np.int64, len(texts))
-
-
-def _floats_or_nan(texts) -> np.ndarray:
-    """Texts parsed as floats, with NaN where one does not parse."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts))
-    except (TypeError, ValueError):
-        out = np.full(len(texts), np.nan)
-        for k, text in enumerate(texts):
-            try:
-                out[k] = float(text)
-            except (TypeError, ValueError):
-                pass
-        return out
 
 
 def _first_rows(x: np.ndarray, *keys: np.ndarray) -> np.ndarray:
@@ -528,44 +541,38 @@ class _Lines:
             yield chunk
 
 
-def _parse_rows(fh, columns: list[int], path: Path, typed: bool) -> dict:
+def _parse_rows(fh, columns: list[int], path: Path) -> dict:
     """Parse, check and deduplicate the data rows of an events file open
     past its header, ``_CHUNK_ROWS`` records at a time.
 
     ``np.loadtxt`` tokenises the records, quoted fields as csv reads them,
     and keeps the fields of ``columns``: the field index of x, y, time and
-    type, then of the mark if there is one.  With ``typed`` x, y and the
-    mark are parsed as float64 in C; otherwise they are kept as text and
-    parsed by Python's ``float``, which also reads what numpy's parser
-    refuses (``1_0``, digits outside ASCII).  Extra fields are ignored and
-    blank lines are no records.  Times and labels are kept as ids into
-    their distinct stripped texts.  Raises :class:`_BadRow` where a row
-    fails a check or numpy refuses a record, leaving the message to
-    :func:`_raise_row_error`, and csv's :class:`RowError` where every row
-    passes but a field is longer than csv's size limit.
+    type, then of the mark if there is one.  x, y and the mark are parsed
+    as float64 in C, to the bytes Python's ``float`` gives; times and labels
+    are kept as ids into their distinct stripped texts.  Extra fields are
+    ignored and blank lines are no records.  Raises :class:`_BadRow` where
+    numpy refuses a record (one that lacks a field of ``columns``, a number
+    it does not read, text that does not decode), where a line holds a
+    character of :data:`_FLOAT_REFUSED_SPACE` or where a row fails a check,
+    and csv's :class:`RowError` where every row passes but a field is longer
+    than csv's size limit.
     """
     has_marks = len(columns) == 5
-    number = "f8" if typed else "O"
-    dtype = [("x", number), ("y", number), ("t", "O"), ("type", "O")]
+    dtype = [("x", "f8"), ("y", "f8"), ("t", "O"), ("type", "O")]
     if has_marks:
-        dtype.append(("mark", number))
+        dtype.append(("mark", "f8"))
     lines = _Lines(fh, csv.field_size_limit())
     time_ids: dict[str, int] = {}
     label_ids: dict[str, int] = {}
     parts: dict[str, list[np.ndarray]] = {"x": [], "y": [], "t": [], "type": [], "mark": []}
     n_rows = 0
-    # a ValueError is a value numpy or float() refuses, a short row or text
-    # that does not decode
     try:
         for chunk in lines.chunks(dtype, columns):
-            if typed and lines.float_space:
+            if lines.float_space:
                 raise _BadRow
             n_rows += chunk.size
-            if typed:  # copies, so that no chunk outlives its turn
-                x, y = chunk["x"].copy(), chunk["y"].copy()
-            else:
-                x = np.fromiter(map(float, chunk["x"].tolist()), float, chunk.size)
-                y = np.fromiter(map(float, chunk["y"].tolist()), float, chunk.size)
+            # copies, so that no chunk outlives its turn
+            x, y = chunk["x"].copy(), chunk["y"].copy()
             times = list(map(str.strip, chunk["t"].tolist()))
             labels = list(map(str.strip, chunk["type"].tolist()))
             if not (np.isfinite(x).all() and np.isfinite(y).all() and all(times)
@@ -575,10 +582,9 @@ def _parse_rows(fh, columns: list[int], path: Path, typed: bool) -> dict:
             parts["y"].append(y)
             parts["t"].append(_ids(times, time_ids, 0))
             parts["type"].append(_ids(labels, label_ids, 1))
-            if has_marks:  # a bad mark is an error only on a row that is kept
-                parts["mark"].append(chunk["mark"].copy() if typed
-                                     else _floats_or_nan(chunk["mark"].tolist()))
-    except ValueError:
+            if has_marks:
+                parts["mark"].append(chunk["mark"].copy())
+    except ValueError:  # a record or number numpy refuses, or bad text
         raise _BadRow from None
     if not n_rows:
         raise EmptyInputError(f"{path}: no data rows")
@@ -588,6 +594,7 @@ def _parse_rows(fh, columns: list[int], path: Path, typed: bool) -> dict:
     keep = _first_rows(cols["x"], cols["y"], cols["t"], cols["type"])
     if keep.size < n_rows:
         cols = {name: col[keep] for name, col in cols.items()}
+    # a non-finite mark is an error only on a row that is kept
     if has_marks and not np.isfinite(cols["mark"]).all():
         raise _BadRow
     # csv refuses a field longer than its limit; only a line that long, or
@@ -608,16 +615,13 @@ def _parse_rows(fh, columns: list[int], path: Path, typed: bool) -> dict:
 
 def _parse_file(path: Path, columns: list[int]) -> dict | None:
     """The data rows of ``path`` as :func:`_parse_rows` gives them, or None
-    where a row fails a check.  The first pass parses numbers in C; if it
-    fails, the file is read once more with Python floats."""
-    for typed in (True, False):
-        with path.open(newline="") as fh:
-            next(csv.reader(fh))  # the header, which the caller has read
-            try:
-                return _parse_rows(fh, columns, path, typed)
-            except _BadRow:
-                pass
-    return None
+    where numpy refuses a record or a row fails a check."""
+    with path.open(newline="") as fh:
+        next(csv.reader(fh))  # the header, which the caller has read
+        try:
+            return _parse_rows(fh, columns, path)
+        except _BadRow:
+            return None
 
 
 def load_events(
@@ -671,7 +675,7 @@ def load_events(
     roles = REQUIRED_FIELDS + (("mark",) if has_marks else ())
     parsed = _parse_file(path, [index[colmap[role]] for role in roles])
     if parsed is None:
-        _raise_row_error(path, colmap, has_marks)
+        parsed = _scan_rows(path, colmap, has_marks)
 
     # Time handling: pre-binned integers or ISO-8601 timestamps.  Each
     # distinct text is parsed and binned once, in order of first appearance,

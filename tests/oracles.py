@@ -19,7 +19,7 @@ from stspectra import (
     symmetrise_scalar,
 )
 from stspectra.graph import _permuted_marks
-from stspectra.ingest import _CHUNK_ROWS, _BadRow, _floats_or_nan, _ids
+from stspectra.ingest import _CHUNK_ROWS, _BadRow, _ids
 from stspectra.partial import _ridged_inverse
 from stspectra.spectra import _box_average
 
@@ -372,6 +372,20 @@ def lexsort_first_rows(*keys):
         changed |= k[1:] != k[:-1]
     starts = np.flatnonzero(np.r_[True, changed])
     return np.sort(np.minimum.reduceat(order, starts))
+
+
+def _floats_or_nan(texts):
+    """Texts parsed as floats, with NaN where one does not parse."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except (TypeError, ValueError):
+        out = np.full(len(texts), np.nan)
+        for k, text in enumerate(texts):
+            try:
+                out[k] = float(text)
+            except (TypeError, ValueError):
+                pass
+        return out
 
 
 def csv_reader_rows(reader, columns, path):

@@ -241,6 +241,12 @@ LOADER_CONTRACT = [
                  id="bad-mark"),
     pytest.param(HM + "0.1,0.2,1,a,1.5\n0.1,0.2,1,a,heavy\n0.3,0.4,2,b,2\n",
                  (3, 2, 1, ("a", "b"), [0.1, 0.3]), id="bad-mark-on-dropped-duplicate"),
+    pytest.param(HM + "0.1,0.2,1,a,1.5\n0.1,0.2,1,a\n0.3,0.4,2,b,2\n",
+                 (3, 2, 1, ("a", "b"), [0.1, 0.3]),
+                 id="short-row-missing-mark-on-dropped-duplicate"),
+    pytest.param(HM + "0.1,0.2,1,a,1.5\n0.3,0.4,2,b\n",
+                 (RowError, "line 3: column 'mark': cannot parse None as a number"),
+                 id="short-row-missing-mark"),
     pytest.param(FAR, (RowError, "line 10001: column 'y': cannot parse 'oops' as a number"),
                  id="bad-value-past-first-chunk"),
     pytest.param((H + GOOD).replace("\n", "\r") + '\r0.5,0.6,1,"c\rd"\r',
@@ -299,10 +305,14 @@ SAME = {"0": "-0", "-0": "0.0", "0.0": "-0.0", "-0.0": "0", "0.5": '"0.5"', "1":
 def event_texts(draw):
     """An events file: a header (maybe reordered, maybe with a mark),
     optionally ``_CHUNK_ROWS - 4`` plain rows so that what follows
-    straddles the first chunk, then drawn rows and blank lines."""
+    straddles the first chunk, then drawn rows and blank lines.  A drawn
+    row may duplicate an earlier one, and may then lack its last field (a
+    mark, where the mark is the last column)."""
     ending = draw(st.sampled_from(ENDINGS))
     names = ["x", "y", "time", "type"] + (["mark"] if draw(st.booleans()) else [])
     order = draw(st.permutations(range(len(names))))
+    if len(names) == 5 and draw(st.booleans()):  # the mark last, the usual layout
+        order = [k for k in order if k != 4] + [4]
     header = ",".join(names[k] for k in order)
     text = [header + ending]
     if draw(st.booleans()):
@@ -321,12 +331,15 @@ def event_texts(draw):
         pick = {"x": NUMBERS, "y": NUMBERS, "time": TIMES, "type": LABELS, "mark": NUMBERS}
         fields = [draw(st.sampled_from(pick[names[k]][draw(st.integers(0, 99)) < odd]))
                   for k in order]
-        if drawn and draw(st.booleans()):  # a duplicate of an earlier row, its mark redrawn
+        duplicate = drawn and draw(st.booleans())
+        if duplicate:  # a duplicate of an earlier row, its mark redrawn
             earlier = draw(st.sampled_from(drawn))
             fields = [f if names[k] == "mark" else SAME.get(e, e) if draw(st.booleans()) else e
                       for k, f, e in zip(order, fields, earlier)]
         drawn.append(fields)
-        if draw(st.integers(0, 99)) < odd:  # a short row, or a long one
+        if duplicate and draw(st.integers(0, 3)) == 0:  # a duplicate lacking its last field
+            fields = fields[:-1]
+        elif draw(st.integers(0, 99)) < odd:  # a short row, or a long one
             cut = draw(st.integers(0, len(fields) - 1))
             fields = fields[:cut] if draw(st.booleans()) else fields + ["extra"] * cut
         text.append(",".join(fields) + draw(st.sampled_from(ENDINGS + [ending] * 3)))
