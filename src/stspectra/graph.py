@@ -24,19 +24,13 @@ import numpy as np
 
 from .errors import EmptyInputError, ValidationError
 from .ingest import MultiPattern
-from .partial import (
-    PartialField,
-    _partial_field,
-    _require_full_rank_box,
-    partial_field,
-)
+from .partial import PartialField, _require_full_rank_box, partial_field
 from .simulate import simulate_binomial_null
 from .spectra import (
     AnalysisSpec,
     SpectralField,
     _Buffers,
-    _periodogram,
-    _smooth,
+    _fresh,
     dft,
     marked_dft,
     periodogram_matrix,
@@ -169,27 +163,32 @@ class CalibrationResult:
 
 
 def spectral_fields(
-    pattern: MultiPattern, spec: AnalysisSpec | None = None
+    pattern: MultiPattern, spec: AnalysisSpec | None = None, *, work=_fresh
 ) -> tuple[SpectralField, SpectralField]:
-    """Run transform -> periodogram -> smoothing; return (raw, smoothed)."""
+    """Run transform -> periodogram -> smoothing; return (raw, smoothed).
+    ``work`` allocates the arrays of both stages: fresh by default, while
+    those of a reused ``spectra._Buffers`` are valid only until its next call."""
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
     transform = marked_dft if spec.marked else dft
     raw = periodogram_matrix(
-        transform(pattern, spec.grid), normalisation=spec.normalisation
+        transform(pattern, spec.grid), normalisation=spec.normalisation, work=work
     )
-    return raw, smooth_spectra(raw, spec.half_widths)
+    return raw, smooth_spectra(raw, spec.half_widths, work=work)
 
 
 def partial_pipeline(
-    pattern: MultiPattern, spec: AnalysisSpec | None = None
+    pattern: MultiPattern, spec: AnalysisSpec | None = None, *, work=_fresh
 ) -> PartialField:
     """Run transform -> periodogram -> smoothing -> partial analysis.  A
-    negative or too-small smoothing box is refused before any work."""
+    negative, fractional or too-small smoothing box is refused before any
+    work.  ``work`` allocates the arrays of every stage: fresh by default,
+    while those of a reused ``spectra._Buffers`` are valid only until its
+    next call."""
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
     _require_full_rank_box(spec.half_widths, pattern.d)
-    return partial_field(spectral_fields(pattern, spec)[1])
+    return partial_field(spectral_fields(pattern, spec, work=work)[1], work=work)
 
 
 def _pair_sups(pf: PartialField) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -282,17 +281,6 @@ def _permuted_marks(null: MultiPattern, pattern: MultiPattern, seed: int) -> Mul
     return replace(null, marks=np.concatenate(marks))
 
 
-def _null_maximum(null: MultiPattern, spec: AnalysisSpec, work: _Buffers) -> float:
-    """max_{i<j} sup_w |d_ij| of one null replicate, or 0.0 when no pair has
-    a finite one: the chain of :func:`partial_pipeline` over the kernels
-    behind its public stages, each field-sized array taken from ``work``."""
-    transform = marked_dft if spec.marked else dft
-    raw = _periodogram(transform(null, spec.grid), spec.normalisation, work)
-    pf = _partial_field(_smooth(raw, spec.half_widths, work), work)
-    value, _, found, _ = _pair_sups(pf)
-    return value[found].max() if found.any() else 0.0
-
-
 def calibrate_null_threshold(
     pattern: MultiPattern,
     spec: AnalysisSpec | None = None,
@@ -316,10 +304,12 @@ def calibrate_null_threshold(
     Replicate r uses seed seed + r; keep that range disjoint from analysis
     seeds.
 
-    The replicates run the analysis's kernels on upper triangles (see
-    :class:`~stspectra.spectra.SpectralField`) in work arrays allocated once
-    per call and released on return: no replicate allocates a field-sized
-    array after the first, and none builds full coherency or |d_ij| arrays.
+    Each replicate runs :func:`partial_pipeline`, the chain of the
+    analysis, on upper triangles (see
+    :class:`~stspectra.spectra.SpectralField`) with one
+    :class:`~stspectra.spectra._Buffers` allocator per call, released on
+    return: no replicate allocates a field-sized array after the first, and
+    none builds full coherency or |d_ij| arrays.
     """
     if spec is None:
         spec = AnalysisSpec.default(pattern.T)
@@ -340,7 +330,8 @@ def calibrate_null_threshold(
         null = simulate_binomial_null(counts, pattern.T, seed=seed + r)
         if spec.marked:
             null = _permuted_marks(null, pattern, seed + r)
-        samples[r] = _null_maximum(null, spec, work)
+        value, _, found, _ = _pair_sups(partial_pipeline(null, spec, work=work))
+        samples[r] = value[found].max() if found.any() else 0.0
     xi = float(np.quantile(samples, quantile, method="higher"))
     return CalibrationResult(
         xi=xi,

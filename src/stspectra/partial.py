@@ -327,16 +327,13 @@ def _coherencies(b: np.ndarray, i: np.ndarray, j: np.ndarray, work=_fresh):
     return coherency, abs_d
 
 
-def partial_field(field: SpectralField) -> PartialField:
+def partial_field(field: SpectralField, *, work=_fresh) -> PartialField:
     """All-pairs partial statistics through the ridged per-ordinate inverse
     (see :func:`_ridged_inverse`).  Coherency and |d_ij| are formed for the
     pairs i < j alone; the full arrays and the pair-conditioned spectra are
-    built from the inverse when first read."""
-    return _partial_field(field)
-
-
-def _partial_field(field: SpectralField, work=_fresh) -> PartialField:
-    """:func:`partial_field` with its field-sized arrays taken from ``work``."""
+    built from the inverse when first read.  ``work`` allocates the
+    arrays: fresh by default, while those of a reused ``spectra._Buffers``
+    are valid only until its next call."""
     _require_smoothed(field)
     b, ridge, singular = _ridged_inverse(field, work)
     pairs = _coherencies(b, *_triu(field.d, 1), work)

@@ -489,7 +489,7 @@ def _require_hermitian(defect: float, scale: float) -> None:
 
 
 def periodogram_matrix(
-    dfts: DftVector, normalisation: str = "sqrt_counts"
+    dfts: DftVector, normalisation: str = "sqrt_counts", *, work=_fresh
 ) -> SpectralField:
     """Raw periodogram matrix: entry (i,j) = F_i(w) * conj(F_j(w)) * c_ij.
 
@@ -497,13 +497,10 @@ def periodogram_matrix(
     with ``none``, c_ij = 1.  Each ordinate's matrix is a rank-1 Hermitian
     positive semi-definite outer product.  Only the entries i <= j are
     formed, with a real diagonal; the field holds them as its upper
-    triangle, so Hermitian symmetry holds by construction.
+    triangle, so Hermitian symmetry holds by construction.  ``work``
+    allocates the arrays: fresh by default, while those of a reused
+    :class:`_Buffers` are valid only until its next call.
     """
-    return _periodogram(dfts, normalisation)
-
-
-def _periodogram(dfts: DftVector, normalisation: str, work=_fresh) -> SpectralField:
-    """:func:`periodogram_matrix` with its triangle built in ``work`` arrays."""
     if normalisation not in NORMALISATIONS:
         raise ValidationError(f"unknown normalisation {normalisation!r}")
     i, j = _triu(dfts.d)
@@ -572,8 +569,12 @@ def _mirror_planes(values: np.ndarray, grid: FrequencyGrid, k: np.ndarray) -> np
 
 
 def _require_half_widths(half_widths) -> tuple[int, int, int]:
-    """The smoothing half-widths as ints, refused when any is negative."""
+    """The smoothing half-widths as ints, refused when any is not a whole
+    number or is negative."""
     hp, hq, hu = (int(h) for h in half_widths)
+    if (hp, hq, hu) != tuple(half_widths):
+        got = ",".join(str(h) for h in half_widths)
+        raise ValidationError(f"half-widths must be whole numbers, got {got}")
     if min(hp, hq, hu) < 0:
         raise ValidationError("half-widths must be >= 0")
     return hp, hq, hu
@@ -606,10 +607,10 @@ def _box_average(
     neighbourhood sums, and the same sums over the same extension of an
     all-ones field give the in-range counts.
 
+    ``hw`` holds the checked half-widths of :func:`_require_half_widths`.
     ``values`` has shape (P, Q, U) + trailing; the trailing axes ride along.
     The extension, the sums and the average are ``work`` arrays.
     """
-    hw = _require_half_widths(hw)
     if values.shape[:3] != grid.shape:
         raise ValidationError("field shape disagrees with grid")
     trail = (np.newaxis,) * (values.ndim - 3)
@@ -656,7 +657,10 @@ def _box_counts(grid: FrequencyGrid, T: int, hw: tuple[int, int, int]) -> np.nda
 
 
 def smooth_spectra(
-    field: SpectralField, half_widths: tuple[int, int, int] | None = None
+    field: SpectralField,
+    half_widths: tuple[int, int, int] | None = None,
+    *,
+    work=_fresh,
 ) -> SpectralField:
     """Entrywise uniform average over the rectangular frequency neighbourhood
     (2h_p+1) x (2h_q+1) x (2h_u+1), of the upper triangle of a periodogram.
@@ -668,17 +672,20 @@ def smooth_spectra(
     weights preserves the Hermitian structure exactly and keeps the matrices
     positive semi-definite (a convex combination of PSD matrices, the mirror
     sources being entrywise conjugates, i.e. transposes, of PSD matrices).
-    If the nominal neighbourhood holds fewer than d ordinates the smoothed
+    Half-widths that are negative or not whole numbers are refused.  If the
+    nominal neighbourhood holds fewer than d ordinates the smoothed
     matrices cannot reach full rank and a rank warning is issued; the
-    inversion module enforces the requirement.
+    inversion module enforces the requirement.  ``work`` allocates the
+    arrays: fresh by default, while those of a reused :class:`_Buffers` are
+    valid only until its next call.
     """
     if field.kind != "raw":
         raise ValidationError("smoothing expects the raw periodogram field")
     if half_widths is None:
         half_widths = default_half_widths(field.T)
-    hp, hq, hu = (int(h) for h in half_widths)
+    hp, hq, hu = hw = _require_half_widths(half_widths)
     size = (2 * hp + 1) * (2 * hq + 1) * (2 * hu + 1)
-    smoothed = _smooth(field, (hp, hq, hu))
+    upper = _box_average(field.upper, field.grid, field.T, hw, work)
     if size < field.d:
         warnings.warn(
             f"smoothing neighbourhood {size} < d={field.d}: smoothed matrices "
@@ -686,13 +693,6 @@ def smooth_spectra(
             RuntimeWarning,
             stacklevel=2,
         )
-    return smoothed
-
-
-def _smooth(field: SpectralField, half_widths, work=_fresh) -> SpectralField:
-    """The box average of the field's upper triangle, as a smoothed field."""
-    hw = tuple(int(h) for h in half_widths)
-    upper = _box_average(field.upper, field.grid, field.T, hw, work)
     return replace(field, upper=upper, kind="smoothed", half_widths=hw)
 
 

@@ -54,10 +54,22 @@ def test_traced_pipeline_reads_every_span_attribute(tmp_path, monkeypatch):
     assert tracer.missing == []
     assert [s for s in tracer.spans if "attr_error" in s] == []
     partial = [s for s in tracer.spans if s["name"] == "partial.partial_field"]
-    assert len(partial) == 3  # the analysis and the two slices
+    assert len(partial) == 5  # the analysis, the two replicates and the two slices
     for span in partial:
         assert {"ordinates", "ridged", "singular"} <= span.keys()
         assert span["ordinates"] > 0
+    # each replicate runs the public stages, under its own partial_pipeline span
+    (calibrate,) = [s for s in tracer.spans if s["name"] == "graph.calibrate_null_threshold"]
+    replicates = [
+        s for s in tracer.spans
+        if s["name"] == "graph.partial_pipeline" and s["parent"] == calibrate["id"]
+    ]
+    assert len(replicates) == 2
+    for replicate in replicates:
+        stages = [s["name"] for s in tracer.spans if s["parent"] == replicate["id"]]
+        assert stages == ["spectra.dft", "spectra.periodogram_matrix",
+                          "spectra.smooth_spectra", "partial.partial_field"]
+    assert tracing.layer_metrics(tracer.spans, 1, None)["spectra.smooth_calls"] == 5
 
 
 def test_traced_file_pipeline_has_one_load_span(tmp_path, monkeypatch):

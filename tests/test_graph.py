@@ -353,8 +353,9 @@ class TestBoxRefusedBeforeAnyWork:
             ((0, 0, 0), "smoothing neighbourhood 1 < d=3: smoothed matrices cannot "
              "reach full rank; enlarge the half-widths"),
             ((-1, 1, 1), "half-widths must be >= 0"),
+            ((1.5, 1, 1), "half-widths must be whole numbers, got 1.5,1,1"),
         ],
-        ids=["small", "negative"],
+        ids=["small", "negative", "fractional"],
     )
     @pytest.mark.parametrize(
         "analyse", [partial_pipeline, calibrate_null_threshold], ids=["pipeline", "calibration"]

@@ -454,6 +454,15 @@ class TestSmoothing:
         sm = smooth_spectra(raw)
         assert sm.half_widths == default_half_widths(trio_pattern.T)
 
+    def test_fractional_half_widths_refused(self, trio_pattern, small_grid):
+        raw = periodogram_matrix(dft(trio_pattern, small_grid))
+        with pytest.raises(ValidationError) as exc:
+            smooth_spectra(raw, (1.7, 0.5, 1.2))
+        assert str(exc.value) == "half-widths must be whole numbers, got 1.7,0.5,1.2"
+        whole = smooth_spectra(raw, (1.0, 1.0, 0.0))
+        assert whole.half_widths == (1, 1, 0)
+        assert whole.upper.tobytes() == smooth_spectra(raw, (1, 1, 0)).upper.tobytes()
+
 
 @pytest.fixture(scope="module")
 def smoothed(trio_pattern, small_grid):

@@ -1,6 +1,7 @@
 """Spectral fields stored as upper triangles and partial fields as pairs:
 byte equality with the full-matrix route, the checks of
-``SpectralField.from_values`` and of every inversion, and calibration
+``SpectralField.from_values`` and of every inversion, runs in a reused
+work allocator that give the bytes of fresh ones, and calibration
 replicates that never build full arrays."""
 
 import dataclasses
@@ -23,9 +24,11 @@ from stspectra import (
     edge_statistics,
     marked_dft,
     partial_field,
+    partial_pipeline,
     periodogram_matrix,
     simulate,
     smooth_spectra,
+    spectral_fields,
 )
 from stspectra.errors import DegenerateFieldError, ValidationError
 from stspectra.spectra import _Buffers
@@ -165,6 +168,37 @@ class TestFullMatrixOracle:
         if case == "absent_component_slice":
             assert (pf.ridge > 0).any()
             assert pf.singular.any() == (cond is not None)
+
+    @pytest.mark.parametrize(
+        "case", ["readme", "marked_d4_T8", "absent_component_slice", "normalisation_none"]
+    )
+    def test_reused_buffers_give_the_bytes_of_a_fresh_run(self, monkeypatch, case):
+        # a stage writing into another's live buffer, or reading what the
+        # previous run left in one, shows as a byte difference
+        pattern, spec, _ = CASES[case]()
+        other = dataclasses.replace(pattern, x=pattern.y, y=pattern.x)
+        raw, smoothed = spectral_fields(pattern, spec)
+        fresh = partial_field(smoothed)
+        assert not same_bytes(partial_pipeline(other, spec).inverse, fresh.inverse)
+        fields = []
+        for name in ("periodogram_matrix", "smooth_spectra"):
+            def spy(*args, _stage=getattr(stspectra.graph, name), **kwargs):
+                fields.append(_stage(*args, **kwargs))
+                return fields[-1]
+
+            monkeypatch.setattr(stspectra.graph, name, spy)
+        work = _Buffers()
+        partial_pipeline(other, spec, work=work)
+        reused = partial_pipeline(pattern, spec, work=work)
+        raw_again, smoothed_again = fields[2:]
+        assert np.shares_memory(raw_again.upper, work.arrays["periodogram"])
+        assert np.shares_memory(reused.inverse, work.arrays["inverse"])
+        assert same_bytes(raw_again.upper, raw.upper)
+        assert same_bytes(smoothed_again.upper, smoothed.upper)
+        for name in ("inverse", "ridge", "singular"):
+            assert same_bytes(getattr(reused, name), getattr(fresh, name)), name
+        for a, b in zip(reused.pairs, fresh.pairs, strict=True):
+            assert same_bytes(a, b)
 
     @pytest.mark.parametrize(
         "case", ["readme", "marked_d4_T8", "normalisation_none", "mirror_refused"]
