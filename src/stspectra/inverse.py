@@ -19,13 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError, SymmetryError, ValidationError
-from .partial import PartialField, partial_cross_spectrum_direct, partial_field
+from .errors import SymmetryError, ValidationError
+from .partial import PartialField, _require_nonsingular, partial_cross_spectrum_direct
 from .spectra import (
     FrequencyGrid,
     SpectralField,
     _component_indices,
-    _grid_point,
     _mirror_planes,
     _mirror_refusal,
 )
@@ -156,16 +155,6 @@ def inverse_transform(
     )
 
 
-def _require_nonsingular(pf: PartialField) -> None:
-    """Refuse a partial field with an ordinate that no ridge step rescued:
-    its NaN entries would pass the imaginary-residue check unseen."""
-    if pf.singular.any():
-        raise SingularMatrixError(
-            "spectral matrix singular after every ridge step",
-            grid_point=_grid_point(pf.grid, np.argmax(pf.singular)),
-        )
-
-
 def partial_lag_characteristics(
     field: SpectralField,
     i: int,
@@ -173,31 +162,23 @@ def partial_lag_characteristics(
     conditioning: tuple[int, ...] | None = None,
 ) -> PartialLagSet:
     """Lag-domain partial auto- and cross-covariances of the pair (i, j),
-    conditioned on all remaining components unless an explicit set is given.
-
-    All-remaining conditioning reads the ridged inverse route of
-    :func:`partial_field`; an explicit set goes through the Schur complement
-    of :func:`partial_cross_spectrum_direct`."""
+    conditioned on the set J = ``conditioning``, all remaining components
+    when None: the inverse transforms of the spectra of
+    :func:`partial_cross_spectrum_direct`, which for J = rest are those of
+    ``partial_field(field)``."""
     if conditioning is None:
-        a, b = _component_indices(field.d, (i, j))[0]
-        pf = partial_field(field)
-        _require_nonsingular(pf)
-        auto_i, auto_j = pf.auto[..., a, b], pf.auto[..., b, a]
-        cross = pf.cross[..., a, b]
+        _component_indices(field.d, (i, j))
         conditioning = tuple(k for k in range(1, field.d + 1) if k not in (i, j))
-    else:
-        pc = partial_cross_spectrum_direct(field, i, j, conditioning)
-        auto_i, auto_j, cross = pc.auto_i, pc.auto_j, pc.cross
-        conditioning = pc.conditioning
+    pc = partial_cross_spectrum_direct(field, i, j, conditioning)
 
     def lag(values, kind, pair):
         return inverse_transform(values, field.grid, field.T, kind=kind, pair=pair)
 
     return PartialLagSet(
-        auto_i=lag(auto_i.astype(complex), "partial_auto", (i, i)),
-        auto_j=lag(auto_j.astype(complex), "partial_auto", (j, j)),
-        cross=lag(cross, "partial_cross", (i, j)),
-        conditioning=conditioning,
+        auto_i=lag(pc.auto_i.astype(complex), "partial_auto", (i, i)),
+        auto_j=lag(pc.auto_j.astype(complex), "partial_auto", (j, j)),
+        cross=lag(pc.cross, "partial_cross", (i, j)),
+        conditioning=pc.conditioning,
     )
 
 

@@ -1,19 +1,24 @@
 """Conditional (partial) spectral statistics via per-ordinate matrix inversion.
 
 Everything here operates on a smoothed spectral matrix field.  Each
-conditioning question has one route.  Conditioning on all remaining
-components goes through :func:`partial_field`, the one inversion entry
-point: it inverts the matrix at every ordinate (ridged where the matrix is
-ill conditioned) and turns the inverse into the rescaled inverse densities
-|d_ij| (the dependence-graph statistic) and the partial coherencies, which
-the partial table and the graph read.  Its :class:`PartialField` keeps the
-ridged inverse and builds from it, when first asked, the pair-conditioned
-cross- and auto-spectra that the lag outputs read.  Conditioning on an
-explicit subset goes through the Schur complement on the conditioning block
-(:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`, and
-``spectra.multiple_coherence``).  The two routes agree analytically where
-both apply; tests pin the agreement numerically.  The marked variants are
-the identical machinery applied to a marked spectral field.
+conditioning question has one route, :func:`partial_field`, the one
+inversion entry point: it inverts the matrix at every ordinate (ridged
+where the matrix is ill conditioned) and turns the inverse into the
+rescaled inverse densities |d_ij| (the dependence-graph statistic) and the
+partial coherencies, which the partial table and the graph read.  Its
+:class:`PartialField` keeps the ridged inverse and builds from it, when
+first asked, the pair-conditioned cross- and auto-spectra that the lag
+outputs read.  A query conditioned on an explicit set J
+(:func:`partial_cross_spectrum_direct`, :func:`partial_dot_spectrum`,
+:func:`multiple_coherence`) runs :func:`partial_field` on the field of the
+queried components and J (``SpectralField.select``) and reads it at the
+queried places; conditioning on all remaining components is the case where
+every component is selected.  Every conditional query applies one
+singularity rule: an ordinate that no ridge step rescues raises
+``SingularMatrixError`` at its grid point, while a ridged ordinate is read
+as ``partial.csv`` reads it.  The Schur complement on the conditioning
+block is the test oracle of this route.  The marked variants are the
+identical machinery applied to a marked spectral field.
 """
 
 from __future__ import annotations
@@ -23,17 +28,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFieldError, ValidationError
+from .errors import DegenerateFieldError, SingularMatrixError, ValidationError
 from .spectra import (
     FrequencyGrid,
     SpectralField,
     _assemble,
     _component_indices,
     _fresh,
+    _grid_point,
+    _ratio,
     _require_half_widths,
     _require_hermitian,
     _require_smoothed,
-    _schur_projection,
     _triu,
     _upper_index,
 )
@@ -44,6 +50,7 @@ __all__ = [
     "partial_field",
     "partial_cross_spectrum_direct",
     "partial_dot_spectrum",
+    "multiple_coherence",
 ]
 
 COND_THRESHOLD = 1e10
@@ -349,10 +356,36 @@ def partial_field(field: SpectralField, *, work=_fresh) -> PartialField:
     )
 
 
+def _require_nonsingular(pf: PartialField) -> None:
+    """Refuse a partial field with an ordinate that no ridge step rescued:
+    its NaN entries would pass unseen into every statistic read from it.
+    The one singularity rule of the conditional queries."""
+    if pf.singular.any():
+        raise SingularMatrixError(
+            "spectral matrix singular after every ridge step",
+            grid_point=_grid_point(pf.grid, np.argmax(pf.singular)),
+        )
+
+
+def _given(field: SpectralField, targets, J) -> tuple[PartialField | None, list[int]]:
+    """The partial field of the 1-based components ``targets`` and J,
+    selected in ascending order and refused by :func:`_require_nonsingular`,
+    with the 0-based places of the targets in it.  An empty J inverts
+    nothing: the field is None and the places are those in ``field``."""
+    _require_smoothed(field)
+    t, c = _component_indices(field.d, targets, J)
+    if not c:
+        return None, t
+    order = sorted(t + c)
+    pf = partial_field(field.select([k + 1 for k in order]))
+    _require_nonsingular(pf)
+    return pf, [order.index(k) for k in t]
+
+
 @dataclass(frozen=True, eq=False)
 class PairConditional:
-    """Direct-route pair statistics given the conditioning set: f_ij|J, the
-    two conditional autos, and the normalised complex coherency."""
+    """Pair statistics given the conditioning set: f_ij|J, the two
+    conditional autos, and the normalised complex coherency."""
 
     cross: np.ndarray
     auto_i: np.ndarray
@@ -367,31 +400,28 @@ def partial_cross_spectrum_direct(
     j: int,
     conditioning: tuple[int, ...] | list[int],
 ) -> PairConditional:
-    """Direct (Schur complement) route, conditioned on the set J =
-    ``conditioning``:
-    f_ij|J = f_ij - f_iJ * f_JJ^{-1} * f_Jj.
+    """The pair (i, j) conditioned on the set J = ``conditioning``:
+    f_ij|J = f_ij - f_iJ * f_JJ^{-1} * f_Jj and the autos f_ii|J, f_jj|J,
+    read as ``PartialField.cross`` and ``PartialField.auto`` of the field of
+    i, j and J (see :func:`_given`), ridged as :func:`partial_field` ridges.
 
-    Conditioning on every other component goes through
-    :func:`partial_field` instead.  With an empty conditioning set the
-    partial quantities reduce to the ordinary ones exactly.
+    J = every other component reads the same arrays as
+    ``partial_field(field)``.  With an empty conditioning set the partial
+    quantities are the ordinary ones exactly.
     """
     J = tuple(conditioning)
-    proj = _schur_projection(field, (i, j), J)
-    cross = field.entry(i, j) - proj[..., 0, 1]
-    auto_i = (field.entry(i, i) - proj[..., 0, 0]).real
-    auto_j = (field.entry(j, j) - proj[..., 1, 1]).real
+    pf, (a, b) = _given(field, (i, j), J)
+    if pf is None:  # conditioning on nothing leaves the plain entries
+        cross = field.entry(a + 1, b + 1)
+        auto_i, auto_j = field.entry(a + 1, a + 1).real, field.entry(b + 1, b + 1).real
+    else:
+        cross, auto_i, auto_j = pf.cross[..., a, b], pf.auto[..., a, b], pf.auto[..., b, a]
 
     den2 = auto_i * auto_j
     coherency = np.full(cross.shape, np.nan, dtype=complex)
     ok = den2 > 0
     np.divide(cross, np.sqrt(np.where(ok, den2, 1.0)), out=coherency, where=ok)
-    return PairConditional(
-        cross=cross,
-        auto_i=auto_i,
-        auto_j=auto_j,
-        coherency=coherency,
-        conditioning=J,
-    )
+    return PairConditional(cross, auto_i, auto_j, coherency, conditioning=J)
 
 
 def partial_dot_spectrum(
@@ -401,10 +431,28 @@ def partial_dot_spectrum(
     J: tuple[int, ...] | list[int] = (),
 ) -> np.ndarray:
     """Aggregated conditional cross-spectrum f_iK|J with f_iK = sum over K of
-    the pairwise cross-spectra (the superposition of K), conditioned on J by
-    the direct formula.  J empty gives the unconditioned aggregate."""
+    the pairwise cross-spectra (the superposition of K), conditioned on J:
+    the sum over k in K of f_ik|J (:func:`partial_cross_spectrum_direct`),
+    since f_iK|J = f_iK - f_iJ f_JJ^{-1} f_JK is linear in the columns K.
+    J empty gives the unconditioned aggregate."""
+    K, J = tuple(K), tuple(J)
     if not K:
         raise ValidationError("K must be non-empty")
-    proj = _schur_projection(field, (i,), J, K)
-    kidx = [k - 1 for k in K]
-    return field.values[..., i - 1, kidx].sum(axis=-1) - proj[..., 0, :].sum(axis=-1)
+    _component_indices(field.d, (i,), K, J)
+    return sum(partial_cross_spectrum_direct(field, i, k, J).cross for k in K)
+
+
+def multiple_coherence(
+    field: SpectralField, i: int, J: list[int] | tuple[int, ...]
+) -> np.ndarray:
+    """Squared multiple coherence of component i (1-based) on the non-empty
+    set J, f_iJ * f_JJ^{-1} * f_Ji / f_ii per ordinate, read as
+    (f_ii - 1/g_ii) / f_ii with g the inverse of the field of i and J (see
+    :func:`_given`); 0 where f_ii vanishes.  Raises SingularMatrixError at
+    the first ordinate that no ridge step rescues."""
+    J = tuple(J)
+    if not J:
+        raise ValidationError("J must be non-empty")
+    pf, (a,) = _given(field, (i,), J)
+    f_ii = field.entry(i, i).real
+    return _ratio(f_ii - 1.0 / pf.inverse[..., a, a].real, f_ii)

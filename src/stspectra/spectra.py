@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import ValidationError
 from .ingest import MultiPattern, _require_unit_square
 
 __all__ = [
@@ -37,14 +37,12 @@ __all__ = [
     "periodogram_matrix",
     "smooth_spectra",
     "coherence",
-    "multiple_coherence",
     "dot_spectrum",
     "gain_spectrum",
     "gain_dot_spectrum",
     "decompose_cross_spectrum",
     "r_spectrum",
     "theta_spectrum",
-    "dot_multiple_gap",
 ]
 
 NORMALISATIONS = ("sqrt_counts", "none")
@@ -465,8 +463,24 @@ class SpectralField:
         d = self.d
         if not (1 <= i <= d and 1 <= j <= d):
             raise ValidationError(f"component pair ({i},{j}) outside 1..{d}")
-        v = self.upper[..., _upper_index(d, min(i, j) - 1, max(i, j) - 1)]
-        return v if i <= j else np.conj(v)
+        # one set each, since the diagonal names a component twice
+        [a], [b] = _component_indices(d, (i,)) + _component_indices(d, (j,))
+        v = self.upper[..., _upper_index(d, min(a, b), max(a, b))]
+        return v if a <= b else np.conj(v)
+
+    def select(self, components) -> "SpectralField":
+        """The field of the 1-based ``components`` in ascending order, whose
+        triangle is gathered unchanged from ``upper``; selecting every
+        component gives the field's own bytes."""
+        idx = np.sort(_component_indices(self.d, components)[0])
+        rows, cols = _triu(idx.size)
+        places = _mirror_layout(self.d)[0].reshape(self.d, self.d)
+        return replace(
+            self,
+            upper=self.upper[..., places[idx[rows], idx[cols]]],
+            counts=self.counts[idx],
+            labels=tuple(self.labels[k] for k in idx),
+        )
 
     def hermitian_defect(self) -> float:
         """max |F_ij - conj(F_ji)| over the finite entries.  The lower
@@ -717,9 +731,13 @@ def _grid_point(grid: FrequencyGrid, flat: int) -> tuple[int, int, int]:
 
 
 def _component_indices(d: int, *sets) -> list[list[int]]:
-    """0-based indices of 1-based component sets, each inside 1..d, with no
-    component repeated within or across the sets."""
+    """0-based indices of 1-based component sets, each a whole number (2.0
+    counts as 2) inside 1..d, with no component repeated within or across
+    the sets."""
     flat = [k for s in sets for k in s]
+    fractional = [k for k in flat if not float(k).is_integer()]
+    if fractional:
+        raise ValidationError(f"components {fractional} are not whole numbers")
     outside = sorted({k for k in flat if not 1 <= k <= d})
     if outside:
         raise ValidationError(f"components {outside} outside 1..{d}")
@@ -727,7 +745,7 @@ def _component_indices(d: int, *sets) -> list[list[int]]:
         raise ValidationError(
             f"component sets {[tuple(s) for s in sets]} repeat a component"
         )
-    return [[k - 1 for k in s] for s in sets]
+    return [[int(k) - 1 for k in s] for s in sets]
 
 
 def _require_smoothed(field: SpectralField) -> None:
@@ -739,57 +757,6 @@ def _require_smoothed(field: SpectralField) -> None:
             "conditional and dot statistics read the smoothed field, not the "
             "raw periodogram"
         )
-
-
-def _schur_projection(field: SpectralField, rows, J, cols=None) -> np.ndarray:
-    """The projection f_RJ f_JJ^{-1} f_JC at every ordinate of a smoothed
-    field, shape grid + (|R|, |C|), for 1-based component sets R = ``rows``,
-    J and C = ``cols``.  The sets must be disjoint, except that C defaults
-    to R itself; an empty J gives zeros.
-
-    Raises SingularMatrixError at the first ordinate whose f_JJ is singular.
-    """
-    _require_smoothed(field)
-    if cols is None:
-        R, Jx = _component_indices(field.d, rows, J)
-        C = R
-    else:
-        R, Jx, C = _component_indices(field.d, rows, J, cols)
-    v = field.values
-    f_JJ = v[..., Jx, :][..., :, Jx]
-    try:
-        x = np.linalg.solve(f_JJ, v[..., Jx, :][..., :, C])
-    except np.linalg.LinAlgError:
-        sign, _ = np.linalg.slogdet(f_JJ)
-        raise SingularMatrixError(
-            "conditioning block f_JJ is singular; smooth more broadly or drop "
-            "components",
-            grid_point=_grid_point(field.grid, np.argmax(sign == 0)),
-        ) from None
-    return v[..., R, :][..., :, Jx] @ x
-
-
-def multiple_coherence(
-    field: SpectralField, i: int, J: list[int] | tuple[int, ...]
-) -> np.ndarray:
-    """Squared multiple coherence of component i on the set J:
-    f_iJ * f_JJ^{-1} * f_Ji / f_ii per ordinate.
-
-    Parameters
-    ----------
-    field : smoothed spectral field.
-    i : target component (1-based), not in J.
-    J : non-empty list of distinct regressor components.
-
-    Raises
-    ------
-    SingularMatrixError : if f_JJ is singular at some ordinate (the first
-        offending ordinate is reported).
-    """
-    if not J:
-        raise ValidationError("J must be non-empty")
-    num = _schur_projection(field, (i,), J)[..., 0, 0].real
-    return _ratio(num, field.entry(i, i).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -819,24 +786,24 @@ def dot_spectrum(field: SpectralField, i: int) -> DotSpectrum:
     :func:`periodogram_matrix`.
     """
     _require_smoothed(field)
-    _component_indices(field.d, (i,))
+    [[a]] = _component_indices(field.d, (i,))
     if field.d < 2:
         raise ValidationError("dot spectrum needs d >= 2")
-    others = [k for k in range(field.d) if k != i - 1]
+    others = [k for k in range(field.d) if k != a]
     w = np.ones(len(others))
     if field.normalisation == "sqrt_counts":
         n = np.maximum(field.counts[others].astype(float), 1.0)
         w = np.sqrt(n / max(float(field.counts[others].sum()), 1.0))
     block = field.values[..., others, :][..., :, others]
-    cross = field.values[..., i - 1, others] @ w
-    auto_i = field.values[..., i - 1, i - 1].real
+    cross = field.values[..., a, others] @ w
+    auto_i = field.values[..., a, a].real
     auto_dot = ((block @ w) @ w).real
     return DotSpectrum(
         cross=cross,
         coherence=_ratio(np.abs(cross) ** 2, auto_i * auto_dot),
         auto_i=auto_i,
         auto_dot=auto_dot,
-        i=i,
+        i=a + 1,
         normalisation=field.normalisation,
     )
 
@@ -951,14 +918,3 @@ def theta_spectrum(values: np.ndarray, grid: FrequencyGrid) -> PolarSpectrum:
     band[is_origin] = -1
     return _bin_average(values, grid, "angle", np.arange(0, 180, 10), band)
 
-
-def dot_multiple_gap(field: SpectralField, i: int) -> float:
-    """Diagnostic: max absolute gap between the squared multiple coherence of
-    i on all other components and the squared coherence of i with their
-    superposition (:func:`dot_spectrum`).  The two coincide for the
-    theoretical spectrum but not for smoothed estimates with d > 2; this
-    reports the gap rather than asserting it away.  Both are invariant to
-    the count normalisation, and so is the gap."""
-    others = [k for k in range(1, field.d + 1) if k != i]
-    rm = multiple_coherence(field, i, others)
-    return float(np.abs(rm - dot_spectrum(field, i).coherence).max())

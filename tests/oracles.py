@@ -14,7 +14,9 @@ from stspectra import (
     PartialField,
     SpectralField,
     dft,
+    dot_spectrum,
     marked_dft,
+    multiple_coherence,
     simulate_binomial_null,
     symmetrise_scalar,
 )
@@ -120,7 +122,7 @@ def partial_coherence_three(field, i, j, k):
 
     The third route to the partial coherency at d = 3, beside the inverse
     (``partial_field``) and the Schur complement
-    (``partial_cross_spectrum_direct``)."""
+    (:func:`schur_pair`)."""
 
     def coherency(a, b):
         return field.entry(a, b) / np.sqrt(
@@ -131,6 +133,58 @@ def partial_coherence_three(field, i, j, k):
     return (r_ij - r_ik * r_kj) / np.sqrt(
         (1.0 - np.abs(r_ik) ** 2) * (1.0 - np.abs(r_kj) ** 2)
     )
+
+
+def schur_projection(field, rows, J, cols=None):
+    """f_RJ f_JJ^{-1} f_JC at every ordinate, shape grid + (|R|, |C|), for
+    1-based component sets R = ``rows``, J and C = ``cols`` (R by default),
+    by ``np.linalg.solve`` on the conditioning block f_JJ; an empty J gives
+    zeros.  The Schur complement route to every conditional statistic, the
+    oracle of the package's one route through ``partial_field``."""
+    R = [k - 1 for k in rows]
+    C = R if cols is None else [k - 1 for k in cols]
+    Jx = [k - 1 for k in J]
+    v = field.values
+    x = np.linalg.solve(v[..., Jx, :][..., :, Jx], v[..., Jx, :][..., :, C])
+    return v[..., R, :][..., :, Jx] @ x
+
+
+def schur_pair(field, i, j, J):
+    """f_ij|J = f_ij - f_iJ f_JJ^{-1} f_Jj, the autos f_ii|J and f_jj|J,
+    and the coherency f_ij|J / sqrt(f_ii|J * f_jj|J), by the Schur
+    complement."""
+    proj = schur_projection(field, (i, j), J)
+    cross = field.entry(i, j) - proj[..., 0, 1]
+    auto_i = (field.entry(i, i) - proj[..., 0, 0]).real
+    auto_j = (field.entry(j, j) - proj[..., 1, 1]).real
+    return SimpleNamespace(
+        cross=cross,
+        auto_i=auto_i,
+        auto_j=auto_j,
+        coherency=cross / np.sqrt(auto_i * auto_j),
+    )
+
+
+def schur_multiple_coherence(field, i, J):
+    """f_iJ f_JJ^{-1} f_Ji / f_ii by the Schur complement."""
+    return schur_projection(field, (i,), J)[..., 0, 0].real / field.entry(i, i).real
+
+
+def schur_dot(field, i, K, J):
+    """f_iK|J = sum_K f_ik - f_iJ f_JJ^{-1} f_JK by the Schur complement."""
+    plain = sum(field.entry(i, k) for k in K)
+    return plain - schur_projection(field, (i,), J, K)[..., 0, :].sum(axis=-1)
+
+
+def dot_multiple_gap(field, i):
+    """Max absolute gap between the squared multiple coherence of i on all
+    other components and the squared coherence of i with their
+    superposition (``dot_spectrum``).  The two coincide for the theoretical
+    spectrum but not for smoothed estimates with d > 2; both are invariant
+    to the count normalisation, and so is the gap."""
+    others = [k for k in range(1, field.d + 1) if k != i]
+    rm = multiple_coherence(field, i, others)
+    return float(np.abs(rm - dot_spectrum(field, i).coherence).max())
 
 
 def full_matrix_route(pattern, spec):

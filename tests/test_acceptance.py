@@ -26,7 +26,7 @@ from conftest import (
     build_pattern,
     record_criterion,
 )
-from oracles import dft_separable, forward_from_lags, partial_coherence_three
+from oracles import dft_separable, forward_from_lags, partial_coherence_three, schur_pair
 from test_partial import random_hpd_field
 from test_spectra import DFT_ORACLE, grid_index
 
@@ -46,7 +46,6 @@ from stspectra import (
     mark_permutation_envelope,
     marked_dft,
     multiple_coherence,
-    partial_cross_spectrum_direct,
     partial_field,
     periodogram_matrix,
     simulate,
@@ -192,7 +191,7 @@ def test_criterion_01_partial_route_agreement():
             for j in range(i + 1, d + 1):
                 via_inverse = pf.pair_coherency(i, j)
                 rest = tuple(k for k in range(1, d + 1) if k not in (i, j))
-                direct = partial_cross_spectrum_direct(field, i, j, rest).coherency
+                direct = schur_pair(field, i, j, rest).coherency
                 worst = max(worst, float(np.abs(via_inverse - direct).max()))
                 if d == 3:
                     (k,) = (m for m in (1, 2, 3) if m not in (i, j))

@@ -36,8 +36,9 @@ RETURNED_TYPES_AND_HELPERS = (
 # one route per statistic: the dot family reads the smoothed field, and
 # |d_ij| and the partial coherency come only from PartialField; one
 # kernel-intensity class serves the separable and the full model; one
-# inversion entry point (partial_field), whose result carries the inverse;
-# the cross-check routes live in tests/oracles.py
+# inversion entry point (partial_field), whose result carries the inverse
+# and which every conditioning set reaches; the cross-check routes live in
+# tests/oracles.py
 REMOVED = (
     "partial_coherency",
     "rescaled_inverse_density",
@@ -48,6 +49,7 @@ REMOVED = (
     "invert_spectral_matrix",
     "partial_coherence_three",
     "forward_from_lags",
+    "dot_multiple_gap",
 )
 
 # recorded fields nothing reads
@@ -113,3 +115,12 @@ def test_removed_fields_and_defaults_stay_removed():
     # conditioning on all the other components has one route, partial_field
     params = inspect.signature(stspectra.partial_cross_spectrum_direct).parameters
     assert params["conditioning"].default is inspect.Parameter.empty
+
+
+def test_explicit_subsets_have_no_second_inversion_route():
+    # the Schur projection is a test oracle, and multiple coherence, which
+    # reads partial_field, is defined beside it
+    assert not hasattr(stspectra.spectra, "_schur_projection")
+    assert "multiple_coherence" in stspectra.partial.__all__
+    assert "multiple_coherence" not in stspectra.spectra.__all__
+    assert stspectra.multiple_coherence is stspectra.partial.multiple_coherence

@@ -5,7 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import partial_coherence_three
+from oracles import (
+    partial_coherence_three,
+    schur_dot,
+    schur_multiple_coherence,
+    schur_pair,
+)
 from stspectra import (
     FrequencyGrid,
     SpectralField,
@@ -462,9 +467,7 @@ class TestDualRoutes:
             for i in range(1, d + 1):
                 for j in range(i + 1, d + 1):
                     rest = rest_of(d, i, j)
-                    direct = np.abs(
-                        partial_cross_spectrum_direct(field, i, j, rest).coherency
-                    )
+                    direct = np.abs(schur_pair(field, i, j, rest).coherency)
                     via_inverse = pf.pair_abs_d(i, j)
                     assert np.abs(direct - via_inverse).max() < 1e-8
 
@@ -479,7 +482,7 @@ class TestDualRoutes:
     def test_direct_route_on_estimates(self, smoothed):
         pf = partial_field(smoothed)
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            pc = partial_cross_spectrum_direct(smoothed, i, j, rest_of(3, i, j))
+            pc = schur_pair(smoothed, i, j, rest_of(3, i, j))
             direct_d = np.abs(pc.cross) / np.sqrt(pc.auto_i * pc.auto_j)
             assert np.abs(direct_d - pf.pair_abs_d(i, j)).max() < 1e-8
 
@@ -535,6 +538,18 @@ class TestPartialField:
             pf.pair_abs_d(0, 2)
         with pytest.raises(ValidationError):
             partial_cross_spectrum_direct(smoothed, 1, 4, (2,))
+        with pytest.raises(ValidationError, match=r"components \[1\.5\] are not whole"):
+            pf.pair_abs_d(1.5, 2)
+        with pytest.raises(ValidationError, match=r"components \[1\.5\] are not whole"):
+            partial_cross_spectrum_direct(smoothed, 1.5, 2, (3,))
+        with pytest.raises(ValidationError, match=r"components \[2\.5\] are not whole"):
+            partial_lag_characteristics(smoothed, 1, 2.5)
+        # whole floats name the components their ints name
+        assert np.array_equal(pf.pair_abs_d(2.0, 1.0), pf.pair_abs_d(2, 1), equal_nan=True)
+        assert np.array_equal(
+            partial_cross_spectrum_direct(smoothed, 1.0, 2, (3.0,)).cross,
+            partial_cross_spectrum_direct(smoothed, 1, 2, (3,)).cross,
+        )
 
     def test_singular_points_propagate_nan(self):
         field = random_hpd_field(3, n_points=3, seed=31)
@@ -576,7 +591,7 @@ class TestPairConditional:
         field = random_hpd_field(5, n_points=30, seed=12)
         pf = partial_field(field)
         for i, j in ((1, 2), (2, 5), (3, 4)):
-            pc = partial_cross_spectrum_direct(field, i, j, rest_of(5, i, j))
+            pc = schur_pair(field, i, j, rest_of(5, i, j))
             assert np.abs(pc.coherency - pf.pair_coherency(i, j)).max() < 1e-8
 
     def test_conditional_autos_are_positive(self):
@@ -642,9 +657,83 @@ class TestPartialDot:
             partial_dot_spectrum(field, 1, K=(2,), J=(1,))
 
 
+class TestSchurOracle:
+    """Each explicit-subset query reads partial_field of the selected
+    components; the Schur complement on the conditioning block is its
+    oracle, on every pair and on J = rest and strict subsets."""
+
+    @staticmethod
+    def gap(a, b):
+        return float(np.abs(a - b).max() / np.abs(b).max())
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_pair_conditional_matches_oracle(self, d):
+        field = random_hpd_field(d, n_points=30, seed=50 + d)
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                if i == j:
+                    continue
+                rest = rest_of(d, i, j)
+                for J in {rest, rest[:1]}:
+                    pc = partial_cross_spectrum_direct(field, i, j, J)
+                    ref = schur_pair(field, i, j, J)
+                    for name in ("cross", "auto_i", "auto_j", "coherency"):
+                        assert self.gap(getattr(pc, name), getattr(ref, name)) < 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_multiple_coherence_matches_oracle(self, d):
+        field = random_hpd_field(d, n_points=30, seed=60 + d)
+        for i in range(1, d + 1):
+            rest = tuple(k for k in range(1, d + 1) if k != i)
+            for J in (rest, rest[:-1]):
+                got = multiple_coherence(field, i, J)
+                assert np.abs(got - schur_multiple_coherence(field, i, J)).max() < 1e-10
+
+    def test_partial_dot_matches_oracle(self):
+        field = random_hpd_field(5, n_points=30, seed=70)
+        for i, K, J in ((1, (2, 3), (4, 5)), (3, (5, 1), (2, 4)), (4, (1, 2), (5, 3))):
+            got = partial_dot_spectrum(field, i, K, J)
+            assert self.gap(got, schur_dot(field, i, K, J)) < 1e-10
+
+    def test_component_sets_may_be_arrays(self):
+        field = random_hpd_field(4, n_points=10, seed=71)
+        assert np.array_equal(
+            multiple_coherence(field, 1, np.array([2, 3])),
+            multiple_coherence(field, 1, [2, 3]),
+        )
+        assert np.array_equal(
+            partial_dot_spectrum(field, 1, np.array([2, 3]), np.array([4])),
+            partial_dot_spectrum(field, 1, (2, 3), (4,)),
+        )
+        pc = partial_cross_spectrum_direct(field, 1, 2, np.array([3, 4]))
+        assert np.array_equal(pc.cross, partial_cross_spectrum_direct(field, 1, 2, (3, 4)).cross)
+
+    def test_vanishing_conditioning_component_is_ridged(self):
+        # component 3 is zero at p=2 and p=3: the matrices of {1, 2, 3} there
+        # are singular but rescued by the first ridge step, so the queries
+        # read them as partial.csv does instead of raising
+        field = random_hpd_field(3, n_points=6, seed=72)
+        vals = field.values.copy()
+        vals[2:4, ..., 2, :] = 0.0
+        vals[2:4, ..., :, 2] = 0.0
+        field = replace_values(field, vals)
+        pf = partial_field(field.select([1, 2, 3]))
+        assert not pf.singular.any()
+        assert (pf.ridge[2:4] == RIDGE_FRACTIONS[0]).all()
+        assert (pf.ridge[[0, 1, 4, 5]] == 0).all()
+        # conditioning on a component that is zero there leaves f_12
+        cross = partial_cross_spectrum_direct(field, 1, 2, (3,)).cross
+        plain = field.entry(1, 2)
+        assert np.abs(cross[2:4] - plain[2:4]).max() < 1e-12 * np.abs(plain[2:4]).max()
+        # the loaded inverse of {1, 3} gives 1/g_11 = f_11 + eps*f_11/2
+        mc = multiple_coherence(field, 1, [3])
+        assert np.allclose(mc[2:4], -RIDGE_FRACTIONS[0] / 2, rtol=1e-6, atol=0)
+        assert (mc[[0, 1, 4, 5]] > 0).all()
+
+
 class TestSchurSubsets:
-    """The explicit-subset queries share one Schur projection, so they share
-    its report of the first singular ordinate."""
+    """The explicit-subset queries share one singularity rule, so they share
+    its report of the first ordinate that no ridge step rescues."""
 
     @pytest.mark.parametrize(
         "query",

@@ -25,7 +25,6 @@ from stspectra import (
     decompose_cross_spectrum,
     default_half_widths,
     dft,
-    dot_multiple_gap,
     dot_spectrum,
     gain_dot_spectrum,
     gain_spectrum,
@@ -42,7 +41,13 @@ from stspectra.errors import ValidationError
 from stspectra.spectra import EVENT_CHUNK, _axis_phases, _step_phases
 
 from conftest import build_pattern
-from oracles import dft_exp, dft_separable, dot_spectra_from_transforms, exp_phases
+from oracles import (
+    dft_exp,
+    dft_separable,
+    dot_multiple_gap,
+    dot_spectra_from_transforms,
+    exp_phases,
+)
 
 # point -> (component a value, component b value); grid point (p, q, u), T=2
 DFT_ORACLE = {
@@ -501,6 +506,14 @@ class TestCoherence:
             coherence(smoothed, 0, 1)
         with pytest.raises(ValidationError):
             multiple_coherence(smoothed, 1, [1, 2])
+        with pytest.raises(ValidationError, match=r"components \[1\.5\] are not whole"):
+            smoothed.entry(1.5, 2)
+        with pytest.raises(ValidationError, match=r"components \[2\.5\] are not whole"):
+            coherence(smoothed, 1, 2.5)
+        with pytest.raises(ValidationError, match=r"components \[2\.5\] are not whole"):
+            multiple_coherence(smoothed, 1, [2.5])
+        # whole floats name the components their ints name
+        assert np.array_equal(smoothed.entry(2.0, 1), smoothed.entry(2, 1))
 
 
 def dot_fields(pattern, grid, half_widths):
@@ -588,6 +601,10 @@ class TestDotSpectrum:
             dot_spectrum(raw, 1)
         with pytest.raises(ValidationError):
             dot_spectrum(smooth_spectra(raw, (1, 1, 1)), 4)
+        with pytest.raises(ValidationError, match=r"components \[1\.5\] are not whole"):
+            dot_spectrum(smooth_spectra(raw, (1, 1, 1)), 1.5)
+        sm = smooth_spectra(raw, (1, 1, 1))
+        assert np.array_equal(dot_spectrum(sm, 2.0).cross, dot_spectrum(sm, 2).cross)
 
     def test_gap_diagnostic_small_but_nonzero(self, trio_pattern, small_grid):
         raw = periodogram_matrix(dft(trio_pattern, small_grid))
